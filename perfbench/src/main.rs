@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload <paper_direct|serve_zoo|train_qat> --seed <n> --seconds <s> --trace <0|1>
+//!     --workload <serve_zoo|train_qat> --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
 //! `--trace 0` measures the end-to-end metrics; `--trace 1` runs the
@@ -14,7 +14,6 @@
 mod alloc;
 mod forward;
 mod loadgen;
-mod paper;
 mod profile;
 mod report;
 mod serve;
@@ -46,7 +45,7 @@ pub struct Args {
 }
 
 const USAGE: &str =
-    "usage: perfbench --workload <paper_direct|serve_zoo|train_qat> --seed <n> --seconds <s> --trace <0|1>";
+    "usage: perfbench --workload <serve_zoo|train_qat> --seed <n> --seconds <s> --trace <0|1>";
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let (mut workload, mut seed, mut seconds, mut trace) = (None, None, None, None);
@@ -125,13 +124,13 @@ pub fn setup<T>(
     })
 }
 
-const MIB: f64 = 1024.0 * 1024.0;
+pub const MIB: f64 = 1024.0 * 1024.0;
 
 /// The end-to-end metrics, in the order `BENCHMARK.json` lists them.
-pub fn end_to_end(setup_s: f64, throughput: f64, p50_ms: f64) -> Vec<Metric> {
+pub fn end_to_end(setup_s: f64, peak_heap_bytes: u64, throughput: f64, p50_ms: f64) -> Vec<Metric> {
     vec![
         Metric::new("setup_s", setup_s, "s"),
-        Metric::new("peak_heap_mb", alloc::peak_heap_bytes() as f64 / MIB, "MiB"),
+        Metric::new("peak_heap_mb", peak_heap_bytes as f64 / MIB, "MiB"),
         Metric::new("throughput_per_s", throughput, "1/s"),
         Metric::new("p50_ms", p50_ms, "ms"),
     ]
@@ -146,7 +145,6 @@ fn main() -> ExitCode {
         }
     };
     let outcome: Result<Report, Error> = match args.workload.as_str() {
-        "paper_direct" => paper::run(&args),
         "serve_zoo" => serve::run(&args),
         "train_qat" => train::run(&args),
         other => Err(format!("unknown workload {other:?}\n{USAGE}").into()),
@@ -192,7 +190,7 @@ mod tests {
 
     #[test]
     fn end_to_end_names_are_valid() {
-        for m in end_to_end(1.0, 1.0, 1.0) {
+        for m in end_to_end(1.0, 1, 1.0, 1.0) {
             assert!(stats::valid_metric_name(&m.name), "{}", m.name);
         }
     }
@@ -223,7 +221,7 @@ mod tests {
                 .map(|m| (m.name, m.unit.to_string()))
                 .collect()
         };
-        assert_eq!(listed("end_to_end"), emitted(end_to_end(1.0, 1.0, 1.0)));
+        assert_eq!(listed("end_to_end"), emitted(end_to_end(1.0, 1, 1.0, 1.0)));
         assert_eq!(
             listed("per_layer"),
             emitted(profile::Profile::default().metrics())

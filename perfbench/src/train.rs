@@ -225,7 +225,12 @@ fn timed(
     ));
     // Throughput from the median epoch, steadier than the mean on a noisy
     // host.
-    report.end_to_end = crate::end_to_end(setup_s, SAMPLES as f64 / (lat.p50 / 1e3), lat.p50);
+    report.end_to_end = crate::end_to_end(
+        setup_s,
+        alloc::peak_heap_bytes(),
+        SAMPLES as f64 / (lat.p50 / 1e3),
+        lat.p50,
+    );
     Ok(())
 }
 
