@@ -8,12 +8,6 @@
 //!   im2col + matmul forward on a CONV2-like layer at 5%/20%/50% input spike
 //!   density, tracking the sparse/dense crossover that
 //!   `Conv2d::sparse_crossover` encodes.
-//! * `sparse_word_scan` — the word-scan event kernels (`forward_spikes`
-//!   iterating the plane's `u64` mask words) vs the retained index-list
-//!   oracles (`forward_spikes_indexed`) on conv and linear layers at
-//!   5%/20%/50% density; asserts (also in the `--test` CI smoke) that the
-//!   word path is not slower than the index path at the layer's calibrated
-//!   event/dense crossover density.
 //! * `matmul_blocked_vs_naive` — the cache-blocked `matmul_to` kernel vs the
 //!   retained `matmul_naive_to` reference on paper-scale dense-fallback
 //!   shapes (results are bitwise identical; only the speed differs).
@@ -121,88 +115,6 @@ fn bench_sparse_conv(c: &mut Criterion) {
         );
     }
     group.finish();
-}
-
-fn bench_sparse_word_scan(c: &mut Criterion) {
-    use snn_core::layers::Linear;
-
-    // Word-scan event kernels (trailing-zeros over the plane's u64 mask
-    // words) vs the retained index-list oracles, on the same CONV2-like
-    // geometry as `sparse_conv` plus a classifier-head linear. All arms are
-    // bitwise identical; only the sparse-set traversal differs.
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
-    let conv = Conv2d::with_kaiming_init(16, 16, 3, 1, 1, &mut rng).expect("conv builds");
-    let fc = Linear::with_kaiming_init(512, 16, &mut rng).expect("linear builds");
-    let mut group = c.benchmark_group("sparse_word_scan");
-    for &density in &[0.05_f64, 0.2, 0.5] {
-        let label = format!("{:.0}%", density * 100.0);
-        let plane = SpikePlane::from_tensor(&spike_input(&[16, 8, 8], density));
-        group.bench_with_input(BenchmarkId::new("conv_word", &label), &plane, |b, p| {
-            b.iter(|| conv.forward_spikes(p).expect("word forward"));
-        });
-        group.bench_with_input(BenchmarkId::new("conv_index", &label), &plane, |b, p| {
-            b.iter(|| conv.forward_spikes_indexed(p).expect("indexed forward"));
-        });
-        let flat = SpikePlane::from_tensor(&spike_input(&[512], density));
-        group.bench_with_input(BenchmarkId::new("linear_word", &label), &flat, |b, p| {
-            b.iter(|| fc.forward_spikes(p).expect("word forward"));
-        });
-        group.bench_with_input(BenchmarkId::new("linear_index", &label), &flat, |b, p| {
-            b.iter(|| fc.forward_spikes_indexed(p).expect("indexed forward"));
-        });
-    }
-    group.finish();
-
-    // Regression contract, enforced in the CI smoke (`--test`) and in full
-    // runs alike: at the layer's calibrated event/dense crossover density —
-    // the highest density the event path ever serves in production — the
-    // word scan must not be slower than the index walk it replaced (with a
-    // 1.5x guard band so scheduler noise can't flake CI). Measured directly
-    // with medians, like the train_checkpoint overhead contract.
-    let median = |samples: &mut Vec<f64>| {
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        samples[samples.len() / 2]
-    };
-    let crossover = conv.sparse_crossover();
-    let plane = SpikePlane::from_tensor(&spike_input(&[16, 8, 8], crossover));
-    let time = |f: &dyn Fn()| {
-        let mut samples: Vec<f64> = (0..31)
-            .map(|_| {
-                let start = std::time::Instant::now();
-                for _ in 0..8 {
-                    f();
-                }
-                start.elapsed().as_secs_f64() / 8.0
-            })
-            .collect();
-        median(&mut samples)
-    };
-    // Warm both paths, then interleave the measurements.
-    conv.forward_spikes(&plane).expect("warm");
-    conv.forward_spikes_indexed(&plane).expect("warm");
-    let word = time(&|| {
-        conv.forward_spikes(&plane).expect("word forward");
-    });
-    let index = time(&|| {
-        conv.forward_spikes_indexed(&plane)
-            .expect("indexed forward");
-    });
-    println!(
-        "sparse_word_scan crossover ({:.0}% density): word {:.2} us, index {:.2} us, \
-         ratio {:.2} (must stay < 1.5)",
-        crossover * 100.0,
-        word * 1e6,
-        index * 1e6,
-        word / index
-    );
-    assert!(
-        word < index * 1.5,
-        "word-scan conv forward regressed past the index-list oracle at the \
-         {:.0}% crossover density: word {:.2} us vs index {:.2} us",
-        crossover * 100.0,
-        word * 1e6,
-        index * 1e6
-    );
 }
 
 /// Deterministic dense matrix with ~25% exact zeros, the regime the
@@ -493,7 +405,6 @@ criterion_group!(
     benches,
     bench_batches,
     bench_sparse_conv,
-    bench_sparse_word_scan,
     bench_matmul,
     bench_bptt_backward,
     bench_input_grad,

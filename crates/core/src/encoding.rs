@@ -114,14 +114,14 @@ impl Encoder {
     }
 
     /// Event-producing variant of [`Encoder::encode`]: fills `frames` with
-    /// per-timestep [`SpikePlane`]s (dense backing plus active-index list),
+    /// per-timestep [`SpikePlane`]s (dense backing plus mask words),
     /// reusing the vector's existing plane allocations across calls. This is
     /// what the inference run loop consumes; the dense backings are
     /// bit-identical to [`Encoder::encode`]'s frames for the same seed.
     ///
     /// Rate-coded frames are binary spike planes; direct-coded frames carry
-    /// the analog image (`is_binary() == false` in general) and the active
-    /// list of its non-zero pixels.
+    /// the analog image (`is_binary() == false` in general) and mask words
+    /// marking its non-zero pixels.
     ///
     /// # Errors
     ///

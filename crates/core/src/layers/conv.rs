@@ -493,18 +493,15 @@ impl Conv2d {
     /// in a binary plane — the event-level description of this layer's
     /// receptive-field geometry — into `taps`, returning the output shape.
     ///
-    /// This is the production **word-scan** kernel: spikes come from
-    /// trailing-zeros iteration over the plane's `u64` mask words
-    /// ([`SpikePlane::iter_active`]), which visits the identical ascending
-    /// index sequence as the retained index-list walk
-    /// ([`Conv2d::gather_taps_indexed`]). Events are scanned in ascending
-    /// index order and taps in ascending `(ky, kx)` order, so for every fixed
-    /// weight row the output cells ascend, and for every fixed output cell
-    /// the weight rows ascend — the dense matmul's exact accumulation order
-    /// in both directions. The event-driven forward consumes the taps grouped
-    /// by cell and the event-aware BPTT weight gradient grouped by weight
-    /// row; the shared ordering is what keeps both bitwise equal to their
-    /// dense counterparts.
+    /// Spikes come from trailing-zeros iteration over the plane's `u64` mask
+    /// words ([`SpikePlane::iter_active`]) in ascending index order, and taps
+    /// in ascending `(ky, kx)` order, so for every fixed weight row the
+    /// output cells ascend, and for every fixed output cell the weight rows
+    /// ascend — the dense matmul's exact accumulation order in both
+    /// directions. The event-driven forward consumes the taps grouped by cell
+    /// and the event-aware BPTT weight gradient grouped by weight row; the
+    /// shared ordering is what keeps both bitwise equal to their dense
+    /// counterparts.
     ///
     /// # Errors
     ///
@@ -515,34 +512,6 @@ impl Conv2d {
         plane: &SpikePlane,
         taps: &mut Vec<(u32, u32)>,
     ) -> Result<[usize; 3], SnnError> {
-        let out_shape = self.validate_event_input(plane)?;
-        self.gather_taps_from(plane.shape(), &out_shape, plane.iter_active(), taps);
-        Ok(out_shape)
-    }
-
-    /// The retained index-list tap gather — [`Conv2d::gather_taps`] driven by
-    /// the plane's ascending `u32` active list instead of its mask words.
-    /// Kept as the differential oracle for the word-scan kernel: both walk
-    /// the identical event sequence, so their tap lists (and therefore the
-    /// forwards and gradients built from them) are equal — asserted by the
-    /// `spike_words` harness.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Conv2d::gather_taps`].
-    pub fn gather_taps_indexed(
-        &self,
-        plane: &SpikePlane,
-        taps: &mut Vec<(u32, u32)>,
-    ) -> Result<[usize; 3], SnnError> {
-        let out_shape = self.validate_event_input(plane)?;
-        let events = plane.active().iter().map(|&i| i as usize);
-        self.gather_taps_from(plane.shape(), &out_shape, events, taps);
-        Ok(out_shape)
-    }
-
-    /// Shared binary-plane validation of the event-path entry points.
-    fn validate_event_input(&self, plane: &SpikePlane) -> Result<[usize; 3], SnnError> {
         let out_shape = self.output_shape(plane.shape())?;
         if !plane.is_binary() {
             return Err(SnnError::config(
@@ -550,26 +519,14 @@ impl Conv2d {
                 "Conv2d::gather_taps requires a binary spike plane",
             ));
         }
-        Ok(out_shape)
-    }
-
-    /// Tap enumeration shared by the word-scan and index-list gathers; the
-    /// two entry points differ only in the event iterator they pass.
-    fn gather_taps_from(
-        &self,
-        in_shape: &[usize],
-        out_shape: &[usize; 3],
-        events: impl Iterator<Item = usize>,
-        taps: &mut Vec<(u32, u32)>,
-    ) {
-        let (h, w) = (in_shape[1], in_shape[2]);
+        let (h, w) = (plane.shape()[1], plane.shape()[2]);
         let (oh, ow) = (out_shape[1], out_shape[2]);
         let k = self.kernel;
         let kk = k * k;
         taps.clear();
-        // `for_each` routes through the iterator's `fold`, letting the word
-        // scan run its internal word loop instead of per-item `next` calls.
-        events.for_each(|flat| {
+        // `for_each` routes through `WordScan::fold`, letting the scan run
+        // its internal word loop instead of per-item `next` calls.
+        plane.iter_active().for_each(|flat| {
             let ci = flat / (h * w);
             let rem = flat % (h * w);
             let iy = rem / w;
@@ -600,6 +557,7 @@ impl Conv2d {
                 }
             }
         });
+        Ok(out_shape)
     }
 
     /// The event-driven kernel behind [`Conv2d::forward_spikes`], with
@@ -613,35 +571,7 @@ impl Conv2d {
         // Pass 1: enumerate the (weight-row, output-cell) taps of every
         // spike, by word-scan over the plane's mask words.
         let out_shape = self.gather_taps(plane, &mut scratch.taps)?;
-        self.accumulate_taps(&out_shape, scratch, out);
-        Ok(())
-    }
-
-    /// The retained index-list event forward: identical to
-    /// [`Conv2d::forward_spikes`] except the taps are gathered from the
-    /// plane's ascending `u32` active list ([`Conv2d::gather_taps_indexed`])
-    /// instead of its mask words. The differential oracle the `spike_words`
-    /// harness holds the word-scan path against, and the baseline the
-    /// `sparse_word_scan` bench arm measures the word path's speedup over.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Conv2d::forward_spikes`].
-    pub fn forward_spikes_indexed(&self, plane: &SpikePlane) -> Result<Tensor, SnnError> {
-        let mut scratch = ConvScratch::new();
-        let mut out = Tensor::zeros(&[0]);
-        let out_shape = self.gather_taps_indexed(plane, &mut scratch.taps)?;
-        self.accumulate_taps(&out_shape, &mut scratch, &mut out);
-        Ok(out)
-    }
-
-    /// Passes 2 and 3 of the event forward, shared by the word-scan and
-    /// index-list tap gathers: accumulate the gathered taps, transpose back,
-    /// add the bias.
-    fn accumulate_taps(&self, out_shape: &[usize; 3], scratch: &mut ConvScratch, out: &mut Tensor) {
-        let (oh, ow) = (out_shape[1], out_shape[2]);
-        let cell_count = oh * ow;
-        let taps = &scratch.taps;
+        let cell_count = out_shape[1] * out_shape[2];
         // Pass 2: accumulate in a transposed `[cell][out_channel]` layout so
         // each tap is ONE contiguous vector add of a transposed weight row
         // across all output channels, instead of `out_channels` scattered
@@ -657,13 +587,13 @@ impl Conv2d {
         let acc = &mut scratch.acc;
         acc.clear();
         acc.resize(cell_count * oc_n, 0.0);
-        for &(p, cell) in taps.iter() {
+        for &(p, cell) in scratch.taps.iter() {
             let arow = &mut acc[cell as usize * oc_n..(cell as usize + 1) * oc_n];
             let wrow = &wt[p as usize * oc_n..(p as usize + 1) * oc_n];
             add_assign_lanes(arow, wrow);
         }
         // Pass 3: transpose back to the `[out_channel][cell]` tensor layout.
-        out.reset_to(out_shape, 0.0);
+        out.reset_to(&out_shape, 0.0);
         let odat = out.as_mut_slice();
         for oc in 0..oc_n {
             let orow = &mut odat[oc * cell_count..(oc + 1) * cell_count];
@@ -672,6 +602,7 @@ impl Conv2d {
             }
         }
         self.add_bias(cell_count, odat);
+        Ok(())
     }
 
     /// Adds the per-channel bias to an output buffer of `cell_count` cells

@@ -202,14 +202,11 @@ impl Linear {
         Ok(out)
     }
 
-    /// Allocation-free variant of [`Linear::forward_spikes`]. This is the
-    /// production **word-scan** kernel: per output row, the active inputs are
-    /// recovered by trailing-zeros iteration over the plane's `u64` mask
-    /// words — one word load covers 64 inputs, so the per-row index traffic
-    /// drops from `active` u32 loads to `in/64` u64 loads. The bit order
-    /// visits the identical ascending sequence as the retained index walk
-    /// ([`Linear::forward_spikes_indexed`]), keeping the accumulation
-    /// bitwise-equal.
+    /// Allocation-free variant of [`Linear::forward_spikes`]. Per output row,
+    /// the active inputs are recovered by trailing-zeros iteration over the
+    /// plane's `u64` mask words — one word load covers 64 inputs. The bits
+    /// come back in ascending index order, the order the dense path skips
+    /// zeros in, keeping the accumulation bitwise-equal.
     ///
     /// # Errors
     ///
@@ -219,7 +216,19 @@ impl Linear {
         plane: &SpikePlane,
         out: &mut Tensor,
     ) -> Result<(), SnnError> {
-        self.validate_event_input(plane)?;
+        if plane.len() != self.in_features {
+            return Err(SnnError::shape(
+                &[self.in_features],
+                &[plane.len()],
+                "Linear::forward_spikes",
+            ));
+        }
+        if !plane.is_binary() {
+            return Err(SnnError::config(
+                "input",
+                "Linear::forward_spikes requires a binary spike plane",
+            ));
+        }
         let w = self.weight.as_slice();
         let b = self.bias.as_slice();
         let words = plane.as_words();
@@ -236,49 +245,6 @@ impl Linear {
                 }
             }
             *out_val = acc;
-        }
-        Ok(())
-    }
-
-    /// The retained index-list event forward: identical accumulation to
-    /// [`Linear::forward_spikes_into`], driven by the plane's ascending `u32`
-    /// active list instead of its mask words. The differential oracle the
-    /// `spike_words` harness holds the word-scan path against.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Linear::forward_spikes`].
-    pub fn forward_spikes_indexed(&self, plane: &SpikePlane) -> Result<Tensor, SnnError> {
-        self.validate_event_input(plane)?;
-        let w = self.weight.as_slice();
-        let b = self.bias.as_slice();
-        let active = plane.active();
-        let mut out = Tensor::zeros(&[self.out_features]);
-        for (o, out_val) in out.as_mut_slice().iter_mut().enumerate() {
-            let row = &w[o * self.in_features..(o + 1) * self.in_features];
-            let mut acc = b[o];
-            for &i in active {
-                acc += row[i as usize];
-            }
-            *out_val = acc;
-        }
-        Ok(out)
-    }
-
-    /// Shared binary-plane validation of the event-path entry points.
-    fn validate_event_input(&self, plane: &SpikePlane) -> Result<(), SnnError> {
-        if plane.len() != self.in_features {
-            return Err(SnnError::shape(
-                &[self.in_features],
-                &[plane.len()],
-                "Linear::forward_spikes",
-            ));
-        }
-        if !plane.is_binary() {
-            return Err(SnnError::config(
-                "input",
-                "Linear::forward_spikes requires a binary spike plane",
-            ));
         }
         Ok(())
     }

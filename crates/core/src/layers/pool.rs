@@ -118,14 +118,11 @@ impl SpikeMaxPool2d {
     }
 
     /// Event-driven OR-pooling between [`SpikePlane`]s: input spikes are
-    /// word-scanned from the plane's `u64` mask words, and each spike marks
+    /// word-scanned from the plane's `u64` mask words, and each spike sets
     /// its output window cell's mask bit directly (`active × O(1)` work
-    /// instead of scanning every window); the output's active list is then
-    /// rebuilt by word-scanning the (4×-smaller) output mask. Falls back to
-    /// the dense window scan for analog planes, where "non-zero" and "spike"
-    /// differ. Output values are bit-identical to [`SpikeMaxPool2d::forward`]
-    /// and to the retained index-list walk
-    /// ([`SpikeMaxPool2d::forward_plane_indexed`]).
+    /// instead of scanning every window). Falls back to the dense window
+    /// scan for analog planes, where "non-zero" and "spike" differ. Output
+    /// values are bit-identical to [`SpikeMaxPool2d::forward`].
     ///
     /// # Errors
     ///
@@ -143,59 +140,17 @@ impl SpikeMaxPool2d {
                 // Floor division drops partial windows at the bottom/right
                 // edge, exactly like the dense scan.
                 if oy < oh && ox < ow {
-                    out.mark(c * oh * ow + oy * ow + ox);
+                    out.push(c * oh * ow + oy * ow + ox);
                 }
             }
         } else {
             let pooled = self.forward(input.dense())?;
             for (i, &v) in pooled.as_slice().iter().enumerate() {
                 if v > 0.0 {
-                    out.mark(i);
+                    out.push(i);
                 }
             }
         }
-        out.rebuild_active();
-        Ok(())
-    }
-
-    /// The retained index-list event pooling: identical to
-    /// [`SpikeMaxPool2d::forward_plane`] but scatters from the plane's
-    /// ascending `u32` active list instead of its mask words. OR-pooling is
-    /// order-insensitive, so the two paths trivially mark the same output
-    /// set; the `spike_words` harness still asserts full plane equality
-    /// (dense backing, active list, mask words) between them.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SpikeMaxPool2d::forward`].
-    pub fn forward_plane_indexed(
-        &self,
-        input: &SpikePlane,
-        out: &mut SpikePlane,
-    ) -> Result<(), SnnError> {
-        let out_shape = self.output_shape(input.shape())?;
-        let (h, w) = (input.shape()[1], input.shape()[2]);
-        let (oh, ow) = (out_shape[1], out_shape[2]);
-        out.begin(&out_shape);
-        if input.is_binary() {
-            for &flat in input.active() {
-                let flat = flat as usize;
-                let c = flat / (h * w);
-                let rem = flat % (h * w);
-                let (oy, ox) = (rem / w / self.size, rem % w / self.size);
-                if oy < oh && ox < ow {
-                    out.mark(c * oh * ow + oy * ow + ox);
-                }
-            }
-        } else {
-            let pooled = self.forward(input.dense())?;
-            for (i, &v) in pooled.as_slice().iter().enumerate() {
-                if v > 0.0 {
-                    out.mark(i);
-                }
-            }
-        }
-        out.rebuild_active();
         Ok(())
     }
 

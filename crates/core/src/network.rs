@@ -800,7 +800,8 @@ pub fn vgg9_with_lif(cfg: &Vgg9Config, lif: LifParams) -> Result<SnnNetwork, Snn
     let c = cfg.conv_channels;
     let mut layers = Vec::new();
     let mut in_c = cfg.in_channels;
-    // Block 1: CONV1_1, CONV1_2, MP.
+    let mut pools = 0;
+    // Three conv blocks, each closed by a pool: MP1, MP2, MP3.
     for (i, &out_c) in c.iter().enumerate() {
         let conv = Conv2d::with_kaiming_init(in_c, out_c, 3, 1, 1, &mut rng)?;
         layers.push(Layer::Conv {
@@ -811,8 +812,9 @@ pub fn vgg9_with_lif(cfg: &Vgg9Config, lif: LifParams) -> Result<SnnNetwork, Snn
         in_c = out_c;
         // Pool after CONV1_2 (index 1), CONV2_2 (index 3), CONV3_3 (index 6).
         if i == 1 || i == 3 || i == 6 {
+            pools += 1;
             layers.push(Layer::Pool {
-                name: format!("MP{}", [1, 0, 2, 0, 0, 0, 3][i.min(6)]),
+                name: format!("MP{pools}"),
                 pool: SpikeMaxPool2d::new(2)?,
             });
         }
@@ -965,6 +967,17 @@ mod tests {
         assert_eq!(names[6], "CONV3_3");
         assert_eq!(names[7], "FC1");
         assert_eq!(names.len(), 9);
+        // The built network names every layer, pools included, uniquely and
+        // in Table I order.
+        let net = vgg9(&Vgg9Config::cifar10_small()).unwrap();
+        let built: Vec<&str> = net.layers().iter().map(Layer::name).collect();
+        assert_eq!(
+            built,
+            [
+                "CONV1_1", "CONV1_2", "MP1", "CONV2_1", "CONV2_2", "MP2", "CONV3_1", "CONV3_2",
+                "CONV3_3", "MP3", "FC1", "FC_OUT"
+            ]
+        );
     }
 
     #[test]

@@ -262,9 +262,9 @@ impl LifPopulation {
     }
 
     /// Event-emitting variant of [`LifPopulation::step_into`]: writes the
-    /// spike frame into `out`'s dense backing *and* its ascending
-    /// active-index list in the same pass, producing the [`SpikePlane`] the
-    /// event-driven layer forwards consume. Returns the spike count.
+    /// spike frame into `out`'s dense backing *and* its mask words in the
+    /// same pass, producing the [`SpikePlane`] the event-driven layer
+    /// forwards consume. Returns the spike count.
     ///
     /// # Errors
     ///
@@ -433,14 +433,14 @@ mod tests {
             assert_eq!(plane.dense().as_slice(), reference.as_slice());
             assert_eq!(count, plane.count_active());
             assert!(plane.is_binary());
-            let expected: Vec<u32> = reference
+            let expected: Vec<usize> = reference
                 .as_slice()
                 .iter()
                 .enumerate()
                 .filter(|(_, &v)| v > 0.0)
-                .map(|(i, _)| i as u32)
+                .map(|(i, _)| i)
                 .collect();
-            assert_eq!(plane.active(), expected.as_slice());
+            assert_eq!(plane.iter_active().collect::<Vec<_>>(), expected);
         }
     }
 

@@ -9,6 +9,9 @@
 //!
 //! * [`SpikeTrain`] — one bit per neuron, packed into `u64` words. This is the
 //!   unit the sparse core's Compression routine consumes `n` bits per cycle.
+//! * [`SpikePlane`] — one layer input frame at one timestep, as the simulator
+//!   runs it: a dense backing plus the same `u64` mask words, which the
+//!   event-driven kernels word-scan.
 //! * [`SpikeVolume`] — the spike output of a whole layer: `T × C` spike
 //!   trains of `H × W` bits each, stored timestep-major.
 //! * [`SpikeRecord`] — per-layer spike counts collected during a network run,
@@ -21,24 +24,19 @@ use serde::{Deserialize, Serialize};
 /// One sparse activation frame: the event-driven representation of a layer
 /// input at a single timestep.
 ///
-/// A `SpikePlane` pairs a dense tensor backing with **two** sparse views of
-/// its non-zero set, maintained in lockstep by every producer (the encoders,
-/// the LIF populations, spike pooling):
+/// A `SpikePlane` pairs a dense tensor backing with **one** sparse view of
+/// its non-zero set: `u64` **mask words** ([`SpikePlane::as_words`]), 64
+/// cells per word, LSB-first within a word — exactly the compressed binary
+/// activation stream the paper's hardware moves between layers. Every
+/// producer (the encoders, the LIF populations, spike pooling) writes the
+/// dense cell and its mask bit together. The word-scan kernels iterate the
+/// words (trailing-zeros per word), and `count_active()`/`density()`
+/// popcount them.
 ///
-/// * `u64` **mask words** ([`SpikePlane::as_words`]) — 64 cells per word,
-///   LSB-first within a word, exactly the compressed binary activation
-///   stream the paper's hardware moves between layers. This is what the
-///   production word-scan kernels iterate (trailing-zeros per word), and
-///   what `count_active()`/`density()` popcount.
-/// * the ascending **active-index list** ([`SpikePlane::active`]) — the
-///   original event-list representation, retained as the differential
-///   oracle the `*_indexed` kernel variants and the `spike_words` test
-///   harness drive.
-///
-/// Ascending-bit iteration of the words visits exactly the ascending index
-/// list ([`SpikePlane::iter_active`] ≡ `active()`), so both views impose the
-/// identical f32 accumulation order on consumers — which is what keeps the
-/// word path bitwise-equal to the index and dense paths:
+/// A word scan ([`SpikePlane::iter_active`]) visits the set bits in
+/// ascending index order whatever order a producer set them in, so every
+/// consumer accumulates f32 values in the dense kernels' order — which is
+/// what keeps the event paths bitwise-equal to the dense reference:
 ///
 /// * the event-driven [`crate::layers::Conv2d::forward_spikes`] /
 ///   [`crate::layers::Linear::forward_spikes`] gather weight columns for the
@@ -60,14 +58,13 @@ use serde::{Deserialize, Serialize};
 /// let t = Tensor::from_vec(vec![0.0, 1.0, 0.0, 1.0], &[2, 2]).unwrap();
 /// let plane = SpikePlane::from_tensor(&t);
 /// assert!(plane.is_binary());
-/// assert_eq!(plane.active(), &[1, 3]);
+/// assert_eq!(plane.iter_active().collect::<Vec<_>>(), vec![1, 3]);
 /// assert_eq!(plane.as_words(), &[0b1010]);
 /// assert_eq!(plane.density(), 0.5);
 /// ```
 #[derive(Debug, Default, PartialEq)]
 pub struct SpikePlane {
     dense: Tensor,
-    active: Vec<u32>,
     words: Vec<u64>,
     binary: bool,
 }
@@ -76,7 +73,6 @@ impl Clone for SpikePlane {
     fn clone(&self) -> Self {
         SpikePlane {
             dense: self.dense.clone(),
-            active: self.active.clone(),
             words: self.words.clone(),
             binary: self.binary,
         }
@@ -87,7 +83,6 @@ impl Clone for SpikePlane {
     // frames across timesteps.
     fn clone_from(&mut self, source: &Self) {
         self.dense.copy_from(&source.dense);
-        self.active.clone_from(&source.active);
         self.words.clone_from(&source.words);
         self.binary = source.binary;
     }
@@ -99,14 +94,13 @@ impl SpikePlane {
     pub fn new() -> Self {
         SpikePlane {
             dense: Tensor::zeros(&[0]),
-            active: Vec::new(),
             words: Vec::new(),
             binary: true,
         }
     }
 
-    /// Builds a plane from a dense tensor, scanning it once for the active
-    /// indices and the binary flag.
+    /// Builds a plane from a dense tensor, scanning it once for the mask
+    /// words and the binary flag.
     pub fn from_tensor(tensor: &Tensor) -> Self {
         let mut plane = SpikePlane::new();
         plane.assign(tensor);
@@ -114,17 +108,15 @@ impl SpikePlane {
     }
 
     /// Rebuilds this plane from a dense tensor, reusing the existing
-    /// allocations. One scan recovers the active-index list, the mask words
-    /// and whether the values are all binary (0.0/1.0).
+    /// allocations. One scan recovers the mask words and whether the values
+    /// are all binary (0.0/1.0).
     pub fn assign(&mut self, tensor: &Tensor) {
         self.dense.copy_from(tensor);
-        self.active.clear();
         self.words.clear();
         self.words.resize(tensor.len().div_ceil(64), 0);
         self.binary = true;
         for (i, &v) in tensor.as_slice().iter().enumerate() {
             if v != 0.0 {
-                self.active.push(i as u32);
                 self.words[i / 64] |= 1u64 << (i % 64);
                 if v != 1.0 {
                     self.binary = false;
@@ -134,9 +126,8 @@ impl SpikePlane {
     }
 
     /// Resets the plane to an all-silent binary frame of `shape`, keeping
-    /// allocations. Producers then emit spikes via [`SpikePlane::push`] (in
-    /// ascending index order) or [`SpikePlane::mark`] +
-    /// [`SpikePlane::rebuild_active`].
+    /// allocations. Producers then emit spikes via [`SpikePlane::push`], in
+    /// any order.
     ///
     /// All mask words are zeroed — in particular the out-of-range bits of the
     /// final partial word when `len % 64 != 0`, so a plane reused across
@@ -144,71 +135,31 @@ impl SpikePlane {
     /// guarantee [`SpikeTrain::as_words`] documents).
     pub fn begin(&mut self, shape: &[usize]) {
         self.dense.reset_to(shape, 0.0);
-        self.active.clear();
         self.words.clear();
         self.words.resize(self.dense.len().div_ceil(64), 0);
         self.binary = true;
     }
 
-    /// Emits a spike at flat index `idx`. Callers must push indices in
-    /// strictly ascending order (the order every producer naturally scans
-    /// in); the event consumers rely on it to reproduce the dense
-    /// accumulation order bitwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range, and debug-asserts the ordering.
-    pub fn push(&mut self, idx: usize) {
-        debug_assert!(
-            self.active.last().is_none_or(|&last| (last as usize) < idx),
-            "spike indices must be pushed in ascending order"
-        );
-        debug_assert!(idx < self.dense.len(), "push index {idx} out of range");
-        self.dense.as_mut_slice()[idx] = 1.0;
-        self.active.push(idx as u32);
-        self.words[idx / 64] |= 1u64 << (idx % 64);
-    }
-
-    /// Marks a spike in the dense backing and the mask words (idempotent, any
-    /// order); callers must finish with [`SpikePlane::rebuild_active`]. Used
-    /// by OR-pooling, whose event scatter does not visit outputs in order.
+    /// Emits a spike at flat index `idx`: sets the dense cell to 1.0 and its
+    /// mask bit. Idempotent and order-free — the word scan reads the bits
+    /// back in ascending order whatever order they were set in.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range, so a bit `>= len` can never be set.
-    pub fn mark(&mut self, idx: usize) {
-        debug_assert!(idx < self.dense.len(), "mark index {idx} out of range");
+    pub fn push(&mut self, idx: usize) {
+        // Checked in release builds too: a ragged tail word has room for
+        // bits `>= len`, which the word scan would report as spikes.
+        if idx >= self.dense.len() {
+            push_out_of_range(idx);
+        }
         self.dense.as_mut_slice()[idx] = 1.0;
         self.words[idx / 64] |= 1u64 << (idx % 64);
-    }
-
-    /// Rebuilds the active-index list after a series of [`SpikePlane::mark`]
-    /// calls, by word-scanning the mask words (trailing-zeros per word)
-    /// instead of rescanning the dense f32 backing.
-    pub fn rebuild_active(&mut self) {
-        self.active.clear();
-        let len = self.dense.len();
-        for (wi, &word) in self.words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let idx = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                debug_assert!(idx < len, "mask bit {idx} set beyond plane length {len}");
-                self.active.push(idx as u32);
-            }
-        }
     }
 
     /// The dense tensor backing.
     pub fn dense(&self) -> &Tensor {
         &self.dense
-    }
-
-    /// Ascending flat indices of the non-zero elements — the retained
-    /// index-list representation, kept as the differential oracle for the
-    /// word-scan kernels.
-    pub fn active(&self) -> &[u32] {
-        &self.active
     }
 
     /// The `u64` mask words marking the non-zero elements: 64 cells per word,
@@ -231,11 +182,10 @@ impl SpikePlane {
     }
 
     /// Ascending word-scan iterator over the active flat indices, driven by
-    /// trailing-zeros over the mask words. Yields exactly the sequence of
-    /// [`SpikePlane::active`] — LSB-first bit order within each word is
-    /// ascending index order — so word-scan consumers accumulate f32 values
-    /// in the identical order as index-list consumers, keeping the two paths
-    /// bitwise-equal.
+    /// trailing-zeros over the mask words. LSB-first bit order within each
+    /// word is ascending index order, so word-scan consumers accumulate f32
+    /// values in the dense kernels' order, whatever order the producer set
+    /// the bits in.
     ///
     /// # Example
     ///
@@ -245,10 +195,7 @@ impl SpikePlane {
     ///
     /// let t = Tensor::from_fn(&[1, 9, 9], |i| [3, 63, 64, 80].contains(&i) as usize as f32);
     /// let plane = SpikePlane::from_tensor(&t);
-    /// let scanned: Vec<usize> = plane.iter_active().collect();
-    /// assert_eq!(scanned, vec![3, 63, 64, 80]);
-    /// let indexed: Vec<usize> = plane.active().iter().map(|&i| i as usize).collect();
-    /// assert_eq!(scanned, indexed);
+    /// assert_eq!(plane.iter_active().collect::<Vec<_>>(), vec![3, 63, 64, 80]);
     /// ```
     pub fn iter_active(&self) -> WordScan<'_> {
         scan_words(&self.words)
@@ -361,6 +308,15 @@ impl SpikePlane {
     }
 }
 
+/// The panic of [`SpikePlane::push`], kept cold and out of line so every
+/// producer's per-spike path stays one compare (an inline formatted
+/// `assert!` measurably slowed the LIF producer).
+#[cold]
+#[inline(never)]
+fn push_out_of_range(idx: usize) -> ! {
+    panic!("push index {idx} out of range")
+}
+
 /// Ascending iterator over the set-bit indices of a `u64` mask-word slice,
 /// created by [`scan_words`]. See [`SpikePlane::iter_active`] for the
 /// bitwise-equality contract word-scan consumers rely on.
@@ -420,7 +376,7 @@ impl Iterator for WordScan<'_> {
 /// shared primitive behind [`SpikePlane::iter_active`] and the training
 /// backward's gradient-column mask — any caller packing a mask into words
 /// gets the identical iteration order, and therefore the identical f32
-/// accumulation order, as an ascending index list.
+/// accumulation order, as an ascending scan over the cells.
 ///
 /// # Example
 ///
@@ -1024,7 +980,7 @@ mod tests {
         let binary = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 1.0, 0.0], &[2, 3]).unwrap();
         let plane = SpikePlane::from_tensor(&binary);
         assert!(plane.is_binary());
-        assert_eq!(plane.active(), &[0, 3, 4]);
+        assert_eq!(plane.iter_active().collect::<Vec<_>>(), vec![0, 3, 4]);
         assert_eq!(plane.count_active(), 3);
         assert_eq!(plane.shape(), &[2, 3]);
         assert!((plane.density() - 0.5).abs() < 1e-12);
@@ -1032,7 +988,7 @@ mod tests {
         let analog = Tensor::from_vec(vec![0.0, 0.7, 0.0, 1.0], &[4]).unwrap();
         let plane = SpikePlane::from_tensor(&analog);
         assert!(!plane.is_binary());
-        assert_eq!(plane.active(), &[1, 3]);
+        assert_eq!(plane.iter_active().collect::<Vec<_>>(), vec![1, 3]);
     }
 
     #[test]
@@ -1055,14 +1011,14 @@ mod tests {
     }
 
     #[test]
-    fn spike_plane_mark_and_rebuild_sorts_active() {
+    fn spike_plane_push_in_any_order_scans_ascending() {
         let mut plane = SpikePlane::new();
         plane.begin(&[8]);
-        plane.mark(6);
-        plane.mark(2);
-        plane.mark(6); // idempotent
-        plane.rebuild_active();
-        assert_eq!(plane.active(), &[2, 6]);
+        plane.push(6);
+        plane.push(2);
+        plane.push(6); // idempotent
+        assert_eq!(plane.iter_active().collect::<Vec<_>>(), vec![2, 6]);
+        assert_eq!(plane.count_active(), 2);
         assert!(plane.is_binary());
     }
 
@@ -1076,25 +1032,25 @@ mod tests {
         assert_eq!(plane.iter_active().collect::<Vec<_>>(), vec![0, 2, 5]);
         assert_eq!(plane.count_active(), 3);
 
-        // push() path.
+        // Ascending push() path.
         let mut plane = SpikePlane::new();
         plane.begin(&[2, 8, 8]);
         for idx in [0, 63, 64, 65, 127] {
             plane.push(idx);
         }
         assert_eq!(plane.as_words(), &[(1 << 63) | 1, 0b11 | (1 << 63)]);
-        let scanned: Vec<usize> = plane.iter_active().collect();
-        let indexed: Vec<usize> = plane.active().iter().map(|&i| i as usize).collect();
-        assert_eq!(scanned, indexed);
+        assert_eq!(
+            plane.iter_active().collect::<Vec<_>>(),
+            vec![0, 63, 64, 65, 127]
+        );
 
-        // mark() + rebuild_active() path.
+        // Descending push() path across a ragged tail word.
         let mut plane = SpikePlane::new();
         plane.begin(&[130]);
-        plane.mark(129);
-        plane.mark(64);
-        plane.mark(63);
-        plane.rebuild_active();
-        assert_eq!(plane.active(), &[63, 64, 129]);
+        plane.push(129);
+        plane.push(64);
+        plane.push(63);
+        assert_eq!(plane.iter_active().collect::<Vec<_>>(), vec![63, 64, 129]);
         assert_eq!(plane.count_active(), 3);
 
         // clone / clone_from preserve the words.
@@ -1123,8 +1079,7 @@ mod tests {
         assert_eq!(plane.count_active(), 0);
         plane.push(64);
         assert_eq!(plane.as_words(), &[0, 1]);
-        plane.rebuild_active();
-        assert_eq!(plane.active(), &[64]);
+        assert_eq!(plane.iter_active().collect::<Vec<_>>(), vec![64]);
         // Exact word-multiple length: no tail word at all.
         plane.begin(&[64]);
         assert_eq!(plane.as_words(), &[0]);
@@ -1132,10 +1087,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn plane_mark_out_of_range_panics() {
+    fn plane_push_past_ragged_tail_panics() {
         let mut plane = SpikePlane::new();
         plane.begin(&[70]);
-        plane.mark(70); // one past the ragged tail
+        plane.push(70); // one past the ragged tail
     }
 
     #[test]

@@ -2,13 +2,12 @@
 //! by the differential-oracle test harnesses.
 //!
 //! The word-scan kernels ([`SpikePlane::iter_active`], the event paths of
-//! `Conv2d`/`Linear`/`SpikeMaxPool2d`) are proven against two retained
-//! oracles — the index-list walk and the dense f32 reference — by asserting
-//! **bit-for-bit** equality on planes engineered to hit every mask-word edge
-//! case: empty and full words, a single bit per word, runs straddling the
-//! 63/64 and 127/128 word boundaries, ragged tails (`len % 64 != 0`) and
-//! planted `±0.0` activations (nonzero to the sparse views, invisible to a
-//! sum accumulated from `+0.0`).
+//! `Conv2d`/`Linear`/`SpikeMaxPool2d`) are proven against one retained
+//! oracle — the dense f32 reference — by asserting **bit-for-bit** equality
+//! on planes engineered to hit every mask-word edge case: empty and full
+//! words, a single bit per word, runs straddling the 63/64 and 127/128 word
+//! boundaries, ragged tails (`len % 64 != 0`) and planted `±0.0` activations
+//! (nonzero to the mask words, invisible to a sum accumulated from `+0.0`).
 //!
 //! This module is part of the library (not `#[cfg(test)]`) so integration
 //! tests of downstream crates — `snn-train`'s backward harness, the engine's
@@ -86,8 +85,8 @@ pub fn adversarial_masks(len: usize, seed: u64) -> Vec<MaskCase> {
 }
 
 /// Builds a binary [`SpikePlane`] for `mask` via the dense-assign path
-/// ([`SpikePlane::assign`]), which derives the index list and mask words by
-/// scanning the dense tensor.
+/// ([`SpikePlane::assign`]), which derives the mask words by scanning the
+/// dense tensor.
 ///
 /// # Panics
 ///
@@ -119,7 +118,7 @@ pub fn plane_from_mask_pushed(shape: &[usize], mask: &[bool]) -> SpikePlane {
 }
 
 /// A dense analog tensor with planted exact `+0.0` and `-0.0` cells — the
-/// regime where "nonzero to the sparse views" and "invisible to a sum" must
+/// regime where "nonzero to the mask words" and "invisible to a sum" must
 /// be kept distinct. Used for gradient frames and analog-plane inputs.
 pub fn planted_zero_tensor(shape: &[usize], seed: u64) -> Tensor {
     Tensor::from_fn(shape, |i| {
@@ -134,13 +133,15 @@ pub fn planted_zero_tensor(shape: &[usize], seed: u64) -> Tensor {
     })
 }
 
-/// Asserts the three views of a [`SpikePlane`] agree exactly:
+/// Asserts the mask words of a [`SpikePlane`] agree exactly with its dense
+/// backing:
 ///
-/// * the mask words hold `len.div_ceil(64)` entries and every bit at or
-///   beyond `len` in the final word is zero (the tail-word invariant);
-/// * word-scanning the mask words yields the ascending index list;
-/// * the index list is exactly the positions where the dense backing is
-///   nonzero, and [`SpikePlane::count_active`] (a popcount) matches.
+/// * the words hold `len.div_ceil(64)` entries;
+/// * every bit at or beyond `len` in the final word is zero (the tail-word
+///   invariant);
+/// * word-scanning them yields exactly the positions where the dense backing
+///   is nonzero;
+/// * [`SpikePlane::count_active`] (a popcount) matches.
 ///
 /// # Panics
 ///
@@ -155,8 +156,6 @@ pub fn assert_plane_views_agree(plane: &SpikePlane, ctx: &str) {
         }
     }
     let scanned: Vec<usize> = scan_words(words).collect();
-    let listed: Vec<usize> = plane.active().iter().map(|&i| i as usize).collect();
-    assert_eq!(scanned, listed, "{ctx}: word scan vs index list");
     let dense_nonzero: Vec<usize> = plane
         .dense()
         .as_slice()
@@ -164,8 +163,8 @@ pub fn assert_plane_views_agree(plane: &SpikePlane, ctx: &str) {
         .enumerate()
         .filter_map(|(i, &v)| (v != 0.0).then_some(i))
         .collect();
-    assert_eq!(listed, dense_nonzero, "{ctx}: index list vs dense backing");
-    assert_eq!(plane.count_active(), listed.len(), "{ctx}: popcount");
+    assert_eq!(scanned, dense_nonzero, "{ctx}: word scan vs dense backing");
+    assert_eq!(plane.count_active(), scanned.len(), "{ctx}: popcount");
 }
 
 /// Asserts two tensors are equal **bit for bit** (`f32::to_bits`), so
@@ -234,9 +233,17 @@ mod tests {
         for case in adversarial_masks(len, 3) {
             let assigned = plane_from_mask(&shape, &case.mask);
             let pushed = plane_from_mask_pushed(&shape, &case.mask);
+            // A producer may set bits in any order: push them descending.
+            let mut descending = SpikePlane::new();
+            descending.begin(&shape);
+            for i in (0..len).rev().filter(|&i| case.mask[i]) {
+                descending.push(i);
+            }
             assert_eq!(assigned, pushed, "{}: assign vs push", case.name);
+            assert_eq!(descending, pushed, "{}: push order", case.name);
             assert_plane_views_agree(&assigned, case.name);
             assert_plane_views_agree(&pushed, case.name);
+            assert_plane_views_agree(&descending, case.name);
         }
     }
 

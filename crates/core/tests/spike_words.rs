@@ -1,13 +1,10 @@
 //! The differential-oracle harness for the bit-packed spike planes and their
 //! word-scan kernels.
 //!
-//! Every optimized path is held to **bit-for-bit** equality against two
-//! retained oracles at once:
-//!
-//! * the **index-list** walk (`*_indexed` kernels over
-//!   [`SpikePlane::active`]) — the pre-word-scan production path, and
-//! * the **dense f32** reference (`forward` over the plane's dense backing)
-//!   — the ground truth every event path has always been measured against.
+//! Every optimized path is held to **bit-for-bit** equality against one
+//! retained oracle: the **dense f32** reference (`forward` over the plane's
+//! dense backing) — the ground truth every event path has always been
+//! measured against.
 //!
 //! Inputs come from [`snn_core::test_support::adversarial_masks`]: empty and
 //! full planes, one bit per mask word, runs straddling the 63/64 and 127/128
@@ -49,9 +46,9 @@ fn linear_pair(seed: u64, n_in: usize, n_out: usize) -> Vec<(&'static str, Linea
 }
 
 proptest! {
-    /// The three views of a plane (mask words, index list, dense backing)
-    /// agree on every corpus case and random fill, whichever construction
-    /// path built the plane.
+    /// The two views of a plane (mask words, dense backing) agree on every
+    /// corpus case and random fill, whichever construction path built the
+    /// plane.
     #[test]
     fn plane_views_agree_on_corpus_and_random_planes(
         c in 1_usize..3,
@@ -75,11 +72,11 @@ proptest! {
         assert_plane_views_agree(&plane, "random");
     }
 
-    /// `Conv2d`: word-scan forward ≡ index-list forward ≡ dense matmul
-    /// forward, bit for bit, at fp32 and int4, across ragged geometries,
-    /// strides and paddings, on the full adversarial corpus.
+    /// `Conv2d`: word-scan forward ≡ dense matmul forward, bit for bit, at
+    /// fp32 and int4, across ragged geometries, strides and paddings, on the
+    /// full adversarial corpus.
     #[test]
-    fn conv_forward_word_equals_indexed_equals_dense(
+    fn conv_forward_word_equals_dense(
         h in 3_usize..9,
         w in 3_usize..11,
         stride in 1_usize..3,
@@ -92,20 +89,18 @@ proptest! {
             for case in adversarial_masks(len, seed) {
                 let plane = plane_from_mask(&shape, &case.mask);
                 let word = conv.forward_spikes(&plane).unwrap();
-                let indexed = conv.forward_spikes_indexed(&plane).unwrap();
                 let dense = conv.forward(plane.dense()).unwrap();
                 let ctx = format!("conv {prec} {}", case.name);
-                assert_tensor_bits_eq(&word, &indexed, &format!("{ctx}: word vs indexed"));
                 assert_tensor_bits_eq(&word, &dense, &format!("{ctx}: word vs dense"));
             }
         }
     }
 
-    /// `Linear`: word-scan forward ≡ index-list forward ≡ dense matvec,
-    /// bit for bit, at fp32 and int4, including ragged in-feature counts
-    /// (`n_in % 64 != 0`) that exercise the tail word.
+    /// `Linear`: word-scan forward ≡ dense matvec, bit for bit, at fp32 and
+    /// int4, including ragged in-feature counts (`n_in % 64 != 0`) that
+    /// exercise the tail word.
     #[test]
-    fn linear_forward_word_equals_indexed_equals_dense(
+    fn linear_forward_word_equals_dense(
         n_in in 1_usize..200,
         n_out in 1_usize..12,
         seed in 0_u64..500,
@@ -114,20 +109,18 @@ proptest! {
             for case in adversarial_masks(n_in, seed) {
                 let plane = plane_from_mask(&[n_in], &case.mask);
                 let word = fc.forward_spikes(&plane).unwrap();
-                let indexed = fc.forward_spikes_indexed(&plane).unwrap();
                 let dense = fc.forward(plane.dense()).unwrap();
                 let ctx = format!("linear {prec} {}", case.name);
-                assert_tensor_bits_eq(&word, &indexed, &format!("{ctx}: word vs indexed"));
                 assert_tensor_bits_eq(&word, &dense, &format!("{ctx}: word vs dense"));
             }
         }
     }
 
     /// `SpikeMaxPool2d`: the word-scan plane forward produces a plane whose
-    /// every view (dense, index list, mask words) equals the index-list
-    /// oracle's, and whose dense backing equals the dense window-OR forward.
+    /// views agree, whose dense backing equals the dense window-OR forward
+    /// bit for bit, and which equals the plane assigned from that forward.
     #[test]
-    fn pool_forward_word_equals_indexed_equals_dense(
+    fn pool_forward_word_equals_dense(
         h in 3_usize..10,
         w in 3_usize..12,
         size in 2_usize..4,
@@ -140,14 +133,13 @@ proptest! {
         for case in adversarial_masks(len, seed) {
             let plane = plane_from_mask(&shape, &case.mask);
             let mut word = SpikePlane::new();
-            let mut indexed = SpikePlane::new();
             pool.forward_plane(&plane, &mut word).unwrap();
-            pool.forward_plane_indexed(&plane, &mut indexed).unwrap();
             let ctx = format!("pool {}", case.name);
-            prop_assert_eq!(&word, &indexed, "{}: word vs indexed", &ctx);
             assert_plane_views_agree(&word, &ctx);
             let dense = pool.forward(plane.dense()).unwrap();
             assert_tensor_bits_eq(word.dense(), &dense, &format!("{ctx}: word vs dense"));
+            let dense_plane = SpikePlane::from_tensor(&dense);
+            prop_assert_eq!(&word, &dense_plane, "{}: word vs dense plane", &ctx);
         }
     }
 
@@ -255,16 +247,13 @@ fn word_boundary_bit_placement_is_exact() {
     assert_eq!(exact.as_words(), &[(1_u64 << 63) | 1]);
 }
 
-/// The conv event path rejects analog planes on both the word and index
-/// entry points, with the same error.
+/// Both event paths, conv and linear, reject analog planes.
 #[test]
 fn event_kernels_reject_analog_planes_on_both_paths() {
     let conv = Conv2d::new(1, 2, 3, 1, 1).unwrap();
     let analog = SpikePlane::from_tensor(&Tensor::from_fn(&[1, 4, 4], |i| i as f32 * 0.3));
     assert!(conv.forward_spikes(&analog).is_err());
-    assert!(conv.forward_spikes_indexed(&analog).is_err());
     let fc = Linear::new(16, 2).unwrap();
     let flat = SpikePlane::from_tensor(&Tensor::from_fn(&[16], |i| i as f32 * 0.3));
     assert!(fc.forward_spikes(&flat).is_err());
-    assert!(fc.forward_spikes_indexed(&flat).is_err());
 }

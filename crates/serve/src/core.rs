@@ -912,21 +912,23 @@ fn worker_loop<M: ServeModel>(shared: &CoreShared, model: &M, slot: usize) {
         // error now and never reach the model — the inference they would
         // have cost goes to requests that can still make their deadlines.
         let now = Instant::now();
-        let mut expired = 0u64;
+        let is_expired = |job: &Job| job.ticket.deadline.is_some_and(|d| now >= d);
+        // Count the expiries before answering any of them: a caller that
+        // observed its response must find it counted.
+        let expired = jobs.iter().filter(|job| is_expired(job)).count() as u64;
+        if expired > 0 {
+            let mut stats = shared.stats.lock().expect("stats poisoned");
+            stats.deadline_expired += expired;
+        }
         for job in jobs.drain(..) {
-            if job.ticket.deadline.is_some_and(|d| now >= d) {
+            if is_expired(&job) {
                 let queued_us = elapsed_us(job.ticket.enqueued);
-                expired += 1;
                 job.ticket
                     .complete(Err(ServeError::DeadlineExceeded { queued_us }));
             } else {
                 requests.push(job.request);
                 tickets.push(job.ticket);
             }
-        }
-        if expired > 0 {
-            let mut stats = shared.stats.lock().expect("stats poisoned");
-            stats.deadline_expired += expired;
         }
         let batch_size = requests.len();
         if batch_size == 0 {

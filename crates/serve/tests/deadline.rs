@@ -250,6 +250,8 @@ fn default_timeout_applies_to_bare_requests() {
         Err(ServeError::DeadlineExceeded { .. }) => {}
         other => panic!("bare request must inherit default_timeout, got {other:?}"),
     }
+    // Counted before it was answered, so no polling is needed.
+    assert_eq!(core.stats().deadline_expired, 1);
     assert!(!executed.lock().unwrap().contains(&1));
     patient
         .wait()

@@ -21,9 +21,9 @@
 //!
 //! The production backward is **scratch-backed and event-aware**: layer
 //! inputs are cached as [`SpikePlane`]s, so the conv weight-gradient lowering
-//! is rebuilt by gather from the stored active-index lists when the frame is
+//! is rebuilt by gather from the stored planes' mask words when the frame is
 //! sparse (dispatching by the same crossover the forward uses), the pool
-//! backward takes each window's argmax from the event list, a replayed
+//! backward takes each window's argmax from a word scan, a replayed
 //! direct-coded input is lowered once per sample under the
 //! [`BpttConfig::cache_lowerings`] budget, the first layer's never-consumed
 //! input gradient is skipped, and every intermediate lives in a long-lived
@@ -178,7 +178,7 @@ pub struct SampleResult {
 struct LayerCache {
     /// Layer inputs per timestep, kept as [`SpikePlane`]s so the backward can
     /// run its event-aware kernels (gather im2col lowering, event pool
-    /// argmax) straight off the stored active-index lists.
+    /// argmax) by word-scanning the stored mask words.
     inputs: Vec<SpikePlane>,
     /// Membrane potentials (at thresholding) per timestep — weight layers only.
     membranes: Vec<Tensor>,

@@ -482,8 +482,8 @@ pub fn conv2d_backward_cached(
 /// * **All-zero gradient columns are skipped** — one scan of `grad_output`
 ///   finds the output cells whose gradient is zero across every channel.
 ///   Such columns arise from the event structure of the backward itself: the
-///   pool backward routes gradient only to each window's first spike (taken
-///   from the stored [`SpikePlane`] active lists), and the final timestep
+///   pool backward routes gradient only to each window's first spike (found
+///   by word-scanning the stored [`SpikePlane`]s), and the final timestep
 ///   has no β-carry to densify it, so whole columns of the incoming frame
 ///   are exact zeros. Their products are all `±0.0`, which a sum accumulated
 ///   from `+0.0` can never observe, so dropping them is bitwise-neutral.

@@ -1,28 +1,52 @@
-//! Proves the backward pass's allocation contract: once a [`BpttScratch`] is
-//! warm, the scratch-backed backward performs **zero heap allocations per
-//! timestep**. A counting global allocator measures the allocations of one
-//! `backward_sweep` call against cached forwards with different timestep
-//! counts — all remaining allocations are per-sample constants (the returned
-//! gradients, loss buffers), so the counts must be identical across `T`.
+//! Proves the allocation contracts of the two warm hot loops with a counting
+//! global allocator:
 //!
-//! This lives in its own integration-test binary because the global
-//! allocator is process-wide; the single test keeps the counter race-free.
+//! * **Backward** — once a [`BpttScratch`] is warm, the scratch-backed
+//!   backward performs **zero heap allocations per timestep**. One
+//!   `backward_sweep` call is measured against cached forwards with
+//!   different timestep counts; all remaining allocations are per-sample
+//!   constants (the returned gradients, loss buffers), so the counts must be
+//!   identical across `T`, and repeatable at a fixed `T`.
+//! * **Forward** — a warm conv → LIF → pool → linear timestep loop (the
+//!   exact kernel sequence `SnnNetwork::run_with_state` drives, including
+//!   the encoder re-encoding each image) performs **zero** heap allocations:
+//!   the mask words live inside the reused [`SpikePlane`]s and the word
+//!   scans iterate them in place.
+//!
+//! The global allocator is process-wide, but its count is per thread: libtest
+//! runs each test on its own thread, so tests running in parallel never see
+//! each other's allocations. Both measured loops run entirely on the calling
+//! thread.
 
 use snn_core::encoding::Encoder;
+use snn_core::layers::{Conv2d, ConvScratch, Linear, SpikeMaxPool2d};
 use snn_core::network::{vgg9, Vgg9Config};
+use snn_core::neuron::{LifParams, LifPopulation};
+use snn_core::spike::SpikePlane;
 use snn_core::tensor::Tensor;
 use snn_train::bptt::{Bptt, BpttScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Counts every allocation and reallocation served to the process.
+/// Counts every allocation and reallocation made by the calling thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it never
+    // allocates (which would re-enter the allocator) and never fails.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_one() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting only bumps a thread-local
+// `Cell` and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -31,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -39,10 +63,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Allocations this thread makes while running `f`.
 fn count_allocs(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 #[test]
@@ -79,6 +104,9 @@ fn warm_backward_allocation_count_is_independent_of_timesteps() {
                 bptt.backward_sweep(&net, &effective, &sweep, 3, &mut scratch)
                     .unwrap();
             });
+            // The returned gradients are allocated on this thread, so a zero
+            // here means the counter is blind and the zero below is vacuous.
+            assert!(count > 0, "{scheme} T={timesteps}: counter saw nothing");
             counts.push(count);
             // Repeatability at a fixed T: a third call costs exactly the same.
             let again = count_allocs(|| {
@@ -97,6 +125,54 @@ fn warm_backward_allocation_count_is_independent_of_timesteps() {
         assert_eq!(
             counts[1], counts[2],
             "{scheme} backward allocations grow with timesteps: {counts:?}"
+        );
+    }
+}
+
+#[test]
+fn warm_word_scan_forward_timestep_loop_allocates_nothing() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(9);
+    // A conv → LIF → pool → linear → LIF stack over a ragged 9×9 map:
+    // 2·9·9 = 162 cells (a partial tail word) through the conv, 2·4·4
+    // through the pool, 32 into the classifier head.
+    let conv = Conv2d::with_kaiming_init(2, 2, 3, 1, 1, &mut rng).unwrap();
+    let pool = SpikeMaxPool2d::new(2).unwrap();
+    let fc = Linear::with_kaiming_init(32, 4, &mut rng).unwrap();
+    let image = Tensor::from_fn(&[2, 9, 9], |i| ((i as f32) * 0.031).sin().abs());
+
+    let mut frames: Vec<SpikePlane> = Vec::new();
+    let mut scratch = ConvScratch::new();
+    let mut current = Tensor::default();
+    let mut conv_spikes = SpikePlane::new();
+    let mut pooled = SpikePlane::new();
+    let mut fc_current = Tensor::default();
+    let mut out_spikes = SpikePlane::new();
+    let mut lif_conv = LifPopulation::new(2 * 9 * 9, LifParams::paper_default());
+    let mut lif_out = LifPopulation::new(4, LifParams::paper_default());
+
+    for (scheme, encoder) in [("direct", Encoder::direct(4)), ("rate", Encoder::rate(4))] {
+        let mut sweep = |frames: &mut Vec<SpikePlane>| {
+            encoder.encode_planes_into(&image, 5, frames).unwrap();
+            lif_conv.reset();
+            lif_out.reset();
+            for frame in frames.iter() {
+                conv.forward_plane_into(frame, &mut scratch, &mut current)
+                    .unwrap();
+                lif_conv.step_plane(&current, &mut conv_spikes).unwrap();
+                pool.forward_plane(&conv_spikes, &mut pooled).unwrap();
+                fc.forward_plane_into(&pooled, &mut fc_current).unwrap();
+                lif_out.step_plane(&fc_current, &mut out_spikes).unwrap();
+            }
+        };
+        // Warm every buffer (planes, scratch, encoder frames), then demand
+        // strict zero for the whole re-encoded, re-run timestep loop.
+        sweep(&mut frames);
+        let allocs = count_allocs(|| sweep(&mut frames));
+        assert_eq!(
+            allocs, 0,
+            "{scheme}: warm word-scan forward loop allocated {allocs} times"
         );
     }
 }

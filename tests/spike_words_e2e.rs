@@ -1,7 +1,7 @@
 //! End-to-end arm of the spike-word differential harness: the full engine —
 //! encoder, LIF populations, word-scan conv/linear/pool kernels, readout —
 //! is bitwise deterministic across thread counts, coding schemes and weight
-//! precisions. Per-kernel word ≡ index ≡ dense equality lives in
+//! precisions. Per-kernel word ≡ dense equality lives in
 //! `snn-core`'s `spike_words` suite; this test proves the composition: the
 //! packed mask words flow through a complete network without perturbing a
 //! single output bit, whether one worker or four carry the batch.
