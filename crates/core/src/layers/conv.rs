@@ -14,14 +14,13 @@ use std::sync::OnceLock;
 pub const SPARSE_DENSITY_CROSSOVER: f64 = 0.2;
 
 /// Reusable scratch for [`Conv2d::forward_plane_into`]: the im2col and
-/// packed-matmul-panel buffers of the dense fallback plus the gather list and
-/// accumulator of the event-driven path. One instance lives in the network's
+/// packed-matmul-panel buffers of the dense fallback plus the accumulator of
+/// the event-driven path. One instance lives in the network's
 /// `RunState` and is shared by every conv layer of a run.
 #[derive(Debug, Clone, Default)]
 pub struct ConvScratch {
     cols: Im2Col,
     panel: Vec<f32>,
-    taps: Vec<(u32, u32)>,
     acc: Vec<f32>,
 }
 
@@ -412,8 +411,8 @@ impl Conv2d {
     }
 
     /// Event-driven forward over a binary spike frame: instead of lowering
-    /// the (mostly zero) input through im2col, gathers the filter taps of the
-    /// active inputs only. A spike at input `(c, y, x)` contributes the
+    /// the (mostly zero) input through im2col, walks the filter taps of the
+    /// active inputs only ([`Conv2d::for_each_tap`]). A spike at input `(c, y, x)` contributes the
     /// weight column `w[:, c, ky, kx]` unscaled — binary activations need no
     /// multiplies. Bit-identical to the dense path on the same input: per
     /// output neuron, contributions accumulate in the same ascending
@@ -455,7 +454,7 @@ impl Conv2d {
     /// Lowers one input frame into this layer's im2col column matrix,
     /// dispatching by the same density-crossover logic the forward uses:
     /// binary frames below [`Conv2d::sparse_crossover`] take the event-driven
-    /// gather scatter ([`SpikePlane::im2col_into`]), everything else the dense
+    /// tap-walk scatter ([`SpikePlane::im2col_into`]), everything else the dense
     /// scan ([`Tensor::im2col_into`]). Both paths fill the **identical**
     /// matrix, so consumers (the BPTT weight-gradient matmul) are bit-exact
     /// regardless of the dispatch decision.
@@ -478,86 +477,66 @@ impl Conv2d {
     /// for this layer's geometry.
     ///
     /// In vector-op terms the work ratio of the two paths is roughly the
-    /// input density, but the sparse path's fixed per-call costs (weight
-    /// transpose, accumulator transpose, tap building) weigh more at small
-    /// `out_channels`, where one tap's contiguous weight-row add spans less
-    /// than a vector register. Calibrated against the `sparse_conv`
-    /// micro-bench in `benches/batch_inference.rs`, which measured the
-    /// crossover at ≈0.30 for 8 output channels, ≈0.55 for 16 and >0.70 at
-    /// paper scale (112); clamped to `[SPARSE_DENSITY_CROSSOVER, 0.75]`.
+    /// input density, but the sparse path's fixed costs (the accumulator
+    /// transpose per call, the first-tap set-up per spike) weigh more at
+    /// small `out_channels`, where one tap's contiguous weight-row add spans
+    /// less than a vector register. The formula was calibrated against the
+    /// `sparse_conv` micro-bench in `benches/batch_inference.rs` when the
+    /// crossover measured ≈0.30 for 8 output channels, ≈0.55 for 16 and
+    /// above 0.70 at paper scale (112); clamped to
+    /// `[SPARSE_DENSITY_CROSSOVER, 0.75]`. Re-measured with the tap walk on a
+    /// 2-vCPU Sapphire Rapids VM (3×3 same-padding layers on 8×8 maps, as
+    /// many input as output channels, best of three alternating runs), the
+    /// crossover falls at ≈0.20–0.25 density for 8 output channels,
+    /// ≈0.30–0.35 for 16 and ≈0.65–0.70 for 112, so for narrow layers the
+    /// formula now sits above the measured crossover.
     pub fn sparse_crossover(&self) -> f64 {
         (0.8 - 4.0 / self.out_channels as f64).clamp(SPARSE_DENSITY_CROSSOVER, 0.75)
     }
 
-    /// Enumerates the `(weight-row offset, output cell)` taps of every spike
-    /// in a binary plane — the event-level description of this layer's
-    /// receptive-field geometry — into `taps`, returning the output shape.
+    /// Walks the `(weight row, output cell)` taps of every spike in a binary
+    /// plane — the event-level description of this layer's receptive-field
+    /// geometry — calling `tap(p, cell)` for each. `p` indexes a row of the
+    /// `[in_c · k², ·]` transposed filter bank and `cell` a cell of the
+    /// `[out_h · out_w]` output map.
+    ///
+    /// Per spike at `(c, y, x)` the walk derives once, per axis, the first
+    /// valid kernel index and the output index it reaches (the largest one,
+    /// clamped to the map) — the `y` axis only when the spike opens a new
+    /// input row, since spikes ascend; each further tap steps the kernel
+    /// index by the stride while the output index steps down by one. No tap
+    /// divides, takes a modulo or tests the stride, and one path serves every
+    /// stride.
     ///
     /// Spikes come from trailing-zeros iteration over the plane's `u64` mask
     /// words ([`SpikePlane::iter_active`]) in ascending index order, and taps
     /// in ascending `(ky, kx)` order, so for every fixed weight row the
     /// output cells ascend, and for every fixed output cell the weight rows
     /// ascend — the dense matmul's exact accumulation order in both
-    /// directions. The event-driven forward consumes the taps grouped by cell
-    /// and the event-aware BPTT weight gradient grouped by weight row; the
-    /// shared ordering is what keeps both bitwise equal to their dense
-    /// counterparts.
+    /// directions. The event-driven forward accumulates the taps per cell and
+    /// the event-aware BPTT weight gradient per weight row; the shared
+    /// ordering is what keeps both bitwise equal to their dense counterparts.
     ///
     /// # Errors
     ///
     /// Returns [`SnnError::InvalidConfig`] for an analog plane, plus the
     /// usual shape errors.
-    pub fn gather_taps(
+    pub fn for_each_tap(
         &self,
         plane: &SpikePlane,
-        taps: &mut Vec<(u32, u32)>,
-    ) -> Result<[usize; 3], SnnError> {
+        tap: impl FnMut(usize, usize),
+    ) -> Result<(), SnnError> {
         let out_shape = self.output_shape(plane.shape())?;
         if !plane.is_binary() {
             return Err(SnnError::config(
                 "input",
-                "Conv2d::gather_taps requires a binary spike plane",
+                "Conv2d::for_each_tap requires a binary spike plane",
             ));
         }
-        let (h, w) = (plane.shape()[1], plane.shape()[2]);
-        let (oh, ow) = (out_shape[1], out_shape[2]);
-        let k = self.kernel;
-        let kk = k * k;
-        taps.clear();
-        // `for_each` routes through `WordScan::fold`, letting the scan run
-        // its internal word loop instead of per-item `next` calls.
-        plane.iter_active().for_each(|flat| {
-            let ci = flat / (h * w);
-            let rem = flat % (h * w);
-            let iy = rem / w;
-            let ix = rem % w;
-            let wbase = ci * kk;
-            for ky in 0..k {
-                // Output row receiving this input through kernel row `ky`.
-                let y = iy as isize + self.padding as isize - ky as isize;
-                if y < 0 {
-                    break; // y only decreases as ky grows
-                }
-                let y = y as usize;
-                if !y.is_multiple_of(self.stride) || y / self.stride >= oh {
-                    continue;
-                }
-                let oy = y / self.stride;
-                for kx in 0..k {
-                    let x = ix as isize + self.padding as isize - kx as isize;
-                    if x < 0 {
-                        break;
-                    }
-                    let x = x as usize;
-                    if !x.is_multiple_of(self.stride) || x / self.stride >= ow {
-                        continue;
-                    }
-                    let ox = x / self.stride;
-                    taps.push(((wbase + ky * k + kx) as u32, (oy * ow + ox) as u32));
-                }
-            }
-        });
-        Ok(out_shape)
+        let kernel = (self.kernel, self.kernel);
+        let out_map = (out_shape[1], out_shape[2]);
+        plane.for_each_tap(kernel, self.stride, self.padding, out_map, tap);
+        Ok(())
     }
 
     /// The event-driven kernel behind [`Conv2d::forward_spikes`], with
@@ -568,31 +547,29 @@ impl Conv2d {
         scratch: &mut ConvScratch,
         out: &mut Tensor,
     ) -> Result<(), SnnError> {
-        // Pass 1: enumerate the (weight-row, output-cell) taps of every
-        // spike, by word-scan over the plane's mask words.
-        let out_shape = self.gather_taps(plane, &mut scratch.taps)?;
+        let out_shape = self.output_shape(plane.shape())?;
         let cell_count = out_shape[1] * out_shape[2];
-        // Pass 2: accumulate in a transposed `[cell][out_channel]` layout so
-        // each tap is ONE contiguous vector add of a transposed weight row
-        // across all output channels, instead of `out_channels` scattered
-        // scalar read-modify-writes. (Both a per-channel scalar streaming
-        // loop and a counting-sort-by-cell variant were benchmarked and
-        // lost.) Per output neuron the contributions still arrive in
-        // ascending weight-row order — for every channel simultaneously — so
-        // the sums stay bitwise equal to the dense path. The transposed
-        // filter bank is cached on the layer and only rebuilt after a weight
-        // mutation.
+        // Accumulate in a transposed `[cell][out_channel]` layout so each tap
+        // is ONE contiguous vector add of a transposed weight row across all
+        // output channels, instead of `out_channels` scattered scalar
+        // read-modify-writes. (Both a per-channel scalar streaming loop and a
+        // counting-sort-by-cell variant were benchmarked and lost.) Per
+        // output neuron the contributions still arrive in ascending
+        // weight-row order — for every channel simultaneously — so the sums
+        // stay bitwise equal to the dense path. The transposed filter bank is
+        // cached on the layer and only rebuilt after a weight mutation.
         let oc_n = self.out_channels;
         let wt = self.transposed_weight();
         let acc = &mut scratch.acc;
         acc.clear();
         acc.resize(cell_count * oc_n, 0.0);
-        for &(p, cell) in scratch.taps.iter() {
-            let arow = &mut acc[cell as usize * oc_n..(cell as usize + 1) * oc_n];
-            let wrow = &wt[p as usize * oc_n..(p as usize + 1) * oc_n];
-            add_assign_lanes(arow, wrow);
-        }
-        // Pass 3: transpose back to the `[out_channel][cell]` tensor layout.
+        self.for_each_tap(plane, |p, cell| {
+            add_assign_lanes(
+                &mut acc[cell * oc_n..(cell + 1) * oc_n],
+                &wt[p * oc_n..(p + 1) * oc_n],
+            );
+        })?;
+        // Transpose back to the `[out_channel][cell]` tensor layout.
         out.reset_to(&out_shape, 0.0);
         let odat = out.as_mut_slice();
         for oc in 0..oc_n {

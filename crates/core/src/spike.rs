@@ -126,8 +126,8 @@ impl SpikePlane {
     }
 
     /// Resets the plane to an all-silent binary frame of `shape`, keeping
-    /// allocations. Producers then emit spikes via [`SpikePlane::push`], in
-    /// any order.
+    /// allocations. Producers then emit spikes via [`SpikePlane::push`] (the
+    /// LIF populations a whole mask word at a time), in any order.
     ///
     /// All mask words are zeroed — in particular the out-of-range bits of the
     /// final partial word when `len % 64 != 0`, so a plane reused across
@@ -155,6 +155,28 @@ impl SpikePlane {
         }
         self.dense.as_mut_slice()[idx] = 1.0;
         self.words[idx / 64] |= 1u64 << (idx % 64);
+    }
+
+    /// Emits the spikes of one 64-cell group at once: ORs `bits` into mask
+    /// word `word` and sets the dense cell of every set bit to 1.0 — the
+    /// word-level [`SpikePlane::push`], for producers that decide a whole
+    /// word of spikes branch-free. Idempotent and order-free like `push`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any set bit is at or past `len`, so a ragged tail word can
+    /// never carry a bit the word scan would report as a spike.
+    pub(crate) fn push_word(&mut self, word: usize, bits: u64) {
+        let start = word * 64;
+        let room = self.dense.len().saturating_sub(start);
+        // Checked in release builds too, through the same cold panic as
+        // `push`, so the common case stays one compare.
+        if room < 64 && bits >> room != 0 {
+            push_out_of_range(start + (63 - bits.leading_zeros() as usize));
+        }
+        self.words[word] |= bits;
+        let cells = &mut self.dense.as_mut_slice()[start..start + room.min(64)];
+        for_each_bit(bits, |b| cells[b] = 1.0);
     }
 
     /// The dense tensor backing.
@@ -239,8 +261,10 @@ impl SpikePlane {
     /// Event-driven im2col lowering of a **binary** `[C, H, W]` spike plane:
     /// instead of scanning the (mostly zero) dense backing, zero-fills the
     /// column matrix and scatters a `1.0` for every `(spike, kernel tap)`
-    /// pair. The result is the **identical matrix** [`Tensor::im2col_into`]
-    /// produces for the dense backing — spikes are exactly the 1.0 entries —
+    /// pair, found by the tap walk of the event-driven conv kernels
+    /// ([`crate::layers::Conv2d::for_each_tap`]). The result is the
+    /// **identical matrix** [`Tensor::im2col_into`] produces for the dense
+    /// backing — spikes are exactly the 1.0 entries —
     /// at `O(active · k²)` cost instead of `O(C · k² · out_h · out_w)` copy
     /// traffic, which is what makes the BPTT weight-gradient lowering
     /// event-aware.
@@ -262,7 +286,7 @@ impl SpikePlane {
                 "SpikePlane::im2col_into requires a binary spike plane",
             ));
         }
-        let (_, h, w, out_h, out_w) =
+        let (_, _, _, out_h, out_w) =
             crate::tensor::im2col_geometry(self.shape(), kernel, stride, padding)?;
         let (kh, kw) = kernel;
         let rows = self.shape()[0] * kh * kw;
@@ -273,48 +297,90 @@ impl SpikePlane {
         out.cols = cols;
         out.out_h = out_h;
         out.out_w = out_w;
-        for flat in self.iter_active() {
-            let ci = flat / (h * w);
-            let rem = flat % (h * w);
-            let iy = rem / w;
-            let ix = rem % w;
-            let row0 = ci * kh * kw;
-            for ki in 0..kh {
-                // Output row receiving this spike through kernel row `ki`.
-                let y = iy as isize + padding as isize - ki as isize;
-                if y < 0 {
-                    break; // y only decreases as ki grows
-                }
-                let y = y as usize;
-                if !y.is_multiple_of(stride) || y / stride >= out_h {
-                    continue;
-                }
-                let oy = y / stride;
-                for kj in 0..kw {
-                    let x = ix as isize + padding as isize - kj as isize;
-                    if x < 0 {
-                        break;
-                    }
-                    let x = x as usize;
-                    if !x.is_multiple_of(stride) || x / stride >= out_w {
-                        continue;
-                    }
-                    let ox = x / stride;
-                    out.data[(row0 + ki * kw + kj) * cols + oy * out_w + ox] = 1.0;
-                }
-            }
-        }
+        self.for_each_tap(kernel, stride, padding, (out_h, out_w), |p, cell| {
+            out.data[p * cols + cell] = 1.0;
+        });
         Ok(())
+    }
+
+    /// The tap walk behind [`crate::layers::Conv2d::for_each_tap`] (which
+    /// states its order), for any kernel shape: calls `tap(p, cell)` with
+    /// `p = (c · kh + ky) · kw + kx` and `cell = oy · out_w + ox` for every
+    /// spike at `(c, y, x)` and kernel tap `(ky, kx)` that lands in the
+    /// `out_h × out_w` output map. The caller has validated the geometry.
+    pub(crate) fn for_each_tap(
+        &self,
+        (kh, kw): (usize, usize),
+        stride: usize,
+        padding: usize,
+        (out_h, out_w): (usize, usize),
+        mut tap: impl FnMut(usize, usize),
+    ) {
+        let (h, w) = (self.shape()[1], self.shape()[2]);
+        // Along one axis, input coordinate `i` reaches output `o` through
+        // kernel index `i + padding - o · stride`. The first tap pairs the
+        // largest reachable `o` with the smallest kernel index; the third
+        // value is one past the last kernel index that lies in the `k`-wide
+        // kernel and still reaches an output `o >= 0`.
+        let first = |i: usize, k: usize, n_out: usize| {
+            let shifted = i + padding;
+            let o = (shifted / stride).min(n_out - 1);
+            let k0 = shifted - o * stride;
+            (k0, o, k.min(k0 + (o + 1) * stride))
+        };
+        // Spikes ascend, so each one's input row follows from the previous
+        // spike's by stepping whole rows forward — no per-spike division for
+        // the coordinates, and the row axis's first tap is derived once per
+        // row. `for_each` routes through `WordScan::fold`, letting the scan
+        // run its internal word loop instead of per-item `next` calls.
+        let (mut ci, mut iy, mut row_start) = (0, 0, 0);
+        let mut row_first = first(0, kh, out_h);
+        self.iter_active().for_each(|flat| {
+            if flat >= row_start + w {
+                while flat >= row_start + w {
+                    row_start += w;
+                    iy += 1;
+                    if iy == h {
+                        (ci, iy) = (ci + 1, 0);
+                    }
+                }
+                row_first = first(iy, kh, out_h);
+            }
+            let (ky0, oy0, ky_end) = row_first;
+            let (kx0, ox0, kx_end) = first(flat - row_start, kw, out_w);
+            let mut p_row = (ci * kh + ky0) * kw + kx0;
+            let mut cell_row = oy0 * out_w + ox0;
+            for _ in (ky0..ky_end).step_by(stride) {
+                let (mut p, mut cell) = (p_row, cell_row);
+                for _ in (kx0..kx_end).step_by(stride) {
+                    tap(p, cell);
+                    p += stride;
+                    cell = cell.wrapping_sub(1);
+                }
+                p_row += stride * kw;
+                cell_row = cell_row.wrapping_sub(out_w);
+            }
+        });
     }
 }
 
-/// The panic of [`SpikePlane::push`], kept cold and out of line so every
-/// producer's per-spike path stays one compare (an inline formatted
-/// `assert!` measurably slowed the LIF producer).
+/// The panic of [`SpikePlane::push`] and `SpikePlane::push_word`, kept
+/// cold and out of line so every producer's per-spike path stays one compare
+/// (an inline formatted `assert!` measurably slowed the LIF producer).
 #[cold]
 #[inline(never)]
 fn push_out_of_range(idx: usize) -> ! {
     panic!("push index {idx} out of range")
+}
+
+/// Calls `f` with the index of every set bit of one mask word, ascending —
+/// the per-word trailing-zeros walk shared by the word-level producers.
+#[inline]
+pub(crate) fn for_each_bit(mut bits: u64, mut f: impl FnMut(usize)) {
+    while bits != 0 {
+        f(bits.trailing_zeros() as usize);
+        bits &= bits - 1;
+    }
 }
 
 /// Ascending iterator over the set-bit indices of a `u64` mask-word slice,
@@ -1099,6 +1165,45 @@ mod tests {
         let mut plane = SpikePlane::new();
         plane.begin(&[64]);
         plane.push(64); // would set bit 0 of a word that must not exist
+    }
+
+    #[test]
+    fn plane_push_word_matches_push_across_a_ragged_tail() {
+        let mut by_word = SpikePlane::new();
+        by_word.begin(&[130]);
+        by_word.push_word(2, 0b11);
+        by_word.push_word(0, (1 << 63) | 1);
+        by_word.push_word(1, 0);
+        by_word.push_word(0, 1); // idempotent
+        let mut by_bit = SpikePlane::new();
+        by_bit.begin(&[130]);
+        for idx in [0, 63, 128, 129] {
+            by_bit.push(idx);
+        }
+        assert_eq!(by_word, by_bit);
+        assert_eq!(
+            by_word.iter_active().collect::<Vec<_>>(),
+            vec![0, 63, 128, 129]
+        );
+    }
+
+    /// The word setter checks its range in release builds too: a bit at or
+    /// past `len` in the ragged tail word, or a whole word past the end,
+    /// panics instead of planting a phantom spike.
+    #[test]
+    #[should_panic(expected = "push index 130 out of range")]
+    fn plane_push_word_past_ragged_tail_panics() {
+        let mut plane = SpikePlane::new();
+        plane.begin(&[130]);
+        plane.push_word(2, 0b101); // bit 2 of word 2 is cell 130
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn plane_push_word_past_the_last_word_panics() {
+        let mut plane = SpikePlane::new();
+        plane.begin(&[64]);
+        plane.push_word(1, 1);
     }
 
     #[test]

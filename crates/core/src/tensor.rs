@@ -1067,8 +1067,12 @@ pub fn matmul_a_bt_to_with(
 /// `±0.0`. The active columns are packed once into a contiguous panel, the
 /// product is computed four rows at a time with the same micro-kernel as
 /// [`matmul_to_with`] (each loaded panel-row quad is reused across four
-/// weight rows), and each finished row tile is scattered straight into the
-/// `[channels, height, width]` input-gradient plane.
+/// weight rows), and each finished row is scattered row-wise into the
+/// `[channels, height, width]` input-gradient plane: its active values are
+/// expanded into a full `[out_h, out_w]` row buffer (masked columns read
+/// `+0.0`), the valid output rows and columns of its `(ky, kx)` offset are
+/// computed once, and each output row lands as one slice add — contiguous
+/// at stride 1, strided otherwise — with no per-element bounds test.
 ///
 /// **Bitwise identical** to [`matmul_at_b_to`] (over the un-transposed
 /// weights) followed by [`Tensor::col2im_into`] on finite inputs, enforced
@@ -1081,10 +1085,10 @@ pub fn matmul_a_bt_to_with(
 ///   in round-to-nearest (the two kernels' zero-*skip* decisions differ,
 ///   which matters only for non-finite data, exactly like [`matmul_a_bt`]);
 /// * the scatter visits `(channel, ky, kx, oy, ox)` in ascending order —
-///   col2im's exact accumulation order — and a skipped column's
-///   contribution is `+0.0` into an accumulator that is never `-0.0`.
+///   col2im's exact accumulation order — and a masked column adds `+0.0`
+///   into an accumulator that is never `-0.0`, which leaves it unchanged.
 ///
-/// `packed`, `pos` and `tile` are caller-owned scratch buffers (the backward
+/// `packed`, `row` and `tile` are caller-owned scratch buffers (the backward
 /// pass threads them through its `GradScratch`), so the kernel allocates
 /// nothing once they are warm. `out` is fully overwritten.
 ///
@@ -1107,7 +1111,7 @@ pub fn matmul_scatter_col2im(
     padding: usize,
     out_w: usize,
     packed: &mut Vec<f32>,
-    pos: &mut Vec<(u32, u32)>,
+    row: &mut Vec<f32>,
     tile: &mut Vec<f32>,
     out: &mut [f32],
 ) {
@@ -1141,14 +1145,18 @@ pub fn matmul_scatter_col2im(
         }
         packed
     };
-    // Resolve each active column's stretched base coordinates once; the
-    // per-row scatter then only adds the (ki - padding, kj - padding) shift
-    // instead of re-deriving (oy, ox) by division for every (row, column).
-    pos.clear();
-    pos.extend(active.iter().map(|&s| {
-        let s = s as usize;
-        ((s / out_w * stride) as u32, (s % out_w * stride) as u32)
-    }));
+    // The full-width row buffer: only active cells are ever written, so the
+    // masked ones stay +0.0 for every row.
+    row.clear();
+    row.resize(n, 0.0);
+    let out_h = n / out_w;
+    // Output indices `o` of one axis whose input index `o · stride + kidx −
+    // padding` lies in `0..size`, as a half-open range.
+    let span = |kidx: usize, size: usize, n_out: usize| {
+        let lo = padding.saturating_sub(kidx).div_ceil(stride);
+        let hi = (size + padding).saturating_sub(kidx).div_ceil(stride);
+        (lo, hi.min(n_out))
+    };
     tile.clear();
     tile.resize(MM_ROW_TILE * na, 0.0);
     for r0 in (0..rows).step_by(MM_ROW_TILE) {
@@ -1168,26 +1176,39 @@ pub fn matmul_scatter_col2im(
             na,
             0,
         );
-        // Scatter the finished rows in ascending row order, each over the
-        // active columns in ascending order — col2im's accumulation order
-        // minus the all-zero columns.
+        // Scatter the finished rows in ascending row order, each over its
+        // output cells in ascending order — col2im's accumulation order.
         for (r, vals) in t.chunks_exact(na).enumerate() {
-            let row = r0 + r;
-            let ci = row / (kh * kw);
-            let rem = row % (kh * kw);
-            let dy = (rem / kw) as isize - padding as isize;
-            let dx = (rem % kw) as isize - padding as isize;
+            let (ci, rem) = ((r0 + r) / (kh * kw), (r0 + r) % (kh * kw));
+            let (ki, kj) = (rem / kw, rem % kw);
+            let (oy0, oy1) = span(ki, height, out_h);
+            let (ox0, ox1) = span(kj, width, out_w);
+            if oy0 >= oy1 || ox0 >= ox1 {
+                continue;
+            }
+            let full: &[f32] = if na == n {
+                vals
+            } else {
+                for (&s, &v) in active.iter().zip(vals) {
+                    row[s as usize] = v;
+                }
+                row
+            };
             let chan = &mut out[ci * height * width..(ci + 1) * height * width];
-            for (&(y0, x0), &v) in pos.iter().zip(vals.iter()) {
-                let iy = y0 as isize + dy;
-                if iy < 0 || iy >= height as isize {
-                    continue;
+            let ix0 = ox0 * stride + kj - padding;
+            for oy in oy0..oy1 {
+                let iy = oy * stride + ki - padding;
+                let src = &full[oy * out_w + ox0..oy * out_w + ox1];
+                let dst = &mut chan[iy * width + ix0..];
+                if stride == 1 {
+                    for (d, &v) in dst.iter_mut().zip(src) {
+                        *d += v;
+                    }
+                } else {
+                    for (d, &v) in dst.iter_mut().step_by(stride).zip(src) {
+                        *d += v;
+                    }
                 }
-                let ix = x0 as isize + dx;
-                if ix < 0 || ix >= width as isize {
-                    continue;
-                }
-                chan[iy as usize * width + ix as usize] += v;
             }
         }
     }

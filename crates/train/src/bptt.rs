@@ -152,7 +152,13 @@ impl NetworkGradients {
 
     /// Clips the global norm to `max_norm` (no-op if already smaller).
     pub fn clip_global_norm(&mut self, max_norm: f32) {
-        let norm = self.global_norm();
+        self.clip_with_norm(max_norm, self.global_norm());
+    }
+
+    /// [`NetworkGradients::clip_global_norm`] for a caller that already
+    /// holds `norm`, this set's [`NetworkGradients::global_norm`], so the
+    /// norm is not summed twice.
+    pub(crate) fn clip_with_norm(&mut self, max_norm: f32, norm: f32) {
         if norm > max_norm && norm > 0.0 {
             self.scale(max_norm / norm);
         }

@@ -25,8 +25,8 @@ use snn_core::error::SnnError;
 use snn_core::layers::{Conv2d, Linear, SpikeMaxPool2d};
 use snn_core::spike::{scan_words, SpikePlane};
 use snn_core::tensor::{
-    add_assign_lanes, matmul, matmul_a_bt, matmul_a_bt_to_with, matmul_at_b, matmul_at_b_to,
-    matmul_scatter_col2im, matmul_to_with, Im2Col, Tensor,
+    add_assign_lanes, matmul, matmul_a_bt, matmul_a_bt_to_with, matmul_at_b, matmul_scatter_col2im,
+    matmul_to_with, Im2Col, Tensor,
 };
 
 /// Gradients of a convolution layer.
@@ -55,24 +55,25 @@ pub struct LinearGrads {
 
 /// Reusable scratch threaded through the `_into` backward passes: the im2col
 /// lowering of the layer input, the transposed-`b` repack and panel scratch
-/// of the weight-gradient matmul, the active-column mask/list/panel/tile of
-/// the fused input-gradient kernel ([`conv2d_input_grad_into`]), and the
-/// per-window first-spike table of the event-aware pool backward. One
-/// instance lives in each trainer worker's [`crate::bptt::BpttScratch`] and
-/// is reused across every layer, timestep and sample that worker processes —
-/// after warmup the backward performs no per-timestep heap allocation.
+/// of the weight-gradient matmul, the transposed gradient and accumulator of
+/// the event weight gradient, the active-column mask/list/panel/tile and
+/// scatter row of the fused input-gradient kernel
+/// ([`conv2d_input_grad_into`]), and the per-window first-spike table of the
+/// event-aware pool backward. One instance lives in each trainer worker's
+/// [`crate::bptt::BpttScratch`] and is reused across every layer, timestep
+/// and sample that worker processes — after warmup the backward performs no
+/// per-timestep heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct GradScratch {
     cols: Im2Col,
     bt: Vec<f32>,
     panel: Vec<f32>,
     pool_first: Vec<u32>,
-    taps: Vec<(u32, u32)>,
     got: Vec<f32>,
     accw: Vec<f32>,
     col_mask: Vec<u64>,
     col_active: Vec<u32>,
-    col_pos: Vec<(u32, u32)>,
+    col_row: Vec<f32>,
     go_panel: Vec<f32>,
     grad_tile: Vec<f32>,
 }
@@ -355,11 +356,10 @@ pub fn conv2d_backward_into(
         // Event path: transpose grad_out once into a [cell][out_c] layout,
         // then each tap is ONE contiguous vector add of a grad_out column
         // into a weight row (for every output channel simultaneously) —
-        // mirroring the event-driven forward's accumulation layout. Taps
-        // arrive grouped by spike in ascending tap order, so per weight cell
-        // the output cells ascend: the matmul's accumulation order, minus
-        // its zero products.
-        conv.gather_taps(input, &mut scratch.taps)?;
+        // mirroring the event-driven forward's accumulation layout. The tap
+        // walk visits spikes in ascending order and each spike's taps in
+        // ascending tap order, so per weight cell the output cells ascend:
+        // the matmul's accumulation order, minus its zero products.
         let got = &mut scratch.got;
         got.clear();
         got.resize(spatial * out_c, 0.0);
@@ -371,11 +371,12 @@ pub fn conv2d_backward_into(
         let accw = &mut scratch.accw;
         accw.clear();
         accw.resize(coeffs * out_c, 0.0);
-        for &(p, s) in scratch.taps.iter() {
-            let wrow = &mut accw[p as usize * out_c..(p as usize + 1) * out_c];
-            let grow = &scratch.got[s as usize * out_c..(s as usize + 1) * out_c];
-            add_assign_lanes(wrow, grow);
-        }
+        conv.for_each_tap(input, |p, s| {
+            add_assign_lanes(
+                &mut accw[p * out_c..(p + 1) * out_c],
+                &got[s * out_c..(s + 1) * out_c],
+            );
+        })?;
         let w_out = grads.weight.as_mut_slice();
         for (p, wrow) in scratch.accw.chunks_exact(out_c).enumerate() {
             for (oc, &v) in wrow.iter().enumerate() {
@@ -488,10 +489,11 @@ pub fn conv2d_backward_cached(
 ///   are exact zeros. Their products are all `±0.0`, which a sum accumulated
 ///   from `+0.0` can never observe, so dropping them is bitwise-neutral.
 /// * **Fusion** — the surviving columns are packed once, multiplied four
-///   weight rows at a time, and each finished row tile is scattered straight
-///   into the input-gradient plane in col2im's exact `(channel, ky, kx, oy,
-///   ox)` accumulation order: the `[coeffs, spatial]` gradient-column matrix
-///   is never materialised.
+///   weight rows at a time, and each finished row is scattered row-wise into
+///   the input-gradient plane in col2im's exact `(channel, ky, kx, oy, ox)`
+///   accumulation order, one slice add per output row (masked columns add
+///   `+0.0`, which changes no bit): the `[coeffs, spatial]` gradient-column
+///   matrix is never materialised.
 ///
 /// **Bitwise identical** to the retained dense reference (the
 /// `matmul_at_b` + `col2im` tail of [`conv2d_backward`]) on the finite
@@ -561,7 +563,7 @@ pub fn conv2d_input_grad_into(
         conv.padding(),
         out_shape[2],
         &mut scratch.go_panel,
-        &mut scratch.col_pos,
+        &mut scratch.col_row,
         &mut scratch.grad_tile,
         grad_input.as_mut_slice(),
     );
@@ -606,8 +608,11 @@ fn conv_bias_and_input_grads(
 /// is bitwise identical to the matmul
 /// formulation on finite gradients (the kernel's zero-skip and
 /// accumulate-from-zero semantics are reproduced exactly). The input gradient
-/// is written with the shape of the layer input (the reference's reshape
-/// step, without the copy) and skipped when `need_input` is false.
+/// `Wᵀ · grad_out` is a gemv — one axpy per row of `W`, skipping rows whose
+/// gradient is exactly zero — bitwise identical to the reference's
+/// [`matmul_at_b`] on finite data; it is written with the shape of the layer
+/// input (the reference's reshape step, without the copy) and skipped when
+/// `need_input` is false.
 ///
 /// # Errors
 ///
@@ -666,16 +671,21 @@ pub fn linear_backward_into(
     grads.bias.reset_to(&[n_out], 0.0);
     grads.bias.as_mut_slice().copy_from_slice(go);
     if need_input {
-        // grad_x = W^T [in, out] * grad_out [out], shaped like the input.
+        // grad_x = W^T [in, out] * grad_out [out], shaped like the input: a
+        // gemv run as one axpy per row of W, skipping rows whose gradient is
+        // exactly zero. Per input cell the products still accumulate from
+        // +0.0 in ascending row order — the reference's order — and each
+        // dropped term is a ±0.0 product, which such a sum never observes.
         grads.input.reset_to(input.shape(), 0.0);
-        matmul_at_b_to(
-            linear.weight().as_slice(),
-            go,
-            n_out,
-            n_in,
-            1,
-            grads.input.as_mut_slice(),
-        );
+        let gx = grads.input.as_mut_slice();
+        for (w_row, &g) in linear.weight().as_slice().chunks_exact(n_in).zip(go) {
+            if g == 0.0 {
+                continue;
+            }
+            for (x, &wv) in gx.iter_mut().zip(w_row) {
+                *x += wv * g;
+            }
+        }
     }
     Ok(())
 }
@@ -1085,6 +1095,58 @@ mod tests {
                 }
             });
             let grad_out = grad_tensor(&[5], seed as usize + 7);
+            let reference = linear_backward(&fc, &input, &grad_out).unwrap();
+            let mut scratch = GradScratch::new();
+            let mut grads = LinearGrads::default();
+            linear_backward_into(
+                &fc,
+                &SpikePlane::from_tensor(&input),
+                &grad_out,
+                &mut scratch,
+                &mut grads,
+                true,
+            )
+            .unwrap();
+            assert_bits_eq(&grads.weight, &reference.weight, "weight");
+            assert_bits_eq(&grads.bias, &reference.bias, "bias");
+            assert_bits_eq(&grads.input, &reference.input, "input");
+        }
+
+        /// The gemv input gradient drops zero-*gradient* rows where the
+        /// reference drops zero-*weight* products; both drop only `±0.0`
+        /// terms. Layers whose weights hold exact zeros — planted `±0.0`, or
+        /// the zero level of an Int4-quantized layer — meet the planted
+        /// `±0.0` gradients here, and every gradient stays bitwise identical
+        /// to the allocating reference.
+        #[test]
+        fn linear_backward_into_bitwise_equals_reference_on_zero_weights(
+            seed in 0_u64..500,
+            bits in proptest::collection::vec(any::<bool>(), 40),
+            int4 in any::<bool>(),
+            analog in any::<bool>(),
+        ) {
+            use snn_core::quant::Precision;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut fc = Linear::with_kaiming_init(40, 7, &mut rng).unwrap();
+            if int4 {
+                fc = fc.to_precision(Precision::Int4).unwrap();
+            } else {
+                let planted = grad_tensor(&[7, 40], seed as usize + 3);
+                let w = Tensor::from_fn(&[7, 40], |i| {
+                    let p = planted.as_slice()[i];
+                    if p == 0.0 { p } else { fc.weight().as_slice()[i] }
+                });
+                fc.set_weight(w).unwrap();
+            }
+            prop_assert!(fc.weight().as_slice().contains(&0.0));
+            let input = Tensor::from_fn(&[40], |i| {
+                if analog {
+                    ((i as f32) * 0.41).sin() * 0.3
+                } else {
+                    f32::from(bits[i])
+                }
+            });
+            let grad_out = grad_tensor(&[7], seed as usize + 11);
             let reference = linear_backward(&fc, &input, &grad_out).unwrap();
             let mut scratch = GradScratch::new();
             let mut grads = LinearGrads::default();

@@ -578,19 +578,6 @@ impl Trainer {
                 for (offset, outcome) in outcomes.into_iter().enumerate() {
                     match outcome {
                         Ok(r) => {
-                            let loss_finite = r.loss.is_finite();
-                            let grads_finite = r.gradients.global_norm().is_finite();
-                            if (!loss_finite || !grads_finite) && self.config.quarantine {
-                                report.faults.push(SampleFault {
-                                    epoch,
-                                    index: index + offset,
-                                    reason: FaultReason::NonFinite {
-                                        what: if loss_finite { "gradient" } else { "loss" }
-                                            .to_string(),
-                                    },
-                                });
-                                continue;
-                            }
                             epoch_loss += f64::from(r.loss);
                             batch_loss += f64::from(r.loss);
                             spikes += r.total_spikes;
@@ -619,7 +606,8 @@ impl Trainer {
                 }
                 if included > 0 {
                     grads.scale(1.0 / included as f32);
-                    if !batch_loss.is_finite() || !grads.global_norm().is_finite() {
+                    let norm = grads.global_norm();
+                    if !batch_loss.is_finite() || !norm.is_finite() {
                         return Err(TrainError::NonFinite {
                             epoch,
                             batch: batch_index,
@@ -633,7 +621,7 @@ impl Trainer {
                         });
                     }
                     if let Some(clip) = self.config.grad_clip {
-                        grads.clip_global_norm(clip);
+                        grads.clip_with_norm(clip, norm);
                     }
                     apply_gradients(network, &grads, &mut self.optimizer)?;
                     steps += 1;
@@ -752,6 +740,7 @@ impl Trainer {
         let encoder = self.config.encoder;
         let base_seed = self.config.seed ^ (epoch << 32);
         let plan = self.fault_plan;
+        let quarantine = self.config.quarantine;
         let effective = bptt.prepare(network)?;
         let workers = self.config.threads.max(1).min(batch.len());
         while self.scratches.len() < workers.max(1) {
@@ -775,6 +764,7 @@ impl Trainer {
                         epoch as usize,
                         batch_start + i,
                         num_classes,
+                        quarantine,
                     )
                 })
                 .collect();
@@ -812,6 +802,7 @@ impl Trainer {
                                         epoch as usize,
                                         batch_start + i,
                                         num_classes,
+                                        quarantine,
                                     ),
                                 ));
                             }
@@ -834,7 +825,10 @@ impl Trainer {
 }
 
 /// One supervised per-sample gradient computation: input validation, fault
-/// injection (if a plan is active) and `catch_unwind` panic containment.
+/// injection (if a plan is active), `catch_unwind` panic containment and —
+/// when `quarantine` is on — the non-finite check of the sample's loss and
+/// gradient norm, run here so each worker pays for its own samples instead
+/// of the coordinating thread paying for the whole batch.
 ///
 /// The outer `Result` carries systemic errors (shape/config bugs) that must
 /// abort the run; the inner one carries per-sample faults that quarantine
@@ -852,6 +846,7 @@ fn supervised_sample(
     epoch: usize,
     ds_index: usize,
     num_classes: usize,
+    quarantine: bool,
 ) -> Result<Result<SampleResult, FaultReason>, SnnError> {
     let fault = plan.map_or(TrainFault::None, |p| p.fault_for(epoch, ds_index));
     let corrupted;
@@ -888,6 +883,12 @@ fn supervised_sample(
         Ok(Ok(mut result)) => {
             if fault == TrainFault::NanGrad {
                 result.loss = f32::NAN;
+            }
+            let loss_finite = result.loss.is_finite();
+            if quarantine && !(loss_finite && result.gradients.global_norm().is_finite()) {
+                return Ok(Err(FaultReason::NonFinite {
+                    what: if loss_finite { "gradient" } else { "loss" }.to_string(),
+                }));
             }
             Ok(Ok(result))
         }
