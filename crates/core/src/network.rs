@@ -15,13 +15,18 @@
 //!
 //! [`SnnNetwork::run`] performs direct- or rate-coded inference over `T`
 //! timesteps and returns both the classification result and the per-layer
-//! spike traces that drive the accelerator simulator and the workload model.
+//! spike counts that drive the accelerator simulator and the workload model.
 //!
 //! Weights and run state are split: [`SnnNetwork`] is immutable during
 //! inference and can be shared across threads, while all mutable state
-//! (membrane potentials, firing history, im2col scratch) lives in a
-//! [`RunState`] that [`SnnNetwork::run_with_state`] resets and reuses across
-//! runs. The `snn` facade crate's `Engine`/`Session` API builds directly on
+//! (membrane potentials, firing history, im2col scratch, per-run counts)
+//! lives in a [`RunState`] that is reset and reused across runs. The one
+//! event-driven forward loop is [`SnnNetwork::run_observed`], which calls an
+//! observer after every layer at every timestep: inference
+//! ([`SnnNetwork::run_with_state`]) runs it with a no-op observer and builds
+//! the report from the state's counts, and the BPTT forward sweep in
+//! `snn-train` runs it with an observer that caches what the backward pass
+//! reads. The `snn` facade crate's `Engine`/`Session` API builds directly on
 //! this split.
 
 use crate::encoding::{CodingScheme, Encoder};
@@ -133,8 +138,9 @@ impl LayerGeometry {
     }
 }
 
-/// Per-layer trace of one inference run: spike counts per timestep and the
-/// binary output volumes needed by the event-driven simulator.
+/// Per-layer trace of one inference run: input events and output spikes at
+/// every timestep, the counts the accelerator estimate and the workload
+/// model fold.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LayerTrace {
     /// Layer name.
@@ -149,7 +155,10 @@ pub struct LayerTrace {
     pub output_spikes: Vec<u64>,
     /// Number of output neurons.
     pub output_neurons: u64,
-    /// Binary output spike volume (timestep-major), present for weight layers.
+    /// A binary output spike volume (timestep-major) for callers that build
+    /// one; the library leaves it `None`. To record a layer's volume, run
+    /// [`SnnNetwork::run_observed`] and collect the layer's observed output
+    /// planes with [`SpikeVolume::from_activations`].
     pub spikes: Option<SpikeVolume>,
 }
 
@@ -180,24 +189,29 @@ pub struct RunOutput {
     pub timesteps: usize,
 }
 
-/// Mutable per-run state of one inference stream, split out from the
+/// Mutable per-run state of one forward stream, split out from the
 /// (immutable, shareable) [`SnnNetwork`] weights.
 ///
 /// Holds the per-layer LIF populations (membrane potentials and firing
-/// history) and every scratch buffer of the event-driven inference loop: the
-/// encoder's frame planes, the ping-pong [`SpikePlane`] pair activations flow
-/// through, the membrane-current tensor, and the conv layers' shared
-/// im2col/matmul-panel/gather scratch. A `RunState` is created once per session/thread
-/// via [`RunState::new`] and reused across runs by
-/// [`SnnNetwork::run_with_state`], which resets it between images instead of
-/// reallocating — after the first image of a batch the steady-state loop
-/// performs no heap allocation. This is the enabler for batched and parallel
-/// inference over one shared network.
+/// history), every scratch buffer of the event-driven loop (the encoder's
+/// frame planes, the ping-pong [`SpikePlane`] pair activations flow through,
+/// the membrane-current tensors and the conv layers' shared
+/// im2col/matmul-panel/gather scratch), the per-layer geometry, and the
+/// counts of the last run: class scores, per-layer per-timestep input events
+/// and output spikes, and output sizes. A `RunState` is created once per
+/// session/thread via [`RunState::new`] and reused across runs by
+/// [`SnnNetwork::run_observed`], which resets it between images instead of
+/// reallocating — a warm run performs no heap allocation. It backs both
+/// inference and the BPTT forward sweep, and is the enabler for batched and
+/// parallel inference over one shared network.
 #[derive(Debug, Clone)]
 pub struct RunState {
     /// Per-layer LIF state, index-aligned with the network's layers
     /// (`None` for pooling layers).
     lif: Vec<Option<LifPopulation>>,
+    /// Per-layer geometry, index-aligned with the network's layers (`None`
+    /// for pooling layers).
+    geometry: Vec<Option<LayerGeometry>>,
     /// Shared im2col + event-gather scratch, reused by every conv layer.
     conv_scratch: ConvScratch,
     /// Membrane-current buffer every conv/linear layer writes into.
@@ -212,43 +226,56 @@ pub struct RunState {
     plane_b: SpikePlane,
     /// Encoded input frames of the image being processed.
     frames: Vec<SpikePlane>,
+    /// Per-class scores of the last run.
+    class_scores: Vec<f32>,
+    /// Input events of the last run, layer-major: `[layer * T + t]`.
+    input_events: Vec<u64>,
+    /// Output spikes of the last run, layer-major: `[layer * T + t]`.
+    output_spikes: Vec<u64>,
+    /// Output size of each layer.
+    output_neurons: Vec<u64>,
 }
 
 impl RunState {
-    /// Preallocates run state (membranes, firing history, scratch) for
-    /// `network`.
+    /// Preallocates run state (membranes, firing history, geometry, count
+    /// buffers) for `network`.
     ///
     /// # Errors
     ///
     /// Propagates geometry errors for inconsistent layer shapes.
     pub fn new(network: &SnnNetwork) -> Result<Self, SnnError> {
-        let geometry = network.geometry()?;
-        let mut geo_iter = geometry.iter();
-        let lif = network
+        let mut weight_geometry = network.geometry()?.into_iter();
+        let geometry: Vec<Option<LayerGeometry>> = network
             .layers()
             .iter()
             .map(|layer| {
                 if layer.is_weight_layer() {
-                    let geo = geo_iter
-                        .next()
-                        .expect("geometry has one entry per weight layer");
-                    Some(LifPopulation::new(
-                        geo.output_neurons(),
-                        network.lif_params(),
-                    ))
+                    weight_geometry.next()
                 } else {
                     None
                 }
             })
             .collect();
+        let lif = geometry
+            .iter()
+            .map(|geo| {
+                geo.as_ref()
+                    .map(|g| LifPopulation::new(g.output_neurons(), network.lif_params()))
+            })
+            .collect();
         Ok(RunState {
             lif,
+            geometry,
             conv_scratch: ConvScratch::new(),
             current: Tensor::zeros(&[0]),
             first_current: Tensor::zeros(&[0]),
             plane_a: SpikePlane::new(),
             plane_b: SpikePlane::new(),
             frames: Vec::new(),
+            class_scores: Vec::new(),
+            input_events: Vec::new(),
+            output_spikes: Vec::new(),
+            output_neurons: vec![0; network.layers().len()],
         })
     }
 
@@ -260,6 +287,17 @@ impl RunState {
             pop.reset();
             pop.reset_statistics();
         }
+    }
+
+    /// Timesteps of the last run.
+    pub fn timesteps(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// Per-class scores of the last run: the total spike count of each
+    /// class's population group.
+    pub fn class_scores(&self) -> &[f32] {
+        &self.class_scores
     }
 }
 
@@ -465,19 +503,18 @@ impl SnnNetwork {
     }
 
     /// Runs one inference reusing a preallocated [`RunState`] (membrane
-    /// potentials, spike history and im2col scratch). This is the hot path
-    /// behind the facade crate's `Session::run`/`run_batch`: the state is
-    /// reset — not reallocated — between images, so batched inference does
-    /// not pay the per-run allocation cost of [`SnnNetwork::run_seeded`].
+    /// potentials, spike history, im2col scratch and count buffers). This is
+    /// the hot path behind the facade crate's `Session::run`/`run_batch`:
+    /// [`SnnNetwork::run_observed`] with a no-op observer, followed by the
+    /// report built from the state's counts — the report's buffers are the
+    /// only allocations of a warm run.
     ///
     /// Results are bitwise-identical to [`SnnNetwork::run_seeded`] with the
     /// same image, encoder and seed.
     ///
     /// # Errors
     ///
-    /// Returns shape errors if the image does not match the network's input
-    /// shape or the state was built for a different network, plus any
-    /// layer-level error encountered during the forward pass.
+    /// Same as [`SnnNetwork::run_observed`].
     pub fn run_with_state(
         &self,
         image: &Tensor,
@@ -485,6 +522,70 @@ impl SnnNetwork {
         seed: u64,
         state: &mut RunState,
     ) -> Result<RunOutput, SnnError> {
+        self.run_observed(image, encoder, seed, state, |_, _, _, _| Ok(()))?;
+        let timesteps = state.timesteps();
+        let mut record = SpikeRecord::new(timesteps);
+        let mut traces = Vec::with_capacity(self.layers.len());
+        for (li, layer) in self.layers.iter().enumerate() {
+            let span = li * timesteps..(li + 1) * timesteps;
+            let input_events = &state.input_events[span.clone()];
+            let output_spikes = &state.output_spikes[span];
+            record.push_layer(
+                layer.name(),
+                input_events.iter().sum(),
+                output_spikes.iter().sum(),
+                state.output_neurons[li],
+            );
+            traces.push(LayerTrace {
+                name: layer.name().to_string(),
+                geometry: state.geometry[li].clone(),
+                input_events: input_events.to_vec(),
+                output_spikes: output_spikes.to_vec(),
+                output_neurons: state.output_neurons[li],
+                spikes: None,
+            });
+        }
+        let logits = state.class_scores.clone();
+        let prediction = logits
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(i, _)| i)
+            .unwrap_or(0);
+        Ok(RunOutput {
+            logits,
+            prediction,
+            record,
+            traces,
+            timesteps,
+        })
+    }
+
+    /// The event-driven forward loop: encodes `image`, runs every layer at
+    /// every timestep, and leaves the class scores and per-layer counts in
+    /// `state`. After each layer's step, `observe(layer, input, output, lif)`
+    /// receives the layer's index, its input and output planes, and its LIF
+    /// population after the step (`None` for pooling layers); an `Err` from
+    /// it aborts the run and is returned unchanged. With a no-op observer a
+    /// warm run allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns shape errors if the image does not match the network's input
+    /// shape or the state was built for a different network, any
+    /// layer-level error encountered during the forward pass, and the
+    /// observer's errors.
+    pub fn run_observed<F>(
+        &self,
+        image: &Tensor,
+        encoder: &Encoder,
+        seed: u64,
+        state: &mut RunState,
+        mut observe: F,
+    ) -> Result<(), SnnError>
+    where
+        F: FnMut(usize, &SpikePlane, &SpikePlane, Option<&LifPopulation>) -> Result<(), SnnError>,
+    {
         if image.shape() != self.input_shape {
             return Err(SnnError::shape(
                 &self.input_shape,
@@ -502,45 +603,6 @@ impl SnnNetwork {
         state.reset();
         encoder.encode_planes_into(image, seed, &mut state.frames)?;
         let timesteps = state.frames.len();
-        let geometry = self.geometry()?;
-
-        // Per-layer accumulators. Conv spike volumes are preallocated and
-        // filled bit-by-bit from the event lists as the run progresses (the
-        // old loop cloned every spike tensor and converted them afterwards).
-        let mut input_events: Vec<Vec<u64>> = vec![vec![0; timesteps]; self.layers.len()];
-        let mut output_spikes: Vec<Vec<u64>> = vec![vec![0; timesteps]; self.layers.len()];
-        let mut output_neurons: Vec<u64> = vec![0; self.layers.len()];
-        let mut class_scores = vec![0.0_f32; self.num_classes];
-        let group = self.population / self.num_classes;
-        let mut volumes: Vec<Option<SpikeVolume>> = {
-            let mut geo_iter = geometry.iter();
-            self.layers
-                .iter()
-                .map(|layer| {
-                    let geo = if layer.is_weight_layer() {
-                        geo_iter.next()
-                    } else {
-                        None
-                    };
-                    match (layer, geo) {
-                        (Layer::Conv { .. }, Some(g)) => Some(SpikeVolume::new(
-                            timesteps,
-                            g.out_channels,
-                            g.out_height,
-                            g.out_width,
-                        )),
-                        _ => None,
-                    }
-                })
-                .collect()
-        };
-
-        // The event-driven loop: activations flow through the two ping-pong
-        // spike planes (`src` holds the current layer's input, `dst` receives
-        // its output), with the encoder's frame as the first layer's input at
-        // each timestep. Conv/linear layers dispatch between the gather-based
-        // event path and the dense im2col fallback; all scratch lives in the
-        // RunState, so the steady-state loop allocates nothing.
         let RunState {
             lif,
             conv_scratch,
@@ -549,19 +611,38 @@ impl SnnNetwork {
             plane_a,
             plane_b,
             frames,
+            class_scores,
+            input_events,
+            output_spikes,
+            output_neurons,
+            ..
         } = state;
-        // Direct coding presents the identical analog frame at every
-        // timestep, so the first layer's (stateless) conv + BN output is the
-        // same each step: compute it at t = 0 and replay it afterwards. Only
-        // the LIF populations carry state across timesteps.
+        class_scores.clear();
+        class_scores.resize(self.num_classes, 0.0);
+        input_events.clear();
+        input_events.resize(self.layers.len() * timesteps, 0);
+        output_spikes.clear();
+        output_spikes.resize(self.layers.len() * timesteps, 0);
+        let group = self.population / self.num_classes;
+
+        // Activations flow through the two ping-pong spike planes (`src`
+        // holds the current layer's input, `dst` receives its output), with
+        // the encoder's frame as the first layer's input at each timestep.
+        // Conv/linear layers dispatch between the gather-based event path
+        // and the dense im2col fallback. Direct coding presents the
+        // identical analog frame at every timestep, so the first layer's
+        // (stateless) conv + BN output is the same each step: compute it at
+        // t = 0 and replay it afterwards. Only the LIF populations carry
+        // state across timesteps.
         let replay_first = encoder.scheme == CodingScheme::Direct && timesteps > 1;
         let mut src: &mut SpikePlane = plane_a;
         let mut dst: &mut SpikePlane = plane_b;
         for (t, frame) in frames.iter().enumerate() {
             for (li, layer) in self.layers.iter().enumerate() {
                 let input: &SpikePlane = if li == 0 { frame } else { src };
-                input_events[li][t] = input.count_active() as u64;
-                match layer {
+                let at = li * timesteps + t;
+                input_events[at] = input.count_active() as u64;
+                let pop: Option<&LifPopulation> = match layer {
                     Layer::Conv { conv, bn, .. } => {
                         let cur: &Tensor = if li == 0 && replay_first {
                             if t == 0 {
@@ -578,25 +659,16 @@ impl SnnNetwork {
                             }
                             current
                         };
-                        let lif_state = lif[li].as_mut().ok_or_else(|| {
+                        let pop = lif[li].as_mut().ok_or_else(|| {
                             SnnError::config("state", "RunState missing LIF state for conv layer")
                         })?;
-                        let spikes = lif_state.step_plane(cur, dst)?;
-                        output_spikes[li][t] = spikes as u64;
-                        output_neurons[li] = dst.len() as u64;
-                        if let Some(vol) = &mut volumes[li] {
-                            // Word-scan the plane's mask words straight into
-                            // the per-channel SpikeTrain words.
-                            let per_map = vol.neurons_per_map();
-                            for flat in dst.iter_active() {
-                                vol.train_mut(t, flat / per_map).set(flat % per_map, true);
-                            }
-                        }
+                        output_spikes[at] = pop.step_plane(cur, dst)? as u64;
+                        Some(&*pop)
                     }
                     Layer::Pool { pool, .. } => {
                         pool.forward_plane(input, dst)?;
-                        output_spikes[li][t] = dst.count_active() as u64;
-                        output_neurons[li] = dst.len() as u64;
+                        output_spikes[at] = dst.count_active() as u64;
+                        None
                     }
                     Layer::Linear { linear, .. } => {
                         let cur: &Tensor = if li == 0 && replay_first {
@@ -608,14 +680,15 @@ impl SnnNetwork {
                             linear.forward_plane_into(input, current)?;
                             current
                         };
-                        let lif_state = lif[li].as_mut().ok_or_else(|| {
+                        let pop = lif[li].as_mut().ok_or_else(|| {
                             SnnError::config("state", "RunState missing LIF state for linear layer")
                         })?;
-                        let spikes = lif_state.step_plane(cur, dst)?;
-                        output_spikes[li][t] = spikes as u64;
-                        output_neurons[li] = dst.len() as u64;
+                        output_spikes[at] = pop.step_plane(cur, dst)? as u64;
+                        Some(&*pop)
                     }
-                }
+                };
+                output_neurons[li] = dst.len() as u64;
+                observe(li, input, dst, pop)?;
                 std::mem::swap(&mut src, &mut dst);
             }
             // Population readout: accumulate output-layer spikes per class.
@@ -627,46 +700,7 @@ impl SnnNetwork {
                 *score += out[start..end.min(out.len())].iter().sum::<f32>();
             }
         }
-
-        // Assemble the record and traces.
-        let mut record = SpikeRecord::new(timesteps);
-        let mut traces = Vec::with_capacity(self.layers.len());
-        let mut geo_iter = geometry.into_iter();
-        for ((li, layer), volume) in self.layers.iter().enumerate().zip(volumes) {
-            let geo = if layer.is_weight_layer() {
-                geo_iter.next()
-            } else {
-                None
-            };
-            record.push_layer(
-                layer.name(),
-                input_events[li].iter().sum(),
-                output_spikes[li].iter().sum(),
-                output_neurons[li],
-            );
-            traces.push(LayerTrace {
-                name: layer.name().to_string(),
-                geometry: geo,
-                input_events: input_events[li].clone(),
-                output_spikes: output_spikes[li].clone(),
-                output_neurons: output_neurons[li],
-                spikes: volume,
-            });
-        }
-
-        let prediction = class_scores
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        Ok(RunOutput {
-            logits: class_scores,
-            prediction,
-            record,
-            traces,
-            timesteps,
-        })
+        Ok(())
     }
 }
 
@@ -904,9 +938,81 @@ mod tests {
         // The direct-coded input layer sees analog inputs at every timestep.
         assert_eq!(out.traces[0].input_events.len(), 2,);
         assert!(out.traces[0].total_input_events() > 0);
-        // Conv layers carry spike volumes.
-        assert!(out.traces[0].spikes.is_some());
+        // Volumes are recorded through `run_observed`, never by the library.
+        assert!(out.traces.iter().all(|trace| trace.spikes.is_none()));
         assert!(out.prediction < 10);
+    }
+
+    /// Shape, dense bits and mask words of a plane, for bitwise comparison.
+    fn plane_bits(plane: &SpikePlane) -> (Vec<usize>, Vec<u32>, Vec<u64>) {
+        (
+            plane.shape().to_vec(),
+            plane
+                .dense()
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect(),
+            plane.as_words().to_vec(),
+        )
+    }
+
+    #[test]
+    fn observer_sees_every_layer_step_in_order() {
+        let net = vgg9(&Vgg9Config::cifar10_small()).unwrap();
+        let layers = net.layers().len();
+        let image = Tensor::from_fn(&[3, 16, 16], |i| ((i as f32) * 0.017).sin().abs());
+        for encoder in [Encoder::direct(2), Encoder::rate(3)] {
+            let mut frames = Vec::new();
+            encoder.encode_planes_into(&image, 4, &mut frames).unwrap();
+            let mut state = RunState::new(&net).unwrap();
+            let mut calls = 0;
+            let mut previous: Option<SpikePlane> = None;
+            net.run_observed(&image, &encoder, 4, &mut state, |li, input, output, lif| {
+                // (timestep, layer) order: layers cycle fastest.
+                assert_eq!(li, calls % layers, "{encoder:?} call {calls}");
+                let t = calls / layers;
+                if li == 0 {
+                    assert_eq!(plane_bits(input), plane_bits(&frames[t]), "t={t}");
+                } else {
+                    let prev = previous.as_ref().expect("layer > 0 follows a layer");
+                    assert_eq!(plane_bits(input), plane_bits(prev), "t={t} layer {li}");
+                }
+                assert_eq!(lif.is_some(), net.layers()[li].is_weight_layer());
+                if let Some(pop) = lif {
+                    assert_eq!(pop.membrane().len(), output.len());
+                }
+                previous = Some(output.clone());
+                calls += 1;
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(calls, layers * encoder.timesteps, "{encoder:?}");
+            assert_eq!(state.timesteps(), encoder.timesteps);
+            let plain = net.run_seeded(&image, &encoder, 4).unwrap();
+            assert_eq!(state.class_scores(), plain.logits.as_slice());
+        }
+    }
+
+    #[test]
+    fn observer_error_aborts_the_run_unchanged() {
+        let net = vgg9(&Vgg9Config::cifar10_small()).unwrap();
+        let image = Tensor::full(&[3, 16, 16], 0.4);
+        let mut state = RunState::new(&net).unwrap();
+        let encoder = Encoder::direct(2);
+        let stop = SnnError::config("observer", "stop after the first pool");
+        let mut calls = 0;
+        let err = net
+            .run_observed(&image, &encoder, 0, &mut state, |_, _, _, lif| {
+                calls += 1;
+                match lif {
+                    Some(_) => Ok(()),
+                    None => Err(stop.clone()),
+                }
+            })
+            .unwrap_err();
+        assert_eq!(err, stop);
+        assert_eq!(calls, 3, "CONV1_1, CONV1_2, then the failing MP1 call");
     }
 
     #[test]

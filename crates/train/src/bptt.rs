@@ -1,15 +1,15 @@
 //! Surrogate-gradient backpropagation through time over a whole network.
 //!
-//! The forward pass unrolls the network over the encoder's timesteps exactly
-//! like [`snn_core::network::SnnNetwork::run`] — event-driven: activations
-//! travel as [`SpikePlane`] frames, the conv/linear layers dispatch between
-//! the spike-gather and the blocked dense im2col paths, and the direct-coded
-//! input layer's currents are computed once per image and replayed across
-//! timesteps. It additionally caches, for every weight layer and timestep,
-//! the layer input, the membrane potential at thresholding time and the
-//! emitted spikes. The backward pass then walks the layers in reverse, and
-//! within each LIF layer walks time in reverse using the standard
-//! detached-reset BPTT recursion:
+//! The forward sweep is the inference loop itself:
+//! [`snn_core::network::SnnNetwork::run_observed`] on the prepared
+//! (quantized) network — event-driven [`SpikePlane`] frames, the
+//! spike-gather and blocked dense im2col paths, and the direct-coded input
+//! layer's currents computed once per image and replayed across timesteps —
+//! with an observer that caches, for every layer and timestep, the layer
+//! input and, for weight layers, the membrane potential after the step. So
+//! the spike counts training sees are the ones inference reports. The
+//! backward pass then walks the layers in reverse, and within each LIF layer
+//! walks time in reverse using the standard detached-reset BPTT recursion:
 //!
 //! ```text
 //! ∂L/∂u[t] = ∂L/∂s[t] · σ'(u[t]) + β · ∂L/∂u[t+1]
@@ -52,8 +52,7 @@ use crate::loss::cross_entropy;
 use crate::surrogate::SurrogateKind;
 use snn_core::encoding::{CodingScheme, Encoder};
 use snn_core::error::SnnError;
-use snn_core::layers::ConvScratch;
-use snn_core::network::{Layer, SnnNetwork};
+use snn_core::network::{Layer, RunState, SnnNetwork};
 use snn_core::neuron::LifPopulation;
 use snn_core::quant::Precision;
 use snn_core::spike::SpikePlane;
@@ -234,20 +233,20 @@ impl BpttScratch {
     }
 }
 
-/// Fake-quantized working copies of a network's weight layers — the layers
-/// the QAT forward actually executes. Built once per batch by
+/// The network the QAT forward actually executes: the master network with
+/// fake-quantized copies of its weight layers. Built once per batch by
 /// [`Bptt::prepare`] and shared (immutably) across every sample and worker
 /// thread of that batch, instead of re-cloning all weights per sample. For
 /// [`Precision::Fp32`] the copies equal the master weights.
 #[derive(Debug, Clone)]
 pub struct EffectiveLayers {
-    layers: Vec<Layer>,
+    network: SnnNetwork,
 }
 
 impl EffectiveLayers {
     /// The layer sequence the forward sweep executes.
     pub fn layers(&self) -> &[Layer] {
-        &self.layers
+        self.network.layers()
     }
 }
 
@@ -377,7 +376,14 @@ impl Bptt {
                 conv.transposed_weight();
             }
         }
-        Ok(EffectiveLayers { layers })
+        let network = SnnNetwork::new(
+            layers,
+            network.lif_params(),
+            network.input_shape(),
+            network.num_classes(),
+            network.population(),
+        )?;
+        Ok(EffectiveLayers { network })
     }
 
     /// Runs a forward and backward pass for one labelled sample, returning the
@@ -453,27 +459,65 @@ impl Bptt {
         if label >= network.num_classes() {
             return Err(SnnError::index(label, network.num_classes(), "class label"));
         }
-        let forward = self.forward_event(network, effective, image, encoder, seed)?;
-        self.backward_scratch(network, effective, &forward, label, scratch)
+        let sweep = self.forward_sweep(network, effective, image, encoder, seed)?;
+        self.backward_scratch(network, effective, &sweep.0, label, scratch)
     }
 
     /// Runs the event-driven forward sweep alone, returning the cached
-    /// activations/membranes for a later [`Bptt::backward_sweep`].
+    /// activations/membranes for a later [`Bptt::backward_sweep`]. The sweep
+    /// is [`SnnNetwork::run_observed`] on `effective`'s network (the master
+    /// network's quantized copy), with an observer that caches each layer's
+    /// input plane and each weight layer's post-step membrane, and counts
+    /// the spikes of every LIF layer. Its caches are bitwise identical to
+    /// the retained dense reference sweep's.
     ///
     /// # Errors
     ///
     /// Same as [`Bptt::sample_gradients`].
     pub fn forward_sweep(
         &self,
-        network: &SnnNetwork,
+        _network: &SnnNetwork,
         effective: &EffectiveLayers,
         image: &Tensor,
         encoder: &Encoder,
         seed: u64,
     ) -> Result<ForwardSweep, SnnError> {
-        Ok(ForwardSweep(
-            self.forward_event(network, effective, image, encoder, seed)?,
-        ))
+        let network = &effective.network;
+        let steps = encoder.timesteps;
+        let mut caches: Vec<LayerCache> = network
+            .layers()
+            .iter()
+            .map(|layer| LayerCache {
+                inputs: Vec::with_capacity(steps),
+                membranes: Vec::with_capacity(if layer.is_weight_layer() { steps } else { 0 }),
+            })
+            .collect();
+        let mut total_spikes = 0u64;
+        let mut state = RunState::new(network)?;
+        network.run_observed(
+            image,
+            encoder,
+            seed,
+            &mut state,
+            |li, input, output, lif| {
+                let cache = &mut caches[li];
+                cache.inputs.push(input.clone());
+                if let Some(pop) = lif {
+                    let membrane = Tensor::from_vec(pop.membrane().to_vec(), output.shape())?;
+                    cache.membranes.push(membrane);
+                    total_spikes += output.count_active() as u64;
+                }
+                Ok(())
+            },
+        )?;
+        let timesteps = state.timesteps();
+        Ok(ForwardSweep(ForwardPass {
+            caches,
+            class_scores: state.class_scores().to_vec(),
+            total_spikes,
+            timesteps,
+            replay_first: encoder.scheme == CodingScheme::Direct && timesteps > 1,
+        }))
     }
 
     /// Runs the scratch-backed backward pass against a cached forward sweep.
@@ -520,128 +564,6 @@ impl Bptt {
         let effective = self.prepare(network)?;
         let forward = self.forward_dense(network, &effective, image, encoder, seed)?;
         self.backward(network, &effective, forward, label)
-    }
-
-    /// Event-driven forward sweep with BPTT caching: activations flow through
-    /// ping-pong [`SpikePlane`]s, conv/linear layers dispatch between the
-    /// spike-gather path and the blocked dense im2col fallback
-    /// (`forward_plane_into`), LIF populations emit spike planes directly
-    /// (`step_plane`), and under direct coding the stateless input layer's
-    /// currents are computed once and replayed across timesteps. Produces
-    /// caches bitwise-identical to [`Bptt::forward_dense`].
-    fn forward_event(
-        &self,
-        network: &SnnNetwork,
-        effective: &EffectiveLayers,
-        image: &Tensor,
-        encoder: &Encoder,
-        seed: u64,
-    ) -> Result<ForwardPass, SnnError> {
-        let lif = network.lif_params();
-        let layers = effective.layers();
-        let mut frames: Vec<SpikePlane> = Vec::new();
-        encoder.encode_planes_into(image, seed, &mut frames)?;
-        let timesteps = frames.len();
-
-        let mut caches: Vec<LayerCache> = layers
-            .iter()
-            .map(|_| LayerCache {
-                inputs: Vec::with_capacity(timesteps),
-                membranes: Vec::with_capacity(timesteps),
-            })
-            .collect();
-        let mut lif_states: Vec<Option<LifPopulation>> = vec![None; layers.len()];
-        let mut class_scores = vec![0.0_f32; network.num_classes()];
-        let group = network.population() / network.num_classes();
-        let mut total_spikes = 0u64;
-
-        // Scratch shared by every layer of the sweep: im2col + matmul panel
-        // + event-gather buffers, the membrane-current tensor, and the
-        // ping-pong planes. Allocated once per sample, reused across all
-        // timesteps and layers.
-        let mut scratch = ConvScratch::new();
-        let mut current = Tensor::zeros(&[0]);
-        let mut first_current = Tensor::zeros(&[0]);
-        // Direct coding presents the identical analog frame at every
-        // timestep, so the stateless first weight layer produces the same
-        // currents each step: compute once, replay afterwards.
-        let replay_first = encoder.scheme == CodingScheme::Direct && timesteps > 1;
-        let mut plane_a = SpikePlane::new();
-        let mut plane_b = SpikePlane::new();
-        let mut src: &mut SpikePlane = &mut plane_a;
-        let mut dst: &mut SpikePlane = &mut plane_b;
-
-        for (t, frame) in frames.iter().enumerate() {
-            for (li, layer) in layers.iter().enumerate() {
-                let input: &SpikePlane = if li == 0 { frame } else { src };
-                caches[li].inputs.push(input.clone());
-                match layer {
-                    Layer::Conv { conv, bn, .. } => {
-                        let cur: &Tensor = if li == 0 && replay_first {
-                            if t == 0 {
-                                conv.forward_plane_into(input, &mut scratch, &mut first_current)?;
-                                if let Some(b) = bn {
-                                    b.forward_inplace(&mut first_current)?;
-                                }
-                            }
-                            &first_current
-                        } else {
-                            conv.forward_plane_into(input, &mut scratch, &mut current)?;
-                            if let Some(b) = bn {
-                                b.forward_inplace(&mut current)?;
-                            }
-                            &current
-                        };
-                        let state = lif_states[li]
-                            .get_or_insert_with(|| LifPopulation::new(cur.len(), lif));
-                        let spikes = state.step_plane(cur, dst)?;
-                        caches[li]
-                            .membranes
-                            .push(Tensor::from_vec(state.membrane().to_vec(), cur.shape())?);
-                        total_spikes += spikes as u64;
-                    }
-                    Layer::Pool { pool, .. } => {
-                        pool.forward_plane(input, dst)?;
-                    }
-                    Layer::Linear { linear, .. } => {
-                        let cur: &Tensor = if li == 0 && replay_first {
-                            if t == 0 {
-                                linear.forward_plane_into(input, &mut first_current)?;
-                            }
-                            &first_current
-                        } else {
-                            linear.forward_plane_into(input, &mut current)?;
-                            &current
-                        };
-                        let state = lif_states[li]
-                            .get_or_insert_with(|| LifPopulation::new(cur.len(), lif));
-                        let spikes = state.step_plane(cur, dst)?;
-                        caches[li]
-                            .membranes
-                            .push(Tensor::from_vec(state.membrane().to_vec(), cur.shape())?);
-                        total_spikes += spikes as u64;
-                    }
-                }
-                std::mem::swap(&mut src, &mut dst);
-            }
-            // Population readout: after the final swap, `src` holds the
-            // output layer's spikes.
-            let out = src.dense().as_slice();
-            for (class, score) in class_scores.iter_mut().enumerate() {
-                let start = class * group;
-                *score += out[start..(start + group).min(out.len())]
-                    .iter()
-                    .sum::<f32>();
-            }
-        }
-
-        Ok(ForwardPass {
-            caches,
-            class_scores,
-            total_spikes,
-            timesteps,
-            replay_first,
-        })
     }
 
     /// Dense reference forward sweep (see [`Bptt::sample_gradients_dense`]).

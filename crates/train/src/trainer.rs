@@ -882,7 +882,7 @@ fn supervised_sample(
     match outcome {
         Ok(Ok(mut result)) => {
             if fault == TrainFault::NanGrad {
-                result.loss = f32::NAN;
+                result.gradients.scale(f32::NAN);
             }
             let loss_finite = result.loss.is_finite();
             if quarantine && !(loss_finite && result.gradients.global_norm().is_finite()) {

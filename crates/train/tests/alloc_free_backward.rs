@@ -1,4 +1,4 @@
-//! Proves the allocation contracts of the two warm hot loops with a counting
+//! Proves the allocation contracts of the warm hot loops with a counting
 //! global allocator:
 //!
 //! * **Backward** — once a [`BpttScratch`] is warm, the scratch-backed
@@ -7,22 +7,23 @@
 //!   different timestep counts; all remaining allocations are per-sample
 //!   constants (the returned gradients, loss buffers), so the counts must be
 //!   identical across `T`, and repeatable at a fixed `T`.
-//! * **Forward** — a warm conv → LIF → pool → linear timestep loop (the
-//!   exact kernel sequence `SnnNetwork::run_with_state` drives, including
-//!   the encoder re-encoding each image) performs **zero** heap allocations:
-//!   the mask words live inside the reused [`SpikePlane`]s and the word
-//!   scans iterate them in place.
+//! * **Forward** — a warm `SnnNetwork::run_observed` with a no-op observer
+//!   (the one event-driven loop inference and the BPTT sweep share,
+//!   including the encoder re-encoding each image) performs **zero** heap
+//!   allocations: the mask words live inside the reused `SpikePlane`s,
+//!   the word scans iterate them in place, and the per-run counts live in
+//!   the [`RunState`]. A warm `run_with_state` allocates only its returned
+//!   report, so its count does not depend on `T`.
 //!
 //! The global allocator is process-wide, but its count is per thread: libtest
 //! runs each test on its own thread, so tests running in parallel never see
-//! each other's allocations. Both measured loops run entirely on the calling
+//! each other's allocations. Every measured loop runs entirely on the calling
 //! thread.
 
 use snn_core::encoding::Encoder;
-use snn_core::layers::{Conv2d, ConvScratch, Linear, SpikeMaxPool2d};
-use snn_core::network::{vgg9, Vgg9Config};
-use snn_core::neuron::{LifParams, LifPopulation};
-use snn_core::spike::SpikePlane;
+use snn_core::layers::{BatchNorm2d, Conv2d, Linear, SpikeMaxPool2d};
+use snn_core::network::{vgg9, Layer, RunState, SnnNetwork, Vgg9Config};
+use snn_core::neuron::LifParams;
 use snn_core::tensor::Tensor;
 use snn_train::bptt::{Bptt, BpttScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -129,50 +130,81 @@ fn warm_backward_allocation_count_is_independent_of_timesteps() {
     }
 }
 
-#[test]
-fn warm_word_scan_forward_timestep_loop_allocates_nothing() {
+/// A conv → BN → LIF → pool → linear → LIF network over a ragged 9×9 map:
+/// 2·9·9 = 162 cells (a partial tail word) through the conv, 2·4·4 through
+/// the pool, 32 into the four-neuron population head of two classes.
+fn ragged_network() -> SnnNetwork {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(9);
-    // A conv → LIF → pool → linear → LIF stack over a ragged 9×9 map:
-    // 2·9·9 = 162 cells (a partial tail word) through the conv, 2·4·4
-    // through the pool, 32 into the classifier head.
-    let conv = Conv2d::with_kaiming_init(2, 2, 3, 1, 1, &mut rng).unwrap();
-    let pool = SpikeMaxPool2d::new(2).unwrap();
-    let fc = Linear::with_kaiming_init(32, 4, &mut rng).unwrap();
-    let image = Tensor::from_fn(&[2, 9, 9], |i| ((i as f32) * 0.031).sin().abs());
+    let layers = vec![
+        Layer::Conv {
+            name: "CONV".to_string(),
+            conv: Conv2d::with_kaiming_init(2, 2, 3, 1, 1, &mut rng).unwrap(),
+            bn: Some(BatchNorm2d::new(2).unwrap()),
+        },
+        Layer::Pool {
+            name: "MP".to_string(),
+            pool: SpikeMaxPool2d::new(2).unwrap(),
+        },
+        Layer::Linear {
+            name: "FC".to_string(),
+            linear: Linear::with_kaiming_init(32, 4, &mut rng).unwrap(),
+        },
+    ];
+    SnnNetwork::new(layers, LifParams::paper_default(), [2, 9, 9], 2, 4).unwrap()
+}
 
-    let mut frames: Vec<SpikePlane> = Vec::new();
-    let mut scratch = ConvScratch::new();
-    let mut current = Tensor::default();
-    let mut conv_spikes = SpikePlane::new();
-    let mut pooled = SpikePlane::new();
-    let mut fc_current = Tensor::default();
-    let mut out_spikes = SpikePlane::new();
-    let mut lif_conv = LifPopulation::new(2 * 9 * 9, LifParams::paper_default());
-    let mut lif_out = LifPopulation::new(4, LifParams::paper_default());
+fn ragged_image() -> Tensor {
+    Tensor::from_fn(&[2, 9, 9], |i| ((i as f32) * 0.031).sin().abs())
+}
 
+#[test]
+fn warm_word_scan_forward_timestep_loop_allocates_nothing() {
+    let net = ragged_network();
+    let image = ragged_image();
+    let mut state = RunState::new(&net).unwrap();
     for (scheme, encoder) in [("direct", Encoder::direct(4)), ("rate", Encoder::rate(4))] {
-        let mut sweep = |frames: &mut Vec<SpikePlane>| {
-            encoder.encode_planes_into(&image, 5, frames).unwrap();
-            lif_conv.reset();
-            lif_out.reset();
-            for frame in frames.iter() {
-                conv.forward_plane_into(frame, &mut scratch, &mut current)
-                    .unwrap();
-                lif_conv.step_plane(&current, &mut conv_spikes).unwrap();
-                pool.forward_plane(&conv_spikes, &mut pooled).unwrap();
-                fc.forward_plane_into(&pooled, &mut fc_current).unwrap();
-                lif_out.step_plane(&fc_current, &mut out_spikes).unwrap();
-            }
+        let mut run = || {
+            net.run_observed(&image, &encoder, 5, &mut state, |_, _, _, _| Ok(()))
+                .unwrap();
         };
-        // Warm every buffer (planes, scratch, encoder frames), then demand
-        // strict zero for the whole re-encoded, re-run timestep loop.
-        sweep(&mut frames);
-        let allocs = count_allocs(|| sweep(&mut frames));
+        // Warm every buffer (planes, scratch, encoder frames, counts), then
+        // demand strict zero for the whole re-encoded, re-run loop.
+        run();
+        let allocs = count_allocs(run);
         assert_eq!(
             allocs, 0,
-            "{scheme}: warm word-scan forward loop allocated {allocs} times"
+            "{scheme}: warm run_observed allocated {allocs} times"
+        );
+    }
+}
+
+#[test]
+fn warm_run_with_state_allocations_are_timestep_independent() {
+    let net = ragged_network();
+    let image = ragged_image();
+    let mut state = RunState::new(&net).unwrap();
+    for scheme in ["direct", "rate"] {
+        let mut counts = Vec::new();
+        for timesteps in [2_usize, 4, 6] {
+            let encoder = if scheme == "direct" {
+                Encoder::direct(timesteps)
+            } else {
+                Encoder::rate(timesteps)
+            };
+            net.run_with_state(&image, &encoder, 5, &mut state).unwrap();
+            let count = count_allocs(|| {
+                net.run_with_state(&image, &encoder, 5, &mut state).unwrap();
+            });
+            // The returned report is allocated on this thread, so a zero here
+            // means the counter is blind and the equality below is vacuous.
+            assert!(count > 0, "{scheme} T={timesteps}: counter saw nothing");
+            counts.push(count);
+        }
+        assert!(
+            counts.iter().all(|&c| c == counts[0]),
+            "{scheme} run_with_state allocations grow with timesteps: {counts:?}"
         );
     }
 }

@@ -67,7 +67,9 @@ fn expected_faults(
 fn reason_matches(reason: &FaultReason, injected: TrainFault) -> bool {
     match injected {
         TrainFault::Panic => matches!(reason, FaultReason::Panicked { .. }),
-        TrainFault::NanGrad => matches!(reason, FaultReason::NonFinite { .. }),
+        TrainFault::NanGrad => {
+            matches!(reason, FaultReason::NonFinite { what } if what == "gradient")
+        }
         TrainFault::CorruptSample => matches!(reason, FaultReason::InvalidData { .. }),
         TrainFault::None => false,
     }
@@ -221,9 +223,12 @@ fn non_finite_fail_fast_aborts_before_the_optimizer_step() {
     let mut trainer = Trainer::new(cfg).unwrap().with_fault_plan(plan);
     let err = trainer.fit(&mut net, &data).unwrap_err();
     match err {
-        TrainError::NonFinite { epoch, batch, .. } => {
+        TrainError::NonFinite {
+            epoch, batch, what, ..
+        } => {
             assert_eq!(epoch, first_epoch);
             assert_eq!(batch, first_index / 4);
+            assert_eq!(what, "gradient norm");
         }
         other => panic!("expected NonFinite, got {other:?}"),
     }

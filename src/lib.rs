@@ -101,7 +101,7 @@ pub struct RunReport {
     pub prediction: usize,
     /// Per-layer spike record (summed over timesteps).
     pub record: SpikeRecord,
-    /// Detailed per-layer traces (inputs/outputs per timestep, spike volumes).
+    /// Detailed per-layer traces (input events and output spikes per timestep).
     pub traces: Vec<LayerTrace>,
     /// Number of timesteps simulated.
     pub timesteps: usize,

@@ -8,12 +8,38 @@ use snn::accel::dse::allocate_balanced;
 use snn::accel::sparse_core::SparseCore;
 use snn::accel::workload::from_traces;
 use snn::accel::HybridAccelerator;
-use snn::core::network::{vgg9, Layer, Vgg9Config};
+use snn::core::network::{vgg9, Layer, RunState, SnnNetwork, Vgg9Config};
 use snn::core::spike::SpikeVolume;
 use snn::{Encoder, Engine, HwConfig, PerfScale, Precision, Tensor};
 
 fn small_image() -> Tensor {
     Tensor::from_fn(&[3, 16, 16], |i| ((i as f32) * 0.019).sin().abs())
+}
+
+/// Records every conv layer's binary output volume from the planes
+/// `SnnNetwork::run_observed` hands its observer (`None` for other layers).
+fn observed_conv_volumes(
+    network: &SnnNetwork,
+    image: &Tensor,
+    encoder: &Encoder,
+) -> Vec<Option<SpikeVolume>> {
+    let mut outputs: Vec<Vec<Tensor>> = vec![Vec::new(); network.layers().len()];
+    let mut state = RunState::new(network).unwrap();
+    network
+        .run_observed(image, encoder, 0, &mut state, |li, _, output, _| {
+            if matches!(network.layers()[li], Layer::Conv { .. }) {
+                outputs[li].push(output.dense().clone());
+            }
+            Ok(())
+        })
+        .unwrap();
+    outputs
+        .iter()
+        .map(|frames| {
+            let shape = frames.first()?.shape();
+            Some(SpikeVolume::from_activations(frames, shape[0], shape[1], shape[2]).unwrap())
+        })
+        .collect()
 }
 
 #[test]
@@ -43,11 +69,14 @@ fn dense_core_reproduces_the_networks_first_layer_spikes() {
 fn sparse_core_reproduces_the_second_layer_spikes() {
     let network = vgg9(&Vgg9Config::cifar10_small()).unwrap();
     let image = small_image();
-    let out = network.run(&image, &Encoder::paper_direct()).unwrap();
+    let encoder = Encoder::paper_direct();
+    let out = network.run(&image, &encoder).unwrap();
 
-    // Feed the recorded spike output of CONV1_1 into a sparse core running
+    // Feed the observed spike output of CONV1_1 into a sparse core running
     // CONV1_2 and check that it reproduces the recorded CONV1_2 spikes.
-    let input_volume = out.traces[0].spikes.clone().expect("conv trace has spikes");
+    let input_volume = observed_conv_volumes(&network, &image, &encoder)
+        .swap_remove(0)
+        .expect("CONV1_1 is a convolution");
     let Layer::Conv { conv, .. } = &network.layers()[1] else {
         panic!("second layer must be a convolution");
     };
@@ -165,19 +194,33 @@ fn dse_allocation_balances_the_network() {
 
 #[test]
 fn spike_volume_roundtrips_through_the_whole_stack() {
-    // SpikeVolume built by the network is consumable by the sparse core and
-    // keeps its counts through the accelerator estimate.
+    // A SpikeVolume recorded through the observer holds exactly the spikes
+    // the run's traces count, timestep by timestep, for every conv layer.
     let network = vgg9(&Vgg9Config::cifar10_small()).unwrap();
-    let out = network
-        .run(&small_image(), &Encoder::paper_direct())
-        .unwrap();
-    for trace in &out.traces {
-        if let Some(volume) = &trace.spikes {
-            let total: u64 = trace.output_spikes.iter().sum();
-            assert_eq!(volume.total_spikes() as u64, total);
-            assert_eq!(volume.timesteps(), out.timesteps);
+    let image = small_image();
+    let encoder = Encoder::paper_direct();
+    let out = network.run(&image, &encoder).unwrap();
+    let volumes = observed_conv_volumes(&network, &image, &encoder);
+    let mut recorded = 0;
+    for (trace, volume) in out.traces.iter().zip(&volumes) {
+        assert!(
+            trace.spikes.is_none(),
+            "{}: the library builds no volume",
+            trace.name
+        );
+        let Some(volume) = volume else { continue };
+        assert_eq!(volume.timesteps(), out.timesteps);
+        for (t, &expected) in trace.output_spikes.iter().enumerate() {
+            assert_eq!(
+                volume.spikes_at_timestep(t) as u64,
+                expected,
+                "{} t={t}",
+                trace.name
+            );
         }
+        recorded += 1;
     }
+    assert_eq!(recorded, 7, "one volume per VGG9 convolution");
     // An empty volume stays empty through OR-pooling semantics.
     let empty = SpikeVolume::new(2, 4, 8, 8);
     assert_eq!(empty.total_spikes(), 0);
