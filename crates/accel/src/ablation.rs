@@ -1,7 +1,7 @@
 //! Design-choice ablations.
 //!
-//! DESIGN.md calls out the architectural knobs the paper fixes at design
-//! time: the sparse-core compression chunk width, the clock-gated memory
+//! The paper fixes several architectural knobs at design time: the
+//! sparse-core compression chunk width, the clock-gated memory
 //! organisation, the weight precision and the per-layer neural-core budget.
 //! This module sweeps each knob on a fixed workload and returns structured
 //! results, which the `design_space_exploration` example and the Criterion
@@ -175,6 +175,10 @@ mod tests {
         // Latency is monotonically non-increasing with chunk width.
         assert!(points[1].latency_ms <= points[0].latency_ms + 1e-9);
         assert!(points[2].latency_ms <= points[1].latency_ms + 1e-9);
+        assert!(matches!(
+            sweep_chunk_width(&cfg, &geo, &traces, &[0]),
+            Err(SnnError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

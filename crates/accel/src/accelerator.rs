@@ -98,7 +98,10 @@ impl HybridAccelerator {
     /// # Errors
     ///
     /// Returns [`SnnError::InvalidConfig`] if the configuration's NC
-    /// allocation does not cover every sparse layer of the network.
+    /// allocation does not cover every sparse layer of the network, or if
+    /// the configuration cannot describe hardware: a zero chunk width, a
+    /// zero NC count, an enabled dense core with no PE rows, or a clock that
+    /// is not a finite positive frequency.
     pub fn new(network: &SnnNetwork, config: HwConfig) -> Result<Self, SnnError> {
         Self::from_geometry(network.geometry()?, config)
     }
@@ -125,6 +128,35 @@ impl HybridAccelerator {
         }
         if geometry.is_empty() {
             return Err(SnnError::config("geometry", "network has no weight layers"));
+        }
+        // `HwConfig`'s fields are public, so a hand-built configuration can
+        // hold values the core models assert against; reject them here.
+        if config.chunk_bits == 0 {
+            return Err(SnnError::config(
+                "chunk_bits",
+                "compression chunk width must be positive",
+            ));
+        }
+        if config.neural_cores.contains(&0) {
+            return Err(SnnError::config(
+                "neural_cores",
+                "every sparse layer needs at least one neural core",
+            ));
+        }
+        if config.dense_core_enabled && config.dense_rows == 0 {
+            return Err(SnnError::config(
+                "dense_rows",
+                "an enabled dense core needs at least one PE row",
+            ));
+        }
+        if !(config.clock_mhz.is_finite() && config.clock_mhz > 0.0) {
+            return Err(SnnError::config(
+                "clock_mhz",
+                format!(
+                    "clock must be finite and positive, got {}",
+                    config.clock_mhz
+                ),
+            ));
         }
         Ok(HybridAccelerator { config, geometry })
     }
@@ -323,11 +355,7 @@ impl EstimatePlan {
             let layer_cycles = match model {
                 LayerCycleModel::Dense { cycles } => *cycles,
                 LayerCycleModel::Sparse { core } => {
-                    if geo.is_conv {
-                        core.conv_timing(&trace.input_events, geo).total_cycles
-                    } else {
-                        core.linear_timing(&trace.input_events, geo).total_cycles
-                    }
+                    core.timing(&trace.input_events, geo).total_cycles
                 }
             };
             cycles.push(layer_cycles);
@@ -418,6 +446,40 @@ mod tests {
         let net = vgg9(&Vgg9Config::cifar10_small()).unwrap();
         let cfg = HwConfig::from_allocation("short", Precision::Int4, &[1, 4, 2]).unwrap();
         assert!(HybridAccelerator::new(&net, cfg).is_err());
+    }
+
+    /// The hand-built configurations the core models cannot run, each named
+    /// by the field it breaks.
+    fn broken_configs() -> Vec<(&'static str, HwConfig)> {
+        let base = small_config(Precision::Int4);
+        let edit = |f: fn(&mut HwConfig)| {
+            let mut cfg = base.clone();
+            f(&mut cfg);
+            cfg
+        };
+        vec![
+            ("chunk_bits", edit(|c| c.chunk_bits = 0)),
+            ("neural_cores", edit(|c| c.neural_cores[3] = 0)),
+            ("dense_rows", edit(|c| c.dense_rows = 0)),
+            ("clock_mhz", edit(|c| c.clock_mhz = 0.0)),
+            ("clock_mhz", edit(|c| c.clock_mhz = f64::NAN)),
+        ]
+    }
+
+    #[test]
+    fn new_rejects_configs_the_cores_cannot_run() {
+        let net = vgg9(&Vgg9Config::cifar10_small()).unwrap();
+        for (field, cfg) in broken_configs() {
+            match HybridAccelerator::new(&net, cfg.clone()) {
+                Err(SnnError::InvalidConfig { parameter, .. }) => assert_eq!(parameter, field),
+                other => panic!("{cfg:?}: expected an InvalidConfig on {field}, got {other:?}"),
+            }
+        }
+        // Without the dense core its row count is never used.
+        let mut rate = small_config(Precision::Int4).without_dense_core();
+        rate.neural_cores.push(1);
+        rate.dense_rows = 0;
+        assert!(HybridAccelerator::new(&net, rate).is_ok());
     }
 
     #[test]

@@ -9,16 +9,13 @@
 //! produced per cycle once the pipeline is full. The Activ unit then adds the
 //! bias, applies the LIF leak/threshold and writes the spike train to BRAM.
 //!
-//! [`DenseCore::run`] is the functional model (bit-true against
-//! `Conv2d::forward` + the LIF population) and [`DenseCore::timing`] the
-//! cycle model used by the accelerator's performance estimates.
+//! [`DenseCore::timing`] is the cycle model of that schedule, used by the
+//! accelerator's performance estimates. It depends on the layer geometry and
+//! the timestep count only: the dense core's work does not depend on the
+//! input. What the layer computes is modelled once, by `snn-core`'s
+//! `Conv2d` and LIF population.
 
 use serde::{Deserialize, Serialize};
-use snn_core::error::SnnError;
-use snn_core::layers::Conv2d;
-use snn_core::neuron::{lif_update, LifParams};
-use snn_core::spike::{SpikeTrain, SpikeVolume};
-use snn_core::tensor::Tensor;
 
 /// Cycle counts of one dense-core layer execution (all timesteps).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -69,57 +66,6 @@ impl DenseCore {
         27 * self.rows
     }
 
-    /// Functionally executes the input convolution layer over all encoded
-    /// frames, producing the output spike volume exactly as the hardware
-    /// would (conv → bias → LIF with soft reset), together with the cycle
-    /// count of the systolic schedule.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the convolution.
-    pub fn run(
-        &self,
-        conv: &Conv2d,
-        lif: LifParams,
-        frames: &[Tensor],
-    ) -> Result<(SpikeVolume, DenseTiming), SnnError> {
-        if frames.is_empty() {
-            return Err(SnnError::config(
-                "frames",
-                "at least one input frame is required",
-            ));
-        }
-        let out_shape = conv.output_shape(frames[0].shape())?;
-        let (out_c, out_h, out_w) = (out_shape[0], out_shape[1], out_shape[2]);
-        let mut volume = SpikeVolume::new(frames.len(), out_c, out_h, out_w);
-        // Persistent LIF state across timesteps, exactly like the Activ unit's
-        // membrane registers.
-        let mut membrane = vec![0.0_f32; out_c * out_h * out_w];
-        let mut fired = vec![false; out_c * out_h * out_w];
-        for (t, frame) in frames.iter().enumerate() {
-            // The systolic array computes the same dot products as the im2col
-            // convolution; the schedule (row tiling over output channels) only
-            // affects the cycle count, not the arithmetic result.
-            let currents = conv.forward(frame)?;
-            let data = currents.as_slice();
-            for c in 0..out_c {
-                let mut train = SpikeTrain::new(out_h * out_w);
-                for p in 0..out_h * out_w {
-                    let idx = c * out_h * out_w + p;
-                    let (u, spike) = lif_update(lif, membrane[idx], data[idx], fired[idx]);
-                    membrane[idx] = u;
-                    fired[idx] = spike;
-                    if spike {
-                        train.set(p, true);
-                    }
-                }
-                volume.set_train(t, c, train)?;
-            }
-        }
-        let timing = self.timing(out_c, out_h, out_w, frames.len());
-        Ok((volume, timing))
-    }
-
     /// Cycle count of the systolic schedule for a layer with `out_channels`
     /// output feature maps of `out_h × out_w` pixels over `timesteps` frames.
     ///
@@ -150,15 +96,6 @@ impl DenseCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use snn_core::encoding::Encoder;
-    use snn_core::neuron::LifPopulation;
-
-    fn sample_conv() -> Conv2d {
-        let mut rng = StdRng::seed_from_u64(42);
-        Conv2d::with_kaiming_init(3, 8, 3, 1, 1, &mut rng).unwrap()
-    }
 
     #[test]
     #[should_panic(expected = "at least one PE row")]
@@ -170,41 +107,6 @@ mod tests {
     fn pes_are_27_per_row() {
         assert_eq!(DenseCore::new(1).pes(), 27);
         assert_eq!(DenseCore::new(3).pes(), 81);
-    }
-
-    #[test]
-    fn functional_output_matches_reference_lif() {
-        // The dense core must be bit-true against Conv2d::forward followed by
-        // the reference LIF population.
-        let conv = sample_conv();
-        let lif = LifParams::paper_default();
-        let image = Tensor::from_fn(&[3, 8, 8], |i| ((i as f32) * 0.037).sin().abs());
-        let frames = Encoder::direct(3).encode(&image, 0).unwrap();
-
-        let core = DenseCore::new(2);
-        let (volume, _) = core.run(&conv, lif, &frames).unwrap();
-
-        let mut reference = LifPopulation::new(8 * 8 * 8, lif);
-        for (t, frame) in frames.iter().enumerate() {
-            let current = conv.forward(frame).unwrap();
-            let spikes = reference.step_tensor(&current).unwrap();
-            for c in 0..8 {
-                for p in 0..64 {
-                    let expected = spikes.as_slice()[c * 64 + p] > 0.0;
-                    assert_eq!(
-                        volume.train(t, c).get(p),
-                        expected,
-                        "mismatch at t={t} c={c} p={p}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn run_rejects_empty_frames() {
-        let core = DenseCore::new(1);
-        assert!(core.run(&sample_conv(), LifParams::default(), &[]).is_err());
     }
 
     #[test]

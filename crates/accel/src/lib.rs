@@ -1,9 +1,11 @@
 //! # snn-accel
 //!
-//! Cycle-level simulator of the paper's hybrid dense/sparse event-driven SNN
-//! accelerator, together with the FPGA area, power and energy models needed
-//! to regenerate the paper's hardware results (Table I, Table II, Table III,
-//! Fig. 4).
+//! Cost model of the paper's hybrid dense/sparse event-driven SNN
+//! accelerator: cycle models over per-layer spike counts and layer geometry,
+//! together with the FPGA area, power and energy models needed to regenerate
+//! the paper's hardware results (Table I, Table II, Table III, Fig. 4). What
+//! the layers compute is modelled once, in `snn-core`; this crate reads only
+//! the counts a network run records.
 //!
 //! The architecture (paper Sec. IV):
 //!
@@ -20,8 +22,8 @@
 //!
 //! * [`config`] — hardware configurations (precision, clock, per-layer neural
 //!   core allocation; the paper's `LW` / `perf2` / `perf4` presets),
-//! * [`dense_core`] — functional + timing model of the systolic input layer,
-//! * [`sparse_core`] — functional + timing model of the event-driven layers,
+//! * [`dense_core`] — cycle model of the systolic input layer,
+//! * [`sparse_core`] — cycle model of the event-driven layers,
 //! * [`memory`] — on-chip memory placement (LUTRAM/BRAM/URAM) and sizing,
 //! * [`resources`] — the XCVU13P device model and per-layer area estimates,
 //! * [`power`] — calibrated static + dynamic power model,

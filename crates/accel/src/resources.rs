@@ -332,7 +332,7 @@ mod tests {
         // Table I: 109.7K LUT and 979 BRAM for the int4 hardware. The model
         // should land within a small factor on LUTs and BRAMs; our VGG9 keeps
         // its (larger) fully-connected matrices in URAM, so a non-zero URAM
-        // count is expected (see DESIGN.md §6 on the FC storage deviation).
+        // count is expected (a deviation from the paper's FC storage).
         let luts = est.total_luts();
         let bram = est.total_bram();
         // The paper's per-layer LUT rows sum to ~39.5K (its stated 109.7K

@@ -16,17 +16,14 @@
 //! 4. once every input feature map has been consumed, the NC's Activ routine
 //!    runs the LIF spiking phase and writes the output spike train to BRAM.
 //!
-//! [`SparseCore::run_conv`] / [`SparseCore::run_linear`] are functional models
-//! (bit-true against the `snn-core` layers + LIF); [`SparseCore::conv_timing`]
-//! and [`SparseCore::linear_timing`] are the analytic cycle models driven by
-//! spike counts, used by the accelerator-level performance estimates.
+//! [`SparseCore::timing`] is the analytic cycle model of these routines,
+//! driven by a layer's per-timestep input spike counts and its geometry. A
+//! fully-connected layer is the 1×1, `kernel = 1` case of a convolution, so
+//! one formula serves both. What the routines compute is modelled once, by
+//! the `snn-core` layers and LIF populations.
 
 use serde::{Deserialize, Serialize};
-use snn_core::error::SnnError;
-use snn_core::layers::{Conv2d, Linear};
 use snn_core::network::LayerGeometry;
-use snn_core::neuron::{lif_update, LifParams};
-use snn_core::spike::{SpikeTrain, SpikeVolume};
 
 /// Cycle counts of one sparse-core layer execution (all timesteps).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,253 +85,62 @@ impl SparseCore {
         self.chunk_bits
     }
 
-    /// Functionally executes an event-driven spiking convolution.
+    /// Analytic cycle count of one layer given its per-timestep input spike
+    /// counts and its geometry. At a timestep with `E` input events, with
+    /// `n`-bit chunks and `N` neural cores:
     ///
-    /// `input` holds the binary input feature maps for every timestep
-    /// (channels × H × W, timestep-major); the result is the output spike
-    /// volume plus the cycle counts of the schedule. Only stride-1
-    /// convolutions are supported — the paper's networks use stride 1
-    /// everywhere, with down-sampling done by spike max-pooling.
+    /// ```text
+    /// compression  = ⌈C_in · H_in · W_in / n⌉ + E
+    /// accumulation = E · k² · ⌈C_out / N⌉
+    /// activation   = ⌈C_out / N⌉ · H_out · W_out
+    /// total        = max(compression, accumulation) + activation
+    /// ```
     ///
-    /// # Errors
-    ///
-    /// Returns [`SnnError::InvalidConfig`] for unsupported strides and shape
-    /// errors if the input volume does not match the convolution.
-    pub fn run_conv(
-        &self,
-        conv: &Conv2d,
-        lif: LifParams,
-        input: &SpikeVolume,
-    ) -> Result<(SpikeVolume, SparseTiming), SnnError> {
-        if conv.stride() != 1 {
-            return Err(SnnError::config(
-                "stride",
-                "the event-driven sparse core supports stride-1 convolutions only",
-            ));
-        }
-        if input.channels() != conv.in_channels() {
-            return Err(SnnError::shape(
-                &[conv.in_channels()],
-                &[input.channels()],
-                "SparseCore::run_conv input channels",
-            ));
-        }
-        let (in_h, in_w) = (input.height(), input.width());
-        let out_shape = conv.output_shape(&[conv.in_channels(), in_h, in_w])?;
-        let (out_c, out_h, out_w) = (out_shape[0], out_shape[1], out_shape[2]);
-        let k = conv.kernel();
-        let pad = conv.padding() as isize;
-        let timesteps = input.timesteps();
-
-        let mut volume = SpikeVolume::new(timesteps, out_c, out_h, out_w);
-        let mut membrane = vec![0.0_f32; out_c * out_h * out_w];
-        let mut fired = vec![false; out_c * out_h * out_w];
-        let weight = conv.weight().as_slice();
-        let bias = conv.bias().as_slice();
-        let mut timing = SparseTiming::default();
-
-        for t in 0..timesteps {
-            // Accumulation phase: every spike event updates the k×k
-            // neighbourhood of every output feature map.
-            let mut accumulator = vec![0.0_f32; out_c * out_h * out_w];
-            let mut events: u64 = 0;
-            for cin in 0..conv.in_channels() {
-                let train = input.train(t, cin);
-                for idx in train.iter_ones() {
-                    events += 1;
-                    let y = (idx / in_w) as isize;
-                    let x = (idx % in_w) as isize;
-                    for ky in 0..k {
-                        let oy = y + pad - ky as isize;
-                        if oy < 0 || oy >= out_h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ox = x + pad - kx as isize;
-                            if ox < 0 || ox >= out_w as isize {
-                                continue;
-                            }
-                            for oc in 0..out_c {
-                                let w = weight[((oc * conv.in_channels() + cin) * k + ky) * k + kx];
-                                accumulator[(oc * out_h + oy as usize) * out_w + ox as usize] += w;
-                            }
-                        }
-                    }
-                }
-            }
-            // Activation phase: LIF update with the accumulated current + bias.
-            for (oc, &channel_bias) in bias.iter().enumerate().take(out_c) {
-                let mut train = SpikeTrain::new(out_h * out_w);
-                for p in 0..out_h * out_w {
-                    let idx = oc * out_h * out_w + p;
-                    let current = accumulator[idx] + channel_bias;
-                    let (u, spike) = lif_update(lif, membrane[idx], current, fired[idx]);
-                    membrane[idx] = u;
-                    fired[idx] = spike;
-                    if spike {
-                        train.set(p, true);
-                    }
-                }
-                volume.set_train(t, oc, train)?;
-            }
-            timing.add(self.conv_step_timing(
-                events,
-                conv.in_channels() * in_h * in_w,
-                k,
-                out_c,
-                out_h * out_w,
-            ));
-        }
-        Ok((volume, timing))
-    }
-
-    /// Functionally executes an event-driven fully-connected layer.
-    ///
-    /// `input` holds one spike train per timestep (length = `in_features`).
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors if a spike train length differs from the layer's
-    /// input features.
-    pub fn run_linear(
-        &self,
-        linear: &Linear,
-        lif: LifParams,
-        input: &[SpikeTrain],
-    ) -> Result<(Vec<SpikeTrain>, SparseTiming), SnnError> {
-        let n_in = linear.in_features();
-        let n_out = linear.out_features();
-        let weight = linear.weight().as_slice();
-        let bias = linear.bias().as_slice();
-        let mut membrane = vec![0.0_f32; n_out];
-        let mut fired = vec![false; n_out];
-        let mut outputs = Vec::with_capacity(input.len());
-        let mut timing = SparseTiming::default();
-        for train in input {
-            if train.len() != n_in {
-                return Err(SnnError::shape(
-                    &[n_in],
-                    &[train.len()],
-                    "SparseCore::run_linear input train",
-                ));
-            }
-            let mut accumulator = vec![0.0_f32; n_out];
-            let mut events = 0u64;
-            for idx in train.iter_ones() {
-                events += 1;
-                for (o, acc) in accumulator.iter_mut().enumerate() {
-                    *acc += weight[o * n_in + idx];
-                }
-            }
-            let mut out_train = SpikeTrain::new(n_out);
-            for o in 0..n_out {
-                let (u, spike) = lif_update(lif, membrane[o], accumulator[o] + bias[o], fired[o]);
-                membrane[o] = u;
-                fired[o] = spike;
-                if spike {
-                    out_train.set(o, true);
-                }
-            }
-            outputs.push(out_train);
-            timing.add(self.linear_step_timing(events, n_in, n_out));
-        }
-        Ok((outputs, timing))
-    }
-
-    /// Analytic cycle count for a convolution layer given the per-timestep
-    /// input spike counts and the layer geometry.
-    pub fn conv_timing(&self, events_per_step: &[u64], geo: &LayerGeometry) -> SparseTiming {
-        let mut total = SparseTiming::default();
-        let input_bits = geo.in_channels * geo.in_height * geo.in_width;
-        for &events in events_per_step {
-            total.add(self.conv_step_timing(
-                events,
-                input_bits,
-                geo.kernel,
-                geo.out_channels,
-                geo.out_height * geo.out_width,
-            ));
-        }
-        total
-    }
-
-    /// Analytic cycle count for a fully-connected layer given the per-timestep
-    /// input spike counts and the layer geometry.
-    pub fn linear_timing(&self, events_per_step: &[u64], geo: &LayerGeometry) -> SparseTiming {
+    /// The returned timing sums these over the timesteps.
+    pub fn timing(&self, events_per_step: &[u64], geo: &LayerGeometry) -> SparseTiming {
+        let input_bits = (geo.in_channels * geo.in_height * geo.in_width) as u64;
+        let taps = (geo.kernel * geo.kernel) as u64;
+        let channels_per_nc = geo.out_channels.div_ceil(self.neural_cores) as u64;
+        let activation = channels_per_nc * (geo.out_height * geo.out_width) as u64;
         let mut total = SparseTiming::default();
         for &events in events_per_step {
-            total.add(self.linear_step_timing(events, geo.in_channels, geo.out_channels));
+            let compression = input_bits.div_ceil(self.chunk_bits as u64) + events;
+            let accumulation = events * taps * channels_per_nc;
+            total.add(SparseTiming {
+                compression_cycles: compression,
+                accumulation_cycles: accumulation,
+                activation_cycles: activation,
+                total_cycles: compression.max(accumulation) + activation,
+            });
         }
         total
-    }
-
-    fn conv_step_timing(
-        &self,
-        events: u64,
-        input_bits: usize,
-        kernel: usize,
-        out_channels: usize,
-        out_plane: usize,
-    ) -> SparseTiming {
-        let channels_per_nc = out_channels.div_ceil(self.neural_cores) as u64;
-        let compression = (input_bits as u64).div_ceil(self.chunk_bits as u64) + events;
-        let accumulation = events * (kernel * kernel) as u64 * channels_per_nc;
-        let activation = channels_per_nc * out_plane as u64;
-        SparseTiming {
-            compression_cycles: compression,
-            accumulation_cycles: accumulation,
-            activation_cycles: activation,
-            total_cycles: compression.max(accumulation) + activation,
-        }
-    }
-
-    fn linear_step_timing(
-        &self,
-        events: u64,
-        in_features: usize,
-        out_features: usize,
-    ) -> SparseTiming {
-        let outputs_per_nc = out_features.div_ceil(self.neural_cores) as u64;
-        let compression = (in_features as u64).div_ceil(self.chunk_bits as u64) + events;
-        let accumulation = events * outputs_per_nc;
-        let activation = outputs_per_nc;
-        SparseTiming {
-            compression_cycles: compression,
-            accumulation_cycles: accumulation,
-            activation_cycles: activation,
-            total_cycles: compression.max(accumulation) + activation,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use snn_core::neuron::LifPopulation;
-    use snn_core::tensor::Tensor;
 
-    fn random_spike_volume(
-        timesteps: usize,
-        c: usize,
-        h: usize,
-        w: usize,
-        density: f64,
-    ) -> SpikeVolume {
-        use rand::Rng;
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut vol = SpikeVolume::new(timesteps, c, h, w);
-        for t in 0..timesteps {
-            for ci in 0..c {
-                for p in 0..h * w {
-                    if rng.gen_bool(density) {
-                        vol.train_mut(t, ci).set(p, true);
-                    }
-                }
-            }
+    /// Geometry of a `size × size`, `kernel × kernel`, stride-1 "same"
+    /// convolution; `kernel = 1` on a 1×1 map is a fully-connected layer.
+    fn geometry(
+        in_channels: usize,
+        out_channels: usize,
+        size: usize,
+        kernel: usize,
+    ) -> LayerGeometry {
+        LayerGeometry {
+            name: "L".to_string(),
+            is_conv: kernel > 1,
+            in_channels,
+            out_channels,
+            in_height: size,
+            in_width: size,
+            out_height: size,
+            out_width: size,
+            kernel,
+            weight_count: in_channels * out_channels * kernel * kernel,
         }
-        vol
     }
 
     #[test]
@@ -344,97 +150,27 @@ mod tests {
     }
 
     #[test]
-    fn event_driven_conv_matches_dense_reference() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let conv = Conv2d::with_kaiming_init(2, 4, 3, 1, 1, &mut rng).unwrap();
-        let lif = LifParams::paper_default();
-        let input = random_spike_volume(3, 2, 6, 6, 0.3);
-        let core = SparseCore::new(2, 32);
-        let (out, timing) = core.run_conv(&conv, lif, &input).unwrap();
-        assert!(timing.total_cycles > 0);
-
-        // Reference: dense conv + LIF population, fed with the same binary frames.
-        let mut reference = LifPopulation::new(4 * 6 * 6, lif);
-        for t in 0..3 {
-            let mut frame = Tensor::zeros(&[2, 6, 6]);
-            for c in 0..2 {
-                for p in input.train(t, c).iter_ones() {
-                    frame.as_mut_slice()[c * 36 + p] = 1.0;
-                }
-            }
-            let current = conv.forward(&frame).unwrap();
-            let spikes = reference.step_tensor(&current).unwrap();
-            for c in 0..4 {
-                for p in 0..36 {
-                    assert_eq!(
-                        out.train(t, c).get(p),
-                        spikes.as_slice()[c * 36 + p] > 0.0,
-                        "mismatch at t={t} c={c} p={p}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn event_driven_linear_matches_dense_reference() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let fc = Linear::with_kaiming_init(12, 6, &mut rng).unwrap();
-        let lif = LifParams::new(0.5, 0.3).unwrap();
-        let trains: Vec<SpikeTrain> = (0..4)
-            .map(|t| SpikeTrain::from_bools(&(0..12).map(|i| (i + t) % 3 == 0).collect::<Vec<_>>()))
-            .collect();
-        let core = SparseCore::new(3, 16);
-        let (out, _) = core.run_linear(&fc, lif, &trains).unwrap();
-
-        let mut reference = LifPopulation::new(6, lif);
-        for (t, train) in trains.iter().enumerate() {
-            let frame = Tensor::from_vec(train.to_activations(), &[12]).unwrap();
-            let current = fc.forward(&frame).unwrap();
-            let spikes = reference.step_tensor(&current).unwrap();
-            assert_eq!(out[t].to_activations(), spikes.as_slice());
-        }
-    }
-
-    #[test]
-    fn run_conv_validates_inputs() {
-        let conv = Conv2d::new(2, 4, 3, 2, 1).unwrap();
-        let core = SparseCore::new(1, 32);
-        let input = SpikeVolume::new(1, 2, 6, 6);
-        assert!(core.run_conv(&conv, LifParams::default(), &input).is_err());
-        let conv1 = Conv2d::new(3, 4, 3, 1, 1).unwrap();
-        assert!(core.run_conv(&conv1, LifParams::default(), &input).is_err());
-    }
-
-    #[test]
     fn silent_input_produces_no_accumulation_work() {
-        let conv = Conv2d::new(2, 4, 3, 1, 1).unwrap();
-        let core = SparseCore::new(2, 32);
-        let input = SpikeVolume::new(2, 2, 8, 8);
-        let (out, timing) = core.run_conv(&conv, LifParams::default(), &input).unwrap();
-        assert_eq!(out.total_spikes(), 0);
+        // Two silent timesteps into a 2→4 channel 3×3 conv on 8×8 maps.
+        let timing = SparseCore::new(2, 32).timing(&[0, 0], &geometry(2, 4, 8, 3));
         assert_eq!(timing.accumulation_cycles, 0);
-        // Compression still scans the (empty) spike trains.
-        assert!(timing.compression_cycles > 0);
+        // Compression still scans the (empty) spike trains: 128 bits in
+        // 32-bit chunks per timestep.
+        assert_eq!(timing.compression_cycles, 2 * 4);
+        // Activation still visits 2 channels per NC × 64 neurons per step.
+        assert_eq!(timing.activation_cycles, 2 * 2 * 64);
+        assert_eq!(
+            timing.total_cycles,
+            timing.compression_cycles + timing.activation_cycles
+        );
     }
 
     #[test]
     fn more_neural_cores_reduce_accumulation_cycles() {
-        let geo = LayerGeometry {
-            name: "CONV2_1".to_string(),
-            is_conv: true,
-            in_channels: 112,
-            out_channels: 192,
-            in_height: 16,
-            in_width: 16,
-            out_height: 16,
-            out_width: 16,
-            kernel: 3,
-            weight_count: 112 * 192 * 9,
-        };
+        let geo = geometry(112, 192, 16, 3);
         let events = vec![5000_u64, 4000];
-        let small = SparseCore::new(2, 32).conv_timing(&events, &geo);
-        let big = SparseCore::new(16, 32).conv_timing(&events, &geo);
+        let small = SparseCore::new(2, 32).timing(&events, &geo);
+        let big = SparseCore::new(16, 32).timing(&events, &geo);
         assert!(big.accumulation_cycles < small.accumulation_cycles);
         assert!(big.total_cycles < small.total_cycles);
         // Eq. 3 shape: accumulation = events × 9 × ceil(C_out / N).
@@ -443,40 +179,27 @@ mod tests {
 
     #[test]
     fn timing_scales_with_spike_count() {
-        let geo = LayerGeometry {
-            name: "FC1".to_string(),
-            is_conv: false,
-            in_channels: 1024,
-            out_channels: 512,
-            in_height: 1,
-            in_width: 1,
-            out_height: 1,
-            out_width: 1,
-            kernel: 1,
-            weight_count: 1024 * 512,
-        };
-        let quiet = SparseCore::new(4, 32).linear_timing(&[100], &geo);
-        let busy = SparseCore::new(4, 32).linear_timing(&[10_000], &geo);
+        // FC1 as the 1×1 case: 1024 inputs → 512 outputs, 4 NCs, 32-bit chunks.
+        let geo = geometry(1024, 512, 1, 1);
+        let quiet = SparseCore::new(4, 32).timing(&[100], &geo);
+        let busy = SparseCore::new(4, 32).timing(&[10_000], &geo);
         assert!(busy.total_cycles > quiet.total_cycles);
+        assert_eq!(quiet.compression_cycles, 1024 / 32 + 100);
+        assert_eq!(busy.compression_cycles, 1024 / 32 + 10_000);
+        assert_eq!(quiet.accumulation_cycles, 100 * 128);
         assert_eq!(busy.accumulation_cycles, 10_000 * 128);
+        assert_eq!(quiet.activation_cycles, 128);
+        assert_eq!(busy.activation_cycles, 128);
+        // Accumulation dominates compression at both counts.
+        assert_eq!(quiet.total_cycles, 100 * 128 + 128);
+        assert_eq!(busy.total_cycles, 10_000 * 128 + 128);
     }
 
     #[test]
     fn wider_chunks_speed_up_compression() {
-        let geo = LayerGeometry {
-            name: "CONV3_1".to_string(),
-            is_conv: true,
-            in_channels: 216,
-            out_channels: 480,
-            in_height: 8,
-            in_width: 8,
-            out_height: 8,
-            out_width: 8,
-            kernel: 3,
-            weight_count: 0,
-        };
-        let narrow = SparseCore::new(8, 8).conv_timing(&[100], &geo);
-        let wide = SparseCore::new(8, 64).conv_timing(&[100], &geo);
+        let geo = geometry(216, 480, 8, 3);
+        let narrow = SparseCore::new(8, 8).timing(&[100], &geo);
+        let wide = SparseCore::new(8, 64).timing(&[100], &geo);
         assert!(wide.compression_cycles < narrow.compression_cycles);
     }
 }

@@ -10,7 +10,8 @@
 //! total spikes for the direct-coded CIFAR-10 VGG9 at T = 2, ≈107 K for the
 //! rate-coded one at T = 25, and the 6–15 % int4 reductions of Fig. 1).
 //!
-//! Every harness states which activity source it uses; see EXPERIMENTS.md.
+//! Every harness states its activity source in its module docs: Table II
+//! and Table III use these synthetic traces, Fig. 4 runs the network.
 
 use serde::{Deserialize, Serialize};
 use snn_core::error::SnnError;

@@ -1,10 +1,24 @@
 //! Layer-wise workload model expressed in sparse-core cycles.
 //!
-//! The paper's design-time partitioning is driven by the Eq. 3 workload model
-//! evaluated on an empirical run of the trained network. This module turns
-//! the per-layer spike traces produced by `snn-core` into the per-layer cycle
-//! counts a *single* neural core would need, which is what the design-space
-//! exploration of [`crate::dse`] divides among the available cores.
+//! The paper sizes its heterogeneous hardware from a per-layer workload model
+//! derived from an empirical run of the trained network:
+//!
+//! ```text
+//! W_CONV = F × C_out × Σ_i S_i          (Eq. 3)
+//! W_FC   = N × S
+//! ```
+//!
+//! where `F` is the number of filter coefficients per input channel position
+//! (9 for 3×3 kernels), `C_out` the number of output channels, `S_i` the
+//! number of spikes arriving from input feature map `i`, `N` the number of FC
+//! output neurons and `S` the total number of input spikes. A
+//! fully-connected layer is the 1×1, `kernel = 1` case of a convolution
+//! (`F = 1`, `C_out = N`), so one formula covers both.
+//!
+//! This module turns the per-layer spike traces produced by `snn-core` into
+//! the per-layer cycle counts a *single* neural core would need, which is
+//! what the design-space exploration of [`crate::dse`] divides among the
+//! available cores.
 
 use serde::{Deserialize, Serialize};
 use snn_core::error::SnnError;
@@ -56,11 +70,8 @@ pub fn from_traces(traces: &[LayerTrace]) -> Result<Vec<CycleWorkload>, SnnError
             continue;
         };
         let events = trace.total_input_events();
-        let single_core_cycles = if geo.is_conv {
-            events * (geo.kernel * geo.kernel) as u64 * geo.out_channels as u64
-        } else {
-            events * geo.out_channels as u64
-        };
+        let single_core_cycles =
+            events * (geo.kernel * geo.kernel) as u64 * geo.out_channels as u64;
         out.push(CycleWorkload {
             name: trace.name.clone(),
             is_conv: geo.is_conv,
@@ -109,20 +120,53 @@ mod tests {
 
     #[test]
     fn workloads_follow_eq3() {
+        // Σ S_i is the layer's input events summed over every timestep, and
+        // one workload entry exists per weight layer, in network order.
+        let traces = traces();
+        let w = from_traces(&traces).unwrap();
+        let weight_traces: Vec<_> = traces.iter().filter(|t| t.geometry.is_some()).collect();
+        assert_eq!(w.len(), weight_traces.len());
+        for (layer, trace) in w.iter().zip(weight_traces) {
+            assert_eq!(layer.name, trace.name);
+            assert_eq!(layer.input_events, trace.input_events.iter().sum::<u64>());
+            assert!(layer.input_events > 0, "{} saw no input events", layer.name);
+        }
+    }
+
+    #[test]
+    fn workloads_cover_all_weight_layers() {
         let w = from_traces(&traces()).unwrap();
         assert_eq!(w.len(), 9);
-        for layer in &w {
-            if layer.is_conv {
-                assert_eq!(
-                    layer.single_core_cycles,
-                    layer.input_events * 9 * layer.out_channels as u64
-                );
-            } else {
-                assert_eq!(
-                    layer.single_core_cycles,
-                    layer.input_events * layer.out_channels as u64
-                );
-            }
+        // VGG9's weight layers: seven convolutions, then two FC layers.
+        assert!(w.iter().take(7).all(|l| l.is_conv));
+        assert!(w.iter().skip(7).all(|l| !l.is_conv));
+    }
+
+    #[test]
+    fn conv_workload_follows_eq3() {
+        // W_CONV = F × C_out × Σ S_i, with F = 9 for VGG9's 3×3 kernels.
+        let w = from_traces(&traces()).unwrap();
+        for layer in w.iter().filter(|l| l.is_conv) {
+            assert_eq!(
+                layer.single_core_cycles,
+                9 * layer.out_channels as u64 * layer.input_events,
+                "{}",
+                layer.name
+            );
+        }
+    }
+
+    #[test]
+    fn fc_workload_follows_eq3() {
+        // W_FC = N × S.
+        let w = from_traces(&traces()).unwrap();
+        for layer in w.iter().filter(|l| !l.is_conv) {
+            assert_eq!(
+                layer.single_core_cycles,
+                layer.out_channels as u64 * layer.input_events,
+                "{}",
+                layer.name
+            );
         }
     }
 

@@ -1,35 +1,8 @@
-//! Criterion bench of the dense core: functional throughput of the
-//! weight-stationary systolic input layer, plus an ablation over the number
-//! of PE rows (the design-time parameter the paper tunes per configuration).
+//! Criterion bench of the dense core's cycle model: the systolic schedule of
+//! the paper-scale input layer.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use criterion::{criterion_group, criterion_main, Criterion};
 use snn_accel::dense_core::DenseCore;
-use snn_bench::experiments::bench_image;
-use snn_core::encoding::Encoder;
-use snn_core::layers::Conv2d;
-use snn_core::neuron::LifParams;
-
-fn dense_core_functional(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(1);
-    // Paper-scale CONV1_1: 3 -> 64 channels on a 32x32 image.
-    let conv = Conv2d::with_kaiming_init(3, 64, 3, 1, 1, &mut rng).unwrap();
-    let frames = Encoder::paper_direct()
-        .encode(&bench_image(&[3, 32, 32]), 0)
-        .unwrap();
-    let mut group = c.benchmark_group("dense_core_run");
-    for rows in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(rows), &rows, |b, &rows| {
-            let core = DenseCore::new(rows);
-            b.iter(|| {
-                core.run(&conv, LifParams::paper_default(), &frames)
-                    .unwrap()
-            });
-        });
-    }
-    group.finish();
-}
 
 fn dense_core_timing_model(c: &mut Criterion) {
     c.bench_function("dense_core_timing_model", |b| {
@@ -38,5 +11,5 @@ fn dense_core_timing_model(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, dense_core_functional, dense_core_timing_model);
+criterion_group!(benches, dense_core_timing_model);
 criterion_main!(benches);

@@ -1,55 +1,12 @@
-//! Criterion bench of the sparse core: event-driven convolution throughput as
-//! a function of input sparsity, neural-core count and compression chunk
-//! width (the ablations behind the paper's design choices in Sec. IV-B).
+//! Criterion bench of the sparse core's cycle model: the neural-core unroll
+//! sweep behind the paper's allocation choices (Sec. IV-B).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use snn_accel::sparse_core::SparseCore;
-use snn_core::layers::Conv2d;
 use snn_core::network::LayerGeometry;
-use snn_core::neuron::LifParams;
-use snn_core::spike::SpikeVolume;
-
-fn spike_volume(density: f64) -> SpikeVolume {
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut vol = SpikeVolume::new(2, 16, 16, 16);
-    for t in 0..2 {
-        for c in 0..16 {
-            for p in 0..256 {
-                if rng.gen_bool(density) {
-                    vol.train_mut(t, c).set(p, true);
-                }
-            }
-        }
-    }
-    vol
-}
-
-fn sparse_core_vs_density(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(2);
-    let conv = Conv2d::with_kaiming_init(16, 32, 3, 1, 1, &mut rng).unwrap();
-    let core = SparseCore::new(8, 32);
-    let mut group = c.benchmark_group("sparse_core_conv_density");
-    for density in [0.02_f64, 0.1, 0.3] {
-        let input = spike_volume(density);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{density:.2}")),
-            &input,
-            |b, input| {
-                b.iter(|| {
-                    core.run_conv(&conv, LifParams::paper_default(), input)
-                        .unwrap()
-                });
-            },
-        );
-    }
-    group.finish();
-}
 
 fn sparse_core_vs_neural_cores(c: &mut Criterion) {
-    // The analytic timing model ablation: NC unroll factor sweep on a
-    // paper-scale CONV3_2 layer.
+    // NC unroll factor sweep on a paper-scale CONV3_2 layer.
     let geo = LayerGeometry {
         name: "CONV3_2".to_string(),
         is_conv: true,
@@ -67,33 +24,11 @@ fn sparse_core_vs_neural_cores(c: &mut Criterion) {
     for ncs in [4usize, 18, 72] {
         group.bench_with_input(BenchmarkId::from_parameter(ncs), &ncs, |b, &ncs| {
             let core = SparseCore::new(ncs, 32);
-            b.iter(|| core.conv_timing(&events, &geo));
+            b.iter(|| core.timing(&events, &geo));
         });
     }
     group.finish();
 }
 
-fn sparse_core_vs_chunk_width(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(3);
-    let conv = Conv2d::with_kaiming_init(16, 32, 3, 1, 1, &mut rng).unwrap();
-    let input = spike_volume(0.1);
-    let mut group = c.benchmark_group("sparse_core_chunk_width");
-    for chunk in [8usize, 32, 64] {
-        group.bench_with_input(BenchmarkId::from_parameter(chunk), &chunk, |b, &chunk| {
-            let core = SparseCore::new(8, chunk);
-            b.iter(|| {
-                core.run_conv(&conv, LifParams::paper_default(), &input)
-                    .unwrap()
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    sparse_core_vs_density,
-    sparse_core_vs_neural_cores,
-    sparse_core_vs_chunk_width
-);
+criterion_group!(benches, sparse_core_vs_neural_cores);
 criterion_main!(benches);

@@ -12,8 +12,8 @@
 //! *same weights* at fp32 and after int4 fake-quantization, so every spike
 //! difference is attributable to the quantization of the weights (small
 //! coefficients collapsing to zero, marginal neurons dropping below
-//! threshold). The deviation from the paper's QAT-vs-QAT protocol is recorded
-//! in EXPERIMENTS.md.
+//! threshold). This is a deliberate deviation from the paper's QAT-vs-QAT
+//! protocol.
 
 use crate::experiments::{
     paper_accuracy_reference, small_dataset, small_network, ExperimentScale, DATASETS,

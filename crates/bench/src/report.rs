@@ -1,7 +1,7 @@
 //! Plain-text table formatting shared by the experiment binaries.
 //!
-//! The binaries print paper-style tables to stdout and optionally dump the
-//! underlying report structs as JSON (for EXPERIMENTS.md provenance).
+//! The binaries print paper-style tables to stdout, or with `--json` the
+//! underlying report structs as JSON.
 
 /// Formats a table with a header row and aligned columns.
 pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {

@@ -4,11 +4,10 @@
 //! feature map, max-pooling degenerates to an OR gate slid over the `N × N`
 //! window (Sec. IV-B), which preserves SNN temporal dynamics better than
 //! pooling membrane potentials. This module implements that operation on
-//! `f32` spike tensors (values 0.0/1.0) and on bit-packed
-//! [`crate::spike::SpikeTrain`]s.
+//! `f32` spike tensors (values 0.0/1.0) and on [`SpikePlane`]s.
 
 use crate::error::SnnError;
-use crate::spike::{SpikePlane, SpikeTrain};
+use crate::spike::SpikePlane;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -153,41 +152,6 @@ impl SpikeMaxPool2d {
         }
         Ok(())
     }
-
-    /// Applies OR-pooling to one bit-packed spike train describing an
-    /// `height × width` feature map, returning the pooled train.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnnError::ShapeMismatch`] if the train length does not equal
-    /// `height * width`.
-    pub fn forward_train(
-        &self,
-        train: &SpikeTrain,
-        height: usize,
-        width: usize,
-    ) -> Result<SpikeTrain, SnnError> {
-        if train.len() != height * width {
-            return Err(SnnError::shape(
-                &[height * width],
-                &[train.len()],
-                "SpikeMaxPool2d::forward_train",
-            ));
-        }
-        let oh = height / self.size;
-        let ow = width / self.size;
-        let mut out = SpikeTrain::new(oh * ow);
-        for idx in train.iter_ones() {
-            let y = idx / width;
-            let x = idx % width;
-            let oy = y / self.size;
-            let ox = x / self.size;
-            if oy < oh && ox < ow {
-                out.set(oy * ow + ox, true);
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -263,26 +227,6 @@ mod tests {
         pool.forward_plane(&SpikePlane::from_tensor(&input), &mut out)
             .unwrap();
         assert_eq!(out.dense().as_slice(), dense.as_slice());
-    }
-
-    #[test]
-    fn train_pooling_matches_tensor_pooling() {
-        let pool = SpikeMaxPool2d::new(2).unwrap();
-        let mut input = Tensor::zeros(&[1, 6, 6]);
-        for &(y, x) in &[(0usize, 0usize), (1, 1), (3, 4), (5, 5)] {
-            input.set(&[0, y, x], 1.0).unwrap();
-        }
-        let tensor_out = pool.forward(&input).unwrap();
-        let train = SpikeTrain::from_activations(&input.as_slice()[..36]);
-        let train_out = pool.forward_train(&train, 6, 6).unwrap();
-        assert_eq!(train_out.to_activations(), tensor_out.as_slice());
-    }
-
-    #[test]
-    fn forward_train_validates_length() {
-        let pool = SpikeMaxPool2d::new(2).unwrap();
-        let train = SpikeTrain::new(10);
-        assert!(pool.forward_train(&train, 4, 4).is_err());
     }
 
     proptest! {

@@ -9,8 +9,8 @@
 //! * [`tensor`] — a small NCHW tensor type with the shape algebra and im2col
 //!   helpers used by convolution layers,
 //! * [`neuron`] — the leaky integrate-and-fire (LIF) neuron of Eq. 1–2,
-//! * [`spike`] — bit-packed spike trains laid out timestep-major exactly like
-//!   the BRAM layout described in the paper's Fig. 2,
+//! * [`spike`] — bit-packed spike planes, the one packed spike format the
+//!   event-driven kernels read, and per-run spike records,
 //! * [`encoding`] — direct coding and rate coding input encoders,
 //! * [`quant`] — symmetric integer quantization used for int4/int8 QAT,
 //! * [`layers`] — Conv2d, Linear, spike max-pooling and batch normalisation,
@@ -52,7 +52,7 @@ pub mod test_support;
 pub use error::SnnError;
 pub use network::{RunOutput, RunState, SnnNetwork};
 pub use neuron::{LifParams, LifPopulation};
-pub use spike::{SpikeRecord, SpikeTrain};
+pub use spike::SpikeRecord;
 pub use tensor::Tensor;
 
 /// Resolves a worker-thread count for batched execution: an explicit caller

@@ -34,11 +34,12 @@ use crate::error::SnnError;
 use crate::layers::{BatchNorm2d, Conv2d, ConvScratch, Linear, SpikeMaxPool2d};
 use crate::neuron::{LifParams, LifPopulation};
 use crate::quant::Precision;
-use crate::spike::{SpikePlane, SpikeRecord, SpikeVolume};
+use crate::spike::{SpikePlane, SpikeRecord};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 
 /// One stage of the network.
 // The conv/linear variants intentionally carry their (large) weight tensors
@@ -141,7 +142,7 @@ impl LayerGeometry {
 /// Per-layer trace of one inference run: input events and output spikes at
 /// every timestep, the counts the accelerator estimate and the workload
 /// model fold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerTrace {
     /// Layer name.
     pub name: String,
@@ -155,11 +156,12 @@ pub struct LayerTrace {
     pub output_spikes: Vec<u64>,
     /// Number of output neurons.
     pub output_neurons: u64,
-    /// A binary output spike volume (timestep-major) for callers that build
-    /// one; the library leaves it `None`. To record a layer's volume, run
-    /// [`SnnNetwork::run_observed`] and collect the layer's observed output
-    /// planes with [`SpikeVolume::from_activations`].
-    pub spikes: Option<SpikeVolume>,
+    /// Always `None`, as its type says. The field stays only because the
+    /// repository benchmark (`perfbench/`) still names it in `LayerTrace`
+    /// literals. To see a layer's output spikes, run
+    /// [`SnnNetwork::run_observed`] and read the planes its observer is
+    /// handed.
+    pub spikes: Option<Infallible>,
 }
 
 impl LayerTrace {
@@ -175,7 +177,7 @@ impl LayerTrace {
 }
 
 /// Result of one inference run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunOutput {
     /// Per-class scores (total spike count of each class's population group).
     pub logits: Vec<f32>,
@@ -938,8 +940,6 @@ mod tests {
         // The direct-coded input layer sees analog inputs at every timestep.
         assert_eq!(out.traces[0].input_events.len(), 2,);
         assert!(out.traces[0].total_input_events() > 0);
-        // Volumes are recorded through `run_observed`, never by the library.
-        assert!(out.traces.iter().all(|trace| trace.spikes.is_none()));
         assert!(out.prediction < 10);
     }
 

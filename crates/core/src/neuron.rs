@@ -9,10 +9,10 @@
 //!
 //! The membrane potential decays by `beta` each timestep, integrates the
 //! weighted input current, and is reduced by `theta` whenever the neuron fired
-//! on the previous step (soft reset / "subtract threshold"). This is exactly
-//! the behaviour the paper's Activ units implement in both the dense and
-//! sparse cores, so the accelerator simulator reuses this module to stay
-//! bit-true with the functional model.
+//! on the previous step (soft reset / "subtract threshold"). This is the
+//! behaviour the paper's Activ units implement in both the dense and sparse
+//! cores. [`LifPopulation`] is its one functional model; the accelerator
+//! simulator models only the cycles of the activation phase.
 
 use crate::error::SnnError;
 use crate::spike::{for_each_bit, SpikePlane};
@@ -300,20 +300,19 @@ impl LifPopulation {
     }
 }
 
-/// Stateless LIF membrane update used where the caller manages the membrane
-/// storage itself (e.g. the sparse-core BRAM model). Returns the new membrane
-/// potential and whether the neuron fires, given the previous potential, the
-/// accumulated input and whether the neuron fired on the previous step.
-pub fn lif_update(params: LifParams, membrane: f32, input: f32, fired_last: bool) -> (f32, bool) {
-    let reset = if fired_last { params.threshold } else { 0.0 };
-    let next = params.beta * membrane + input - reset;
-    (next, next > params.threshold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Eq. 1–2 for one neuron, written out directly: the oracle the
+    /// population's vectorised update is checked against. Returns the new
+    /// membrane potential and whether the neuron fires.
+    fn lif_update(params: LifParams, membrane: f32, input: f32, fired_last: bool) -> (f32, bool) {
+        let reset = if fired_last { params.threshold } else { 0.0 };
+        let next = params.beta * membrane + input - reset;
+        (next, next > params.threshold)
+    }
 
     #[test]
     fn params_validate_ranges() {
@@ -453,7 +452,7 @@ mod tests {
             u = nu;
             fired = nf;
             assert_eq!(spikes[0], nf, "divergence at step {t}");
-            assert!((pop.membrane()[0] - u).abs() < 1e-6);
+            assert_eq!(pop.membrane()[0].to_bits(), u.to_bits(), "step {t}");
         }
     }
 

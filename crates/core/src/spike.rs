@@ -1,19 +1,12 @@
-//! Bit-packed spike trains.
+//! Bit-packed spike planes and per-run spike counts.
 //!
-//! The accelerator stores spike trains in on-chip BRAM in *timestep-major*
-//! order: for a layer with `N` output channels and `T` timesteps, `N × T`
-//! locations hold one spike train (one output feature map at one timestep)
-//! each, with consecutive timesteps at contiguous addresses (paper, Sec. IV-A
-//! and Fig. 2). This module mirrors that layout so the simulator and the
-//! functional model share one representation:
+//! The accelerator moves spikes between layers as bit-packed binary frames,
+//! stored in on-chip BRAM in *timestep-major* order (paper, Sec. IV-A and
+//! Fig. 2). The simulator keeps one packed format for them:
 //!
-//! * [`SpikeTrain`] — one bit per neuron, packed into `u64` words. This is the
-//!   unit the sparse core's Compression routine consumes `n` bits per cycle.
 //! * [`SpikePlane`] — one layer input frame at one timestep, as the simulator
-//!   runs it: a dense backing plus the same `u64` mask words, which the
-//!   event-driven kernels word-scan.
-//! * [`SpikeVolume`] — the spike output of a whole layer: `T × C` spike
-//!   trains of `H × W` bits each, stored timestep-major.
+//!   runs it: a dense backing plus `u64` mask words, one bit per neuron,
+//!   which the event-driven kernels word-scan and the run loop popcounts.
 //! * [`SpikeRecord`] — per-layer spike counts collected during a network run,
 //!   which feed the workload model (Eq. 3) and the sparsity experiments.
 
@@ -131,8 +124,7 @@ impl SpikePlane {
     ///
     /// All mask words are zeroed — in particular the out-of-range bits of the
     /// final partial word when `len % 64 != 0`, so a plane reused across
-    /// shapes can never leak stale bits `>= len` into the tail word (the same
-    /// guarantee [`SpikeTrain::as_words`] documents).
+    /// shapes can never leak stale bits `>= len` into the tail word.
     pub fn begin(&mut self, shape: &[usize]) {
         self.dense.reset_to(shape, 0.0);
         self.words.clear();
@@ -186,8 +178,7 @@ impl SpikePlane {
 
     /// The `u64` mask words marking the non-zero elements: 64 cells per word,
     /// LSB-first within a word (bit `i % 64` of word `i / 64` is element
-    /// `i`), matching [`SpikeTrain::as_words`]. Bits above `len()` in the
-    /// last word are guaranteed to be zero.
+    /// `i`). Bits above `len()` in the last word are guaranteed to be zero.
     ///
     /// # Example
     ///
@@ -461,396 +452,6 @@ pub fn scan_words(words: &[u64]) -> WordScan<'_> {
     }
 }
 
-/// A fixed-length binary spike vector, one bit per neuron, packed into `u64`
-/// words (little-endian bit order within each word).
-///
-/// # Example
-///
-/// ```
-/// use snn_core::spike::SpikeTrain;
-///
-/// let mut train = SpikeTrain::new(128);
-/// train.set(3, true);
-/// train.set(70, true);
-/// assert_eq!(train.count_ones(), 2);
-/// assert_eq!(train.iter_ones().collect::<Vec<_>>(), vec![3, 70]);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct SpikeTrain {
-    len: usize,
-    words: Vec<u64>,
-}
-
-impl SpikeTrain {
-    /// Creates an all-zero spike train of `len` bits.
-    pub fn new(len: usize) -> Self {
-        SpikeTrain {
-            len,
-            words: vec![0; len.div_ceil(64)],
-        }
-    }
-
-    /// Creates a spike train from a boolean slice.
-    pub fn from_bools(bits: &[bool]) -> Self {
-        let mut train = SpikeTrain::new(bits.len());
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                train.set(i, true);
-            }
-        }
-        train
-    }
-
-    /// Creates a spike train from an `f32` slice, treating any strictly
-    /// positive value as a spike (the convention used by the LIF layers,
-    /// whose outputs are exactly 0.0 or 1.0).
-    pub fn from_activations(values: &[f32]) -> Self {
-        let mut train = SpikeTrain::new(values.len());
-        for (i, &v) in values.iter().enumerate() {
-            if v > 0.0 {
-                train.set(i, true);
-            }
-        }
-        train
-    }
-
-    /// Number of bits in the train.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if the train has zero bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Reads bit `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
-    pub fn get(&self, index: usize) -> bool {
-        assert!(
-            index < self.len,
-            "spike index {index} out of range {}",
-            self.len
-        );
-        (self.words[index / 64] >> (index % 64)) & 1 == 1
-    }
-
-    /// Writes bit `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
-    pub fn set(&mut self, index: usize, value: bool) {
-        assert!(
-            index < self.len,
-            "spike index {index} out of range {}",
-            self.len
-        );
-        let word = &mut self.words[index / 64];
-        let mask = 1u64 << (index % 64);
-        if value {
-            *word |= mask;
-        } else {
-            *word &= !mask;
-        }
-    }
-
-    /// Number of set bits (spikes).
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Fraction of bits that are zero; 0.0 for an empty train.
-    pub fn sparsity(&self) -> f64 {
-        if self.len == 0 {
-            return 0.0;
-        }
-        1.0 - self.count_ones() as f64 / self.len as f64
-    }
-
-    /// Iterator over the indices of set bits, in ascending order.
-    ///
-    /// This is exactly the sequence of spike events the sparse core's
-    /// Compression routine produces with its priority encoder.
-    pub fn iter_ones(&self) -> IterOnes<'_> {
-        IterOnes {
-            train: self,
-            word_idx: 0,
-            current: if self.words.is_empty() {
-                0
-            } else {
-                self.words[0]
-            },
-        }
-    }
-
-    /// Raw word view (little-endian bit order inside each word). Bits above
-    /// `len()` in the last word are guaranteed to be zero.
-    pub fn as_words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Bitwise OR with another train of identical length, used to model
-    /// spike max-pooling (an OR gate slid over the window).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnnError::ShapeMismatch`] if lengths differ.
-    pub fn or(&self, other: &SpikeTrain) -> Result<SpikeTrain, SnnError> {
-        if self.len != other.len {
-            return Err(SnnError::shape(&[self.len], &[other.len], "SpikeTrain::or"));
-        }
-        Ok(SpikeTrain {
-            len: self.len,
-            words: self
-                .words
-                .iter()
-                .zip(other.words.iter())
-                .map(|(a, b)| a | b)
-                .collect(),
-        })
-    }
-
-    /// Converts the spike train back into a 0.0/1.0 `f32` vector.
-    pub fn to_activations(&self) -> Vec<f32> {
-        (0..self.len)
-            .map(|i| if self.get(i) { 1.0 } else { 0.0 })
-            .collect()
-    }
-
-    /// Splits the train into `chunk_bits`-wide chunks, returning for each chunk
-    /// the number of set bits. This models how the Compression routine tiles
-    /// the spike train into n-bit chunks processed sequentially.
-    pub fn chunk_population(&self, chunk_bits: usize) -> Vec<usize> {
-        assert!(chunk_bits > 0, "chunk width must be positive");
-        let mut counts = Vec::with_capacity(self.len.div_ceil(chunk_bits));
-        let mut current = 0usize;
-        let mut in_chunk = 0usize;
-        for i in 0..self.len {
-            if self.get(i) {
-                current += 1;
-            }
-            in_chunk += 1;
-            if in_chunk == chunk_bits {
-                counts.push(current);
-                current = 0;
-                in_chunk = 0;
-            }
-        }
-        if in_chunk > 0 {
-            counts.push(current);
-        }
-        counts
-    }
-}
-
-/// Iterator over set-bit indices of a [`SpikeTrain`], produced by
-/// [`SpikeTrain::iter_ones`].
-#[derive(Debug, Clone)]
-pub struct IterOnes<'a> {
-    train: &'a SpikeTrain,
-    word_idx: usize,
-    current: u64,
-}
-
-impl Iterator for IterOnes<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        loop {
-            if self.current != 0 {
-                let bit = self.current.trailing_zeros() as usize;
-                self.current &= self.current - 1;
-                let idx = self.word_idx * 64 + bit;
-                if idx < self.train.len {
-                    return Some(idx);
-                }
-                return None;
-            }
-            self.word_idx += 1;
-            if self.word_idx >= self.train.words.len() {
-                return None;
-            }
-            self.current = self.train.words[self.word_idx];
-        }
-    }
-}
-
-/// The binary spiking output of one layer across all timesteps, stored in the
-/// same timestep-major order as the accelerator's BRAM (`address = t * C + c`).
-///
-/// # Example
-///
-/// ```
-/// use snn_core::spike::SpikeVolume;
-///
-/// let mut vol = SpikeVolume::new(2, 4, 8, 8);
-/// vol.train_mut(1, 2).set(5, true);
-/// assert_eq!(vol.total_spikes(), 1);
-/// assert_eq!(vol.spikes_at_timestep(1), 1);
-/// assert_eq!(vol.spikes_at_timestep(0), 0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpikeVolume {
-    timesteps: usize,
-    channels: usize,
-    height: usize,
-    width: usize,
-    trains: Vec<SpikeTrain>,
-}
-
-impl SpikeVolume {
-    /// Creates an all-silent volume of `timesteps × channels` spike trains of
-    /// `height × width` bits each.
-    pub fn new(timesteps: usize, channels: usize, height: usize, width: usize) -> Self {
-        let trains = vec![SpikeTrain::new(height * width); timesteps * channels];
-        SpikeVolume {
-            timesteps,
-            channels,
-            height,
-            width,
-            trains,
-        }
-    }
-
-    /// Number of timesteps.
-    pub fn timesteps(&self) -> usize {
-        self.timesteps
-    }
-
-    /// Number of channels (output feature maps).
-    pub fn channels(&self) -> usize {
-        self.channels
-    }
-
-    /// Feature-map height.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
-    /// Feature-map width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of bits per spike train (`height * width`).
-    pub fn neurons_per_map(&self) -> usize {
-        self.height * self.width
-    }
-
-    /// BRAM-style address of the spike train for `(timestep, channel)`:
-    /// `t * channels + c` (timestep-major, Fig. 2).
-    pub fn address(&self, timestep: usize, channel: usize) -> usize {
-        assert!(timestep < self.timesteps, "timestep out of range");
-        assert!(channel < self.channels, "channel out of range");
-        timestep * self.channels + channel
-    }
-
-    /// Spike train for `(timestep, channel)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn train(&self, timestep: usize, channel: usize) -> &SpikeTrain {
-        &self.trains[self.address(timestep, channel)]
-    }
-
-    /// Mutable spike train for `(timestep, channel)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn train_mut(&mut self, timestep: usize, channel: usize) -> &mut SpikeTrain {
-        let addr = self.address(timestep, channel);
-        &mut self.trains[addr]
-    }
-
-    /// Replaces the spike train at `(timestep, channel)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnnError::ShapeMismatch`] if the train length does not equal
-    /// `height * width`.
-    pub fn set_train(
-        &mut self,
-        timestep: usize,
-        channel: usize,
-        train: SpikeTrain,
-    ) -> Result<(), SnnError> {
-        if train.len() != self.neurons_per_map() {
-            return Err(SnnError::shape(
-                &[self.neurons_per_map()],
-                &[train.len()],
-                "SpikeVolume::set_train",
-            ));
-        }
-        let addr = self.address(timestep, channel);
-        self.trains[addr] = train;
-        Ok(())
-    }
-
-    /// Total number of spikes across all timesteps and channels.
-    pub fn total_spikes(&self) -> usize {
-        self.trains.iter().map(SpikeTrain::count_ones).sum()
-    }
-
-    /// Number of spikes at one timestep (summed over channels).
-    pub fn spikes_at_timestep(&self, timestep: usize) -> usize {
-        (0..self.channels)
-            .map(|c| self.train(timestep, c).count_ones())
-            .sum()
-    }
-
-    /// Number of spikes in one channel (summed over timesteps).
-    pub fn spikes_in_channel(&self, channel: usize) -> usize {
-        (0..self.timesteps)
-            .map(|t| self.train(t, channel).count_ones())
-            .sum()
-    }
-
-    /// Overall sparsity (fraction of silent neuron-timesteps).
-    pub fn sparsity(&self) -> f64 {
-        let total_bits = self.timesteps * self.channels * self.neurons_per_map();
-        if total_bits == 0 {
-            return 0.0;
-        }
-        1.0 - self.total_spikes() as f64 / total_bits as f64
-    }
-
-    /// Builds a volume from per-timestep activation tensors of shape
-    /// `[C, H, W]` where any strictly positive value is treated as a spike.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnnError::ShapeMismatch`] if any tensor has the wrong shape.
-    pub fn from_activations(
-        activations: &[crate::tensor::Tensor],
-        channels: usize,
-        height: usize,
-        width: usize,
-    ) -> Result<Self, SnnError> {
-        let mut vol = SpikeVolume::new(activations.len(), channels, height, width);
-        for (t, act) in activations.iter().enumerate() {
-            if act.shape() != [channels, height, width] {
-                return Err(SnnError::shape(
-                    &[channels, height, width],
-                    act.shape(),
-                    "SpikeVolume::from_activations",
-                ));
-            }
-            for c in 0..channels {
-                let offset = c * height * width;
-                let slice = &act.as_slice()[offset..offset + height * width];
-                vol.set_train(t, c, SpikeTrain::from_activations(slice))?;
-            }
-        }
-        Ok(vol)
-    }
-}
-
 /// Per-layer spike statistics collected while running a network, which drive
 /// both the sparsity experiments (Fig. 1) and the layer-wise workload model
 /// (Eq. 3) used for design-space exploration.
@@ -936,109 +537,6 @@ impl SpikeRecord {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn new_train_is_silent() {
-        let t = SpikeTrain::new(100);
-        assert_eq!(t.len(), 100);
-        assert_eq!(t.count_ones(), 0);
-        assert_eq!(t.sparsity(), 1.0);
-    }
-
-    #[test]
-    fn set_get_roundtrip_across_word_boundary() {
-        let mut t = SpikeTrain::new(130);
-        for idx in [0, 63, 64, 65, 127, 128, 129] {
-            t.set(idx, true);
-            assert!(t.get(idx));
-        }
-        assert_eq!(t.count_ones(), 7);
-        t.set(64, false);
-        assert!(!t.get(64));
-        assert_eq!(t.count_ones(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn get_out_of_range_panics() {
-        let t = SpikeTrain::new(10);
-        t.get(10);
-    }
-
-    #[test]
-    fn iter_ones_yields_sorted_indices() {
-        let mut t = SpikeTrain::new(200);
-        let indices = [3usize, 64, 65, 130, 199];
-        for &i in &indices {
-            t.set(i, true);
-        }
-        assert_eq!(t.iter_ones().collect::<Vec<_>>(), indices);
-    }
-
-    #[test]
-    fn from_bools_and_from_activations_agree() {
-        let bools = [true, false, true, true, false];
-        let acts = [1.0, 0.0, 0.7, 2.0, -1.0];
-        assert_eq!(
-            SpikeTrain::from_bools(&bools),
-            SpikeTrain::from_activations(&acts)
-        );
-    }
-
-    #[test]
-    fn to_activations_roundtrip() {
-        let acts = vec![1.0, 0.0, 1.0, 0.0, 0.0, 1.0];
-        let t = SpikeTrain::from_activations(&acts);
-        assert_eq!(t.to_activations(), acts);
-    }
-
-    #[test]
-    fn or_merges_spikes() {
-        let a = SpikeTrain::from_bools(&[true, false, false, true]);
-        let b = SpikeTrain::from_bools(&[false, true, false, true]);
-        let c = a.or(&b).unwrap();
-        assert_eq!(c.count_ones(), 3);
-        assert!(a.or(&SpikeTrain::new(5)).is_err());
-    }
-
-    #[test]
-    fn chunk_population_counts_per_chunk() {
-        let t = SpikeTrain::from_bools(&[true, true, false, false, true, false, true]);
-        assert_eq!(t.chunk_population(4), vec![2, 2]);
-        assert_eq!(t.chunk_population(2), vec![2, 0, 1, 1]);
-    }
-
-    #[test]
-    fn volume_addressing_is_timestep_major() {
-        let vol = SpikeVolume::new(3, 5, 2, 2);
-        assert_eq!(vol.address(0, 0), 0);
-        assert_eq!(vol.address(0, 4), 4);
-        assert_eq!(vol.address(1, 0), 5);
-        assert_eq!(vol.address(2, 3), 13);
-    }
-
-    #[test]
-    fn volume_spike_counting() {
-        let mut vol = SpikeVolume::new(2, 2, 4, 4);
-        vol.train_mut(0, 0).set(0, true);
-        vol.train_mut(0, 1).set(3, true);
-        vol.train_mut(1, 0).set(7, true);
-        assert_eq!(vol.total_spikes(), 3);
-        assert_eq!(vol.spikes_at_timestep(0), 2);
-        assert_eq!(vol.spikes_at_timestep(1), 1);
-        assert_eq!(vol.spikes_in_channel(0), 2);
-        assert_eq!(vol.spikes_in_channel(1), 1);
-    }
-
-    #[test]
-    fn volume_from_activations_checks_shape() {
-        use crate::tensor::Tensor;
-        let good = vec![Tensor::ones(&[2, 2, 2]); 3];
-        let vol = SpikeVolume::from_activations(&good, 2, 2, 2).unwrap();
-        assert_eq!(vol.total_spikes(), 3 * 2 * 4);
-        let bad = vec![Tensor::ones(&[2, 3, 2])];
-        assert!(SpikeVolume::from_activations(&bad, 2, 2, 2).is_err());
-    }
 
     #[test]
     fn spike_plane_from_tensor_tracks_active_and_binary() {
@@ -1251,44 +749,5 @@ mod tests {
         let per_layer = rec.layer_sparsity();
         assert!((per_layer[0] - 0.75).abs() < 1e-9);
         assert!((per_layer[1] - 0.95).abs() < 1e-9);
-    }
-
-    proptest! {
-        /// count_ones always equals the number of bits set via set().
-        #[test]
-        fn count_matches_inserted(indices in proptest::collection::btree_set(0_usize..500, 0..100)) {
-            let mut t = SpikeTrain::new(500);
-            for &i in &indices {
-                t.set(i, true);
-            }
-            prop_assert_eq!(t.count_ones(), indices.len());
-            let collected: Vec<usize> = t.iter_ones().collect();
-            let expected: Vec<usize> = indices.into_iter().collect();
-            prop_assert_eq!(collected, expected);
-        }
-
-        /// Sparsity and count are consistent: sparsity = 1 - ones/len.
-        #[test]
-        fn sparsity_consistent(bools in proptest::collection::vec(any::<bool>(), 1..300)) {
-            let t = SpikeTrain::from_bools(&bools);
-            let ones = bools.iter().filter(|&&b| b).count();
-            prop_assert_eq!(t.count_ones(), ones);
-            prop_assert!((t.sparsity() - (1.0 - ones as f64 / bools.len() as f64)).abs() < 1e-12);
-        }
-
-        /// OR never decreases the spike count and is commutative.
-        #[test]
-        fn or_is_monotone_and_commutative(
-            a in proptest::collection::vec(any::<bool>(), 64),
-            b in proptest::collection::vec(any::<bool>(), 64),
-        ) {
-            let ta = SpikeTrain::from_bools(&a);
-            let tb = SpikeTrain::from_bools(&b);
-            let ab = ta.or(&tb).unwrap();
-            let ba = tb.or(&ta).unwrap();
-            prop_assert_eq!(&ab, &ba);
-            prop_assert!(ab.count_ones() >= ta.count_ones());
-            prop_assert!(ab.count_ones() >= tb.count_ones());
-        }
     }
 }

@@ -1,26 +1,14 @@
-//! Sparsity statistics and the layer-wise workload model (Eq. 3).
+//! Sparsity statistics and streaming distribution trackers.
 //!
-//! The paper sizes its heterogeneous hardware from a per-layer workload model
-//! derived from an empirical run of the trained network:
-//!
-//! ```text
-//! W_CONV = F × C_out × Σ_i S_i          (Eq. 3)
-//! W_FC   = N × S
-//! ```
-//!
-//! where `F` is the number of filter coefficients per input channel position
-//! (9 for 3×3 kernels), `C_out` the number of output channels, `S_i` the
-//! number of spikes arriving from input feature map `i`, `N` the number of FC
-//! output neurons and `S` the total number of input spikes. This module
-//! computes those workloads from a [`crate::network::LayerTrace`]
-//! collection and offers the quantization-vs-sparsity comparisons used in
-//! Fig. 1.
+//! [`SparsityComparison`] and [`AggregateSpikeStats`] compare and
+//! accumulate the per-layer spike counts of network runs, for the
+//! quantization-vs-sparsity comparisons of Fig. 1. The Eq. 3 workload model
+//! over the same counts lives in `snn-accel`'s `workload` module.
 //!
 //! It also hosts [`LogHistogram`], a streaming fixed-log-bucket quantile
-//! tracker shared by the serving layer (p50/p99 request latency) and, by
-//! design, future per-session distribution-drift trackers.
+//! tracker shared by the serving layer (p50/p99 request latency) and the
+//! per-layer spike-rate [`DriftTracker`].
 
-use crate::network::LayerTrace;
 use crate::spike::SpikeRecord;
 use serde::{Deserialize, Serialize};
 
@@ -581,59 +569,6 @@ impl DriftTracker {
     }
 }
 
-/// Workload of one weight layer as defined by Eq. 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LayerWorkload {
-    /// Layer name.
-    pub name: String,
-    /// `true` for convolution layers.
-    pub is_conv: bool,
-    /// Filter coefficients per spike event (`F` for conv, fan-out for FC).
-    pub coefficients: u64,
-    /// Output channels (conv) or output neurons (FC).
-    pub out_channels: u64,
-    /// Total input spikes / events across all timesteps (`Σ S_i`).
-    pub input_events: u64,
-    /// The resulting workload in accumulate operations.
-    pub operations: u64,
-}
-
-/// Computes the Eq. 3 workload of every weight layer from its run trace.
-///
-/// Layers without geometry (pooling) are skipped, matching the paper which
-/// implements pooling as a free OR over spikes.
-pub fn layer_workloads(traces: &[LayerTrace]) -> Vec<LayerWorkload> {
-    traces
-        .iter()
-        .filter_map(|trace| {
-            let geo = trace.geometry.as_ref()?;
-            let input_events = trace.total_input_events();
-            let (coefficients, operations) = if geo.is_conv {
-                // Each input spike updates kernel×kernel neurons in each of the
-                // C_out output feature maps.
-                let f = (geo.kernel * geo.kernel) as u64;
-                (f, f * geo.out_channels as u64 * input_events)
-            } else {
-                let n = geo.out_channels as u64;
-                (n, n * input_events)
-            };
-            Some(LayerWorkload {
-                name: trace.name.clone(),
-                is_conv: geo.is_conv,
-                coefficients,
-                out_channels: geo.out_channels as u64,
-                input_events,
-                operations,
-            })
-        })
-        .collect()
-}
-
-/// Total workload (sum of per-layer operations).
-pub fn total_workload(workloads: &[LayerWorkload]) -> u64 {
-    workloads.iter().map(|w| w.operations).sum()
-}
-
 /// Comparison of the spiking activity of two runs of the same network, used
 /// to quantify the quantization-sparsity interplay of Fig. 1.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -770,57 +705,7 @@ impl AggregateSpikeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoding::Encoder;
-    use crate::network::{vgg9, Vgg9Config};
-    use crate::tensor::Tensor;
     use proptest::prelude::*;
-
-    fn sample_traces() -> Vec<LayerTrace> {
-        let net = vgg9(&Vgg9Config::cifar10_small()).unwrap();
-        let image = Tensor::from_fn(&[3, 16, 16], |i| ((i as f32) * 0.05).sin().abs());
-        net.run(&image, &Encoder::direct(2)).unwrap().traces
-    }
-
-    #[test]
-    fn workloads_cover_all_weight_layers() {
-        let traces = sample_traces();
-        let w = layer_workloads(&traces);
-        assert_eq!(w.len(), 9);
-        assert!(w.iter().take(7).all(|l| l.is_conv));
-        assert!(w.iter().skip(7).all(|l| !l.is_conv));
-    }
-
-    #[test]
-    fn conv_workload_follows_eq3() {
-        let traces = sample_traces();
-        let w = layer_workloads(&traces);
-        for lw in w.iter().filter(|l| l.is_conv) {
-            assert_eq!(
-                lw.operations,
-                lw.coefficients * lw.out_channels * lw.input_events
-            );
-            assert_eq!(lw.coefficients, 9);
-        }
-    }
-
-    #[test]
-    fn fc_workload_follows_eq3() {
-        let traces = sample_traces();
-        let w = layer_workloads(&traces);
-        for lw in w.iter().filter(|l| !l.is_conv) {
-            assert_eq!(lw.operations, lw.out_channels * lw.input_events);
-        }
-    }
-
-    #[test]
-    fn total_workload_is_sum() {
-        let traces = sample_traces();
-        let w = layer_workloads(&traces);
-        assert_eq!(
-            total_workload(&w),
-            w.iter().map(|l| l.operations).sum::<u64>()
-        );
-    }
 
     #[test]
     fn sparsity_comparison_reports_reduction() {

@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use snn_core::layers::{Conv2d, Linear, SpikeMaxPool2d};
 use snn_core::quant::Precision;
-use snn_core::spike::{scan_words, SpikePlane, SpikeTrain};
+use snn_core::spike::SpikePlane;
 use snn_core::tensor::{Im2Col, Tensor};
 use snn_core::test_support::{
     adversarial_masks, assert_plane_views_agree, assert_tensor_bits_eq, plane_from_mask,
@@ -167,63 +167,6 @@ proptest! {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "{}: cell {}", &ctx, i);
             }
         }
-    }
-
-    /// Reference-spec proptests for the `SpikeTrain` word API: `iter_ones`
-    /// yields exactly the ascending true positions, `count_ones` matches the
-    /// naive count, `or` is the elementwise disjunction, and the words have
-    /// a clean tail.
-    #[test]
-    fn spike_train_word_api_matches_reference_spec(
-        bits in proptest::collection::vec(any::<bool>(), 1..300),
-        other in proptest::collection::vec(any::<bool>(), 1..300),
-    ) {
-        let train = SpikeTrain::from_bools(&bits);
-        prop_assert_eq!(train.len(), bits.len());
-        // iter_ones: ascending order AND completeness.
-        let ones: Vec<usize> = train.iter_ones().collect();
-        let naive: Vec<usize> = bits
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &b)| b.then_some(i))
-            .collect();
-        prop_assert_eq!(&ones, &naive, "iter_ones vs naive scan");
-        prop_assert_eq!(train.count_ones(), naive.len(), "count_ones vs naive");
-        // get() agrees with the source bits.
-        for (i, &b) in bits.iter().enumerate() {
-            prop_assert_eq!(train.get(i), b, "get({})", i);
-        }
-        // Tail-word invariant.
-        if bits.len() % 64 != 0 {
-            let tail = *train.as_words().last().unwrap();
-            prop_assert_eq!(tail >> (bits.len() % 64), 0, "tail bits beyond len");
-        }
-        // or(): elementwise disjunction at equal lengths.
-        if bits.len() == other.len() {
-            let ored = train.or(&SpikeTrain::from_bools(&other)).unwrap();
-            for i in 0..bits.len() {
-                prop_assert_eq!(ored.get(i), bits[i] || other[i], "or at {}", i);
-            }
-        }
-        // Round-trip through activations preserves the words exactly.
-        let round = SpikeTrain::from_activations(&train.to_activations());
-        prop_assert_eq!(round.as_words(), train.as_words(), "activation round-trip");
-    }
-
-    /// Cross-type agreement: a binary `SpikePlane` and a `SpikeTrain` built
-    /// from the same dense activations pack the identical mask words, and
-    /// the shared [`scan_words`] walk reads both.
-    #[test]
-    fn plane_words_agree_with_spike_train_words(
-        bits in proptest::collection::vec(any::<bool>(), 1..300),
-    ) {
-        let dense = Tensor::from_fn(&[bits.len()], |i| f32::from(bits[i]));
-        let plane = SpikePlane::from_tensor(&dense);
-        let train = SpikeTrain::from_activations(dense.as_slice());
-        prop_assert_eq!(plane.as_words(), train.as_words(), "plane vs train words");
-        let from_plane: Vec<usize> = scan_words(plane.as_words()).collect();
-        let from_train: Vec<usize> = train.iter_ones().collect();
-        prop_assert_eq!(from_plane, from_train, "scan_words vs iter_ones");
     }
 }
 

@@ -14,8 +14,6 @@
 //!   actually learn to separate them, and
 //! * ordered in difficulty like the real datasets (SVHN easiest, CIFAR-100
 //!   hardest) via the noise level and class count.
-//!
-//! See `DESIGN.md` §1 for the substitution rationale.
 
 pub mod augment;
 pub mod dataset;

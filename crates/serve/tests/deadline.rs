@@ -12,25 +12,45 @@ use snn_serve::{
     ServeError, ServeModel,
 };
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 /// Sleeps `delay` per batch and records every seed the model actually ran.
 struct RecordingModel {
     delay: Duration,
     executed: Arc<Mutex<HashSet<u64>>>,
+    plug: Option<Arc<PlugGate>>,
 }
 
 struct RecordingRunner {
     delay: Duration,
     executed: Arc<Mutex<HashSet<u64>>>,
+    plug: Option<Arc<PlugGate>>,
 }
+
+/// Holds the batch carrying seed 0 (the plug) inside the model: the runner
+/// reports that the batch started, then waits until the test releases it,
+/// so requests the test submits in between are sure to queue behind it.
+struct PlugGate {
+    started: mpsc::Sender<()>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+/// How long either side of a [`PlugGate`] waits before giving up, so a
+/// failing test reports instead of hanging.
+const GATE_TIMEOUT: Duration = Duration::from_secs(10);
 
 impl ModelRunner for RecordingRunner {
     fn run_batch(
         &mut self,
         requests: Vec<InferenceRequest>,
     ) -> Vec<Result<InferenceResult, SnnError>> {
+        let plugged = requests.iter().any(|r| r.seed == 0);
+        if let Some(gate) = self.plug.as_ref().filter(|_| plugged) {
+            // Errors mean the test side is gone: run the batch anyway.
+            let _ = gate.started.send(());
+            let _ = gate.release.lock().unwrap().recv_timeout(GATE_TIMEOUT);
+        }
         std::thread::sleep(self.delay);
         let mut executed = self.executed.lock().unwrap();
         requests
@@ -50,6 +70,7 @@ impl ServeModel for RecordingModel {
         RecordingRunner {
             delay: self.delay,
             executed: Arc::clone(&self.executed),
+            plug: self.plug.clone(),
         }
     }
 }
@@ -60,9 +81,30 @@ fn recording_model(delay_ms: u64) -> (RecordingModel, Arc<Mutex<HashSet<u64>>>) 
         RecordingModel {
             delay: Duration::from_millis(delay_ms),
             executed: Arc::clone(&executed),
+            plug: None,
         },
         executed,
     )
+}
+
+/// The test's ends of a [`PlugGate`]: `started` fires once the plug batch
+/// is inside the model, and a send on `release` lets it finish.
+struct PlugHandle {
+    started: mpsc::Receiver<()>,
+    release: mpsc::Sender<()>,
+}
+
+/// A [`recording_model`] with no per-batch delay whose plug batch (seed 0)
+/// is held by a [`PlugGate`].
+fn plugged_recording_model() -> (RecordingModel, Arc<Mutex<HashSet<u64>>>, PlugHandle) {
+    let (started_tx, started) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let (mut model, executed) = recording_model(0);
+    model.plug = Some(Arc::new(PlugGate {
+        started: started_tx,
+        release: Mutex::new(release_rx),
+    }));
+    (model, executed, PlugHandle { started, release })
 }
 
 fn request(i: u64) -> InferenceRequest {
@@ -82,8 +124,7 @@ proptest! {
         burst in 1_usize..=12,
         max_batch in 1_usize..=8,
     ) {
-        let plug_ms = 25;
-        let (model, executed) = recording_model(plug_ms);
+        let (model, executed, plug_gate) = plugged_recording_model();
         let core = ServeCore::start(
             model,
             ServeConfig {
@@ -96,12 +137,15 @@ proptest! {
         )
         .unwrap();
 
-        // Plug the single worker with a deadline-free request, and give it
-        // time to be popped so the burst below cannot share its batch.
+        // Plug the single worker with a deadline-free request that the model
+        // holds until released, so the burst below cannot share its batch.
         let plug = core.submit(request(0)).unwrap();
-        std::thread::sleep(Duration::from_millis(5));
+        plug_gate
+            .started
+            .recv_timeout(GATE_TIMEOUT)
+            .expect("the worker starts the plug batch");
 
-        // The burst queues behind the 25 ms plug batch: deadlined entries
+        // The burst queues behind the held plug batch: deadlined entries
         // (budget <= 3 ms) must expire while waiting; deadline-free ones
         // must all execute.
         let handles: Vec<(u64, bool, ResponseHandle)> = (1..=burst as u64)
@@ -115,6 +159,9 @@ proptest! {
                 (i, deadlined, core.submit(req).unwrap())
             })
             .collect();
+        // Release the plug only once every deadlined entry's budget passed.
+        std::thread::sleep(Duration::from_millis(deadline_ms + 1));
+        plug_gate.release.send(()).unwrap();
 
         plug.wait().unwrap();
         let mut expired = 0_u64;
@@ -137,7 +184,7 @@ proptest! {
                         );
                     }
                     other => panic!(
-                        "deadlined request {seed} queued behind a {plug_ms} ms batch \
+                        "deadlined request {seed} queued behind the held plug batch \
                          must expire, got {other:?}"
                     ),
                 }
@@ -221,7 +268,7 @@ fn hopeless_deadlines_are_rejected_at_submit() {
 /// explicit per-request deadline still wins.
 #[test]
 fn default_timeout_applies_to_bare_requests() {
-    let (model, executed) = recording_model(25);
+    let (model, executed, plug_gate) = plugged_recording_model();
     let core = ServeCore::start(
         model,
         ServeConfig {
@@ -236,7 +283,12 @@ fn default_timeout_applies_to_bare_requests() {
     .unwrap();
 
     let plug = core.submit(request(0).with_deadline(Duration::from_secs(30)));
-    std::thread::sleep(Duration::from_millis(5));
+    // The single worker is now inside the plug batch, which stays there
+    // until released below.
+    plug_gate
+        .started
+        .recv_timeout(GATE_TIMEOUT)
+        .expect("the worker starts the plug batch");
 
     // Bare request: inherits the 2 ms default and expires behind the plug.
     let bare = core.submit(request(1)).unwrap();
@@ -244,6 +296,9 @@ fn default_timeout_applies_to_bare_requests() {
     let patient = core
         .submit(request(2).with_deadline(Duration::from_secs(30)))
         .unwrap();
+    // Outlive the bare request's 2 ms budget before the worker can reach it.
+    std::thread::sleep(Duration::from_millis(5));
+    plug_gate.release.send(()).unwrap();
 
     plug.unwrap().wait().unwrap();
     match bare.wait() {

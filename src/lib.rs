@@ -289,7 +289,8 @@ impl EngineBuilder {
     ///
     /// Returns [`SnnError::InvalidConfig`] if no network was supplied, the
     /// encoder has zero timesteps, the hardware configuration does not cover
-    /// the network's layers, an explicit [`HwConfig`]'s precision differs
+    /// the network's layers or holds values no hardware can have (see
+    /// [`HybridAccelerator::new`]), an explicit [`HwConfig`]'s precision differs
     /// from the engine precision (the fused report would model hardware for
     /// weights the engine is not running), or a rate-coded engine keeps the
     /// dense core enabled (rate-coded inputs are binary spikes; call
@@ -479,7 +480,7 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Same dense-core/coverage validation as [`EngineBuilder::build`].
+    /// Same hardware validation as [`EngineBuilder::build`].
     pub fn with_hardware(&self, hardware: HwConfig) -> Result<Engine, SnnError> {
         check_dense_core(&self.shared.encoder, &hardware)?;
         let plan = HybridAccelerator::new(&self.shared.network, hardware)?
@@ -864,6 +865,36 @@ mod tests {
         // Same workload (identical logits), faster hardware.
         assert_eq!(base.logits, fast.logits);
         assert!(fast.hardware.latency_ms < base.hardware.latency_ms);
+    }
+
+    #[test]
+    fn hand_built_hardware_the_cores_cannot_run_is_a_typed_error() {
+        let engine = small_engine(Precision::Int4);
+        let edit = |f: fn(&mut HwConfig)| {
+            let mut cfg = engine.hardware().clone();
+            f(&mut cfg);
+            cfg
+        };
+        let broken = [
+            ("chunk_bits", edit(|c| c.chunk_bits = 0)),
+            ("neural_cores", edit(|c| c.neural_cores[3] = 0)),
+            ("dense_rows", edit(|c| c.dense_rows = 0)),
+            ("clock_mhz", edit(|c| c.clock_mhz = 0.0)),
+            ("clock_mhz", edit(|c| c.clock_mhz = f64::NAN)),
+        ];
+        for (field, cfg) in broken {
+            let built = Engine::builder()
+                .network(vgg9(&Vgg9Config::cifar10_small()).unwrap())
+                .precision(Precision::Int4)
+                .hardware(cfg.clone())
+                .build();
+            for result in [built.map(drop), engine.with_hardware(cfg).map(drop)] {
+                match result {
+                    Err(SnnError::InvalidConfig { parameter, .. }) => assert_eq!(parameter, field),
+                    other => panic!("{field}: expected an InvalidConfig, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,91 +1,143 @@
-//! Integration tests checking that the accelerator's functional models are
-//! bit-true against the algorithmic reference in `snn-core`, and that the
-//! coding-scheme / scaling trends reported by the paper hold end to end
-//! through the `Engine`/`Session` facade.
+//! Integration tests checking that the accelerator's cost model consumes
+//! exactly the spike counts the network's one forward loop produces, and
+//! that the coding-scheme / scaling trends reported by the paper hold end to
+//! end through the `Engine`/`Session` facade.
 
 use snn::accel::dense_core::DenseCore;
 use snn::accel::dse::allocate_balanced;
 use snn::accel::sparse_core::SparseCore;
 use snn::accel::workload::from_traces;
 use snn::accel::HybridAccelerator;
-use snn::core::network::{vgg9, Layer, RunState, SnnNetwork, Vgg9Config};
-use snn::core::spike::SpikeVolume;
+use snn::core::network::{vgg9, RunState, SnnNetwork, Vgg9Config};
 use snn::{Encoder, Engine, HwConfig, PerfScale, Precision, Tensor};
 
 fn small_image() -> Tensor {
     Tensor::from_fn(&[3, 16, 16], |i| ((i as f32) * 0.019).sin().abs())
 }
 
-/// Records every conv layer's binary output volume from the planes
-/// `SnnNetwork::run_observed` hands its observer (`None` for other layers).
-fn observed_conv_volumes(
+/// Direct coding at T = 2 with the dense core, and rate coding at T = 5
+/// without it, each with its hardware allocation.
+fn codings() -> [(Encoder, HwConfig); 2] {
+    let direct =
+        HwConfig::from_allocation("direct", Precision::Int4, &[1, 8, 4, 18, 6, 6, 20, 2, 1])
+            .unwrap();
+    let rate =
+        HwConfig::from_allocation("rate", Precision::Int4, &[1, 1, 8, 4, 18, 6, 6, 20, 2, 1])
+            .unwrap()
+            .without_dense_core();
+    [(Encoder::direct(2), direct), (Encoder::rate(5), rate)]
+}
+
+/// The popcounts of the input and output planes `SnnNetwork::run_observed`
+/// hands its observer, per layer and timestep.
+fn observed_counts(
     network: &SnnNetwork,
     image: &Tensor,
     encoder: &Encoder,
-) -> Vec<Option<SpikeVolume>> {
-    let mut outputs: Vec<Vec<Tensor>> = vec![Vec::new(); network.layers().len()];
+    seed: u64,
+) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+    let layers = network.layers().len();
+    let (mut inputs, mut outputs) = (vec![Vec::new(); layers], vec![Vec::new(); layers]);
     let mut state = RunState::new(network).unwrap();
     network
-        .run_observed(image, encoder, 0, &mut state, |li, _, output, _| {
-            if matches!(network.layers()[li], Layer::Conv { .. }) {
-                outputs[li].push(output.dense().clone());
-            }
+        .run_observed(image, encoder, seed, &mut state, |li, input, output, _| {
+            inputs[li].push(input.count_active() as u64);
+            outputs[li].push(output.count_active() as u64);
             Ok(())
         })
         .unwrap();
-    outputs
-        .iter()
-        .map(|frames| {
-            let shape = frames.first()?.shape();
-            Some(SpikeVolume::from_activations(frames, shape[0], shape[1], shape[2]).unwrap())
-        })
-        .collect()
+    (inputs, outputs)
 }
 
 #[test]
-fn dense_core_reproduces_the_networks_first_layer_spikes() {
+fn observed_planes_match_the_traced_spike_counts() {
+    // For every layer and timestep, the trace's counts are the popcounts of
+    // the planes `run_observed` hands its observer.
     let network = vgg9(&Vgg9Config::cifar10_small()).unwrap();
     let image = small_image();
-    let encoder = Encoder::paper_direct();
-    let out = network.run(&image, &encoder).unwrap();
-
-    // Re-execute the first layer on the dense core and compare spike counts
-    // per timestep against the network trace. BN is identity at init, so the
-    // folded and unfolded networks agree.
-    let Layer::Conv { conv, .. } = &network.layers()[0] else {
-        panic!("first layer must be a convolution");
-    };
-    let frames = encoder.encode(&image, 0).unwrap();
-    let (volume, timing) = DenseCore::new(2)
-        .run(conv, network.lif_params(), &frames)
-        .unwrap();
-    assert!(timing.total_cycles > 0);
-    for (t, &expected) in out.traces[0].output_spikes.iter().enumerate() {
-        assert_eq!(volume.spikes_at_timestep(t) as u64, expected);
+    for (encoder, _) in codings() {
+        let seed = 3;
+        let (inputs, outputs) = observed_counts(&network, &image, &encoder, seed);
+        let out = network.run_seeded(&image, &encoder, seed).unwrap();
+        assert_eq!(out.traces.len(), network.layers().len());
+        for (li, trace) in out.traces.iter().enumerate() {
+            assert_eq!(trace.input_events.len(), encoder.timesteps);
+            assert_eq!(trace.input_events, inputs[li], "{} inputs", trace.name);
+            assert_eq!(trace.output_spikes, outputs[li], "{} outputs", trace.name);
+        }
     }
 }
 
 #[test]
-fn sparse_core_reproduces_the_second_layer_spikes() {
+fn estimate_consumes_the_observed_spike_counts() {
+    // Each weight layer's estimate folds exactly the observed counts, and
+    // each sparse layer's cycles are `SparseCore::timing` over them.
     let network = vgg9(&Vgg9Config::cifar10_small()).unwrap();
     let image = small_image();
-    let encoder = Encoder::paper_direct();
-    let out = network.run(&image, &encoder).unwrap();
-
-    // Feed the observed spike output of CONV1_1 into a sparse core running
-    // CONV1_2 and check that it reproduces the recorded CONV1_2 spikes.
-    let input_volume = observed_conv_volumes(&network, &image, &encoder)
-        .swap_remove(0)
-        .expect("CONV1_1 is a convolution");
-    let Layer::Conv { conv, .. } = &network.layers()[1] else {
-        panic!("second layer must be a convolution");
-    };
-    let (volume, _) = SparseCore::new(4, 32)
-        .run_conv(conv, network.lif_params(), &input_volume)
-        .unwrap();
-    for (t, &expected) in out.traces[1].output_spikes.iter().enumerate() {
-        assert_eq!(volume.spikes_at_timestep(t) as u64, expected);
+    for (encoder, hw) in codings() {
+        let seed = 3;
+        let (inputs, _) = observed_counts(&network, &image, &encoder, seed);
+        let out = network.run_seeded(&image, &encoder, seed).unwrap();
+        let accel = HybridAccelerator::new(&network, hw.clone()).unwrap();
+        let report = accel.estimate(&out.traces).unwrap();
+        let weight_layers = out
+            .traces
+            .iter()
+            .enumerate()
+            .filter_map(|(li, trace)| trace.geometry.as_ref().map(|geo| (li, geo)));
+        let mut checked = 0;
+        for (w, (li, geo)) in weight_layers.enumerate() {
+            let perf = &report.layers[w];
+            assert_eq!(perf.name, geo.name);
+            assert_eq!(
+                perf.input_events,
+                inputs[li].iter().sum::<u64>(),
+                "{}",
+                geo.name
+            );
+            if hw.dense_core_enabled && w == 0 {
+                continue;
+            }
+            let sparse_index = w - usize::from(hw.dense_core_enabled);
+            let core = SparseCore::new(hw.neural_cores[sparse_index], hw.chunk_bits);
+            let cycles = core.timing(&inputs[li], geo).total_cycles;
+            assert_eq!(perf.cycles, cycles, "{} cycles", geo.name);
+            checked += 1;
+        }
+        assert_eq!(report.layers.len(), 9);
+        assert_eq!(checked, 9 - usize::from(hw.dense_core_enabled));
     }
+}
+
+#[test]
+fn dense_core_costs_the_networks_first_layer() {
+    // With direct coding the dense core runs the first layer: its cycles are
+    // `DenseCore::timing` over the layer's geometry and the timestep count,
+    // whatever the image.
+    let network = vgg9(&Vgg9Config::cifar10_small()).unwrap();
+    let [(encoder, hw), _] = codings();
+    assert!(hw.dense_core_enabled);
+    let accel = HybridAccelerator::new(&network, hw.clone()).unwrap();
+    let bright = Tensor::from_fn(&[3, 16, 16], |_| 1.0);
+    let mut first_layer_cycles = Vec::new();
+    for image in [small_image(), bright] {
+        let out = network.run(&image, &encoder).unwrap();
+        let geo = out.traces[0].geometry.as_ref().unwrap();
+        let timing = DenseCore::new(hw.dense_rows).timing(
+            geo.out_channels,
+            geo.out_height,
+            geo.out_width,
+            encoder.timesteps,
+        );
+        assert!(timing.total_cycles > 0);
+        let report = accel.estimate(&out.traces).unwrap();
+        assert_eq!(report.layers[0].name, geo.name);
+        assert_eq!(report.layers[0].cycles, timing.total_cycles);
+        first_layer_cycles.push((out.traces[0].output_spikes.clone(), timing.total_cycles));
+    }
+    // Different first-layer spikes, one dense cycle count.
+    assert_ne!(first_layer_cycles[0].0, first_layer_cycles[1].0);
+    assert_eq!(first_layer_cycles[0].1, first_layer_cycles[1].1);
 }
 
 #[test]
@@ -190,38 +242,4 @@ fn dse_allocation_balances_the_network() {
     allocation.extend(balanced.cores.iter().skip(1));
     let cfg = HwConfig::from_allocation("dse", Precision::Int4, &allocation).unwrap();
     assert!(HybridAccelerator::new(&network, cfg).is_ok());
-}
-
-#[test]
-fn spike_volume_roundtrips_through_the_whole_stack() {
-    // A SpikeVolume recorded through the observer holds exactly the spikes
-    // the run's traces count, timestep by timestep, for every conv layer.
-    let network = vgg9(&Vgg9Config::cifar10_small()).unwrap();
-    let image = small_image();
-    let encoder = Encoder::paper_direct();
-    let out = network.run(&image, &encoder).unwrap();
-    let volumes = observed_conv_volumes(&network, &image, &encoder);
-    let mut recorded = 0;
-    for (trace, volume) in out.traces.iter().zip(&volumes) {
-        assert!(
-            trace.spikes.is_none(),
-            "{}: the library builds no volume",
-            trace.name
-        );
-        let Some(volume) = volume else { continue };
-        assert_eq!(volume.timesteps(), out.timesteps);
-        for (t, &expected) in trace.output_spikes.iter().enumerate() {
-            assert_eq!(
-                volume.spikes_at_timestep(t) as u64,
-                expected,
-                "{} t={t}",
-                trace.name
-            );
-        }
-        recorded += 1;
-    }
-    assert_eq!(recorded, 7, "one volume per VGG9 convolution");
-    // An empty volume stays empty through OR-pooling semantics.
-    let empty = SpikeVolume::new(2, 4, 8, 8);
-    assert_eq!(empty.total_spikes(), 0);
 }
