@@ -12,8 +12,11 @@ use serde::{Deserialize, Serialize};
 
 /// Batch normalisation over the channel dimension of `[C, H, W]` tensors.
 ///
-/// Keeps running estimates of the per-channel mean and variance which are
-/// updated by the training loop and used verbatim during evaluation.
+/// Applies a fixed per-channel affine transform built from the running
+/// estimates of the mean and variance and the `gamma`/`beta` parameters.
+/// Nothing updates them after construction: inference uses them verbatim,
+/// and BPTT treats the layer as the same fixed transform (its backward
+/// scales the gradient by `gamma / sqrt(running_var + epsilon)`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchNorm2d {
     channels: usize,
@@ -22,6 +25,8 @@ pub struct BatchNorm2d {
     running_mean: Tensor,
     running_var: Tensor,
     epsilon: f32,
+    /// Running-statistics momentum. Nothing reads it; it stays so that
+    /// serialized networks and checkpoints keep their exact bytes.
     momentum: f32,
 }
 
@@ -131,84 +136,6 @@ impl BatchNorm2d {
         Ok(())
     }
 
-    /// Normalises with *batch* statistics computed over the `[H, W]` plane of
-    /// the given samples and updates the running statistics. Used by the
-    /// training loop; returns the normalised tensors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnnError::ShapeMismatch`] if any sample has the wrong shape
-    /// or [`SnnError::InvalidConfig`] if `samples` is empty.
-    pub fn forward_training(&mut self, samples: &[Tensor]) -> Result<Vec<Tensor>, SnnError> {
-        if samples.is_empty() {
-            return Err(SnnError::config(
-                "samples",
-                "training batch must be non-empty",
-            ));
-        }
-        for s in samples {
-            if s.ndim() != 3 || s.shape()[0] != self.channels {
-                return Err(SnnError::shape(
-                    &[self.channels, 0, 0],
-                    s.shape(),
-                    "BatchNorm2d::forward_training",
-                ));
-            }
-        }
-        let plane = samples[0].shape()[1] * samples[0].shape()[2];
-        let count = (samples.len() * plane) as f32;
-        let mut mean = vec![0.0_f32; self.channels];
-        let mut var = vec![0.0_f32; self.channels];
-        for s in samples {
-            let data = s.as_slice();
-            for c in 0..self.channels {
-                for &v in &data[c * plane..(c + 1) * plane] {
-                    mean[c] += v;
-                }
-            }
-        }
-        for m in &mut mean {
-            *m /= count;
-        }
-        for s in samples {
-            let data = s.as_slice();
-            for c in 0..self.channels {
-                for &v in &data[c * plane..(c + 1) * plane] {
-                    let d = v - mean[c];
-                    var[c] += d * d;
-                }
-            }
-        }
-        for v in &mut var {
-            *v /= count;
-        }
-        // Update running statistics.
-        for c in 0..self.channels {
-            let rm = self.running_mean.as_slice()[c];
-            let rv = self.running_var.as_slice()[c];
-            self.running_mean.as_mut_slice()[c] =
-                (1.0 - self.momentum) * rm + self.momentum * mean[c];
-            self.running_var.as_mut_slice()[c] =
-                (1.0 - self.momentum) * rv + self.momentum * var[c];
-        }
-        // Normalise with the batch statistics.
-        let mut out = Vec::with_capacity(samples.len());
-        for s in samples {
-            let mut t = s.clone();
-            let data = t.as_mut_slice();
-            for c in 0..self.channels {
-                let gamma = self.gamma.as_slice()[c];
-                let beta = self.beta.as_slice()[c];
-                let inv_std = 1.0 / (var[c] + self.epsilon).sqrt();
-                for v in &mut data[c * plane..(c + 1) * plane] {
-                    *v = (*v - mean[c]) * inv_std * gamma + beta;
-                }
-            }
-            out.push(t);
-        }
-        Ok(out)
-    }
-
     /// Folds this batch-norm layer into the convolution that precedes it,
     /// producing an equivalent convolution for inference:
     /// `w' = w * gamma / sqrt(var + eps)`,
@@ -273,24 +200,6 @@ mod tests {
         let bn = BatchNorm2d::new(2).unwrap();
         assert!(bn.forward(&Tensor::zeros(&[3, 2, 2])).is_err());
         assert!(bn.forward(&Tensor::zeros(&[2, 4])).is_err());
-    }
-
-    #[test]
-    fn training_forward_normalises_batch() {
-        let mut bn = BatchNorm2d::new(1).unwrap();
-        let samples = vec![Tensor::full(&[1, 2, 2], 5.0), Tensor::full(&[1, 2, 2], 7.0)];
-        let out = bn.forward_training(&samples).unwrap();
-        // Mean of outputs should be ~0.
-        let mean: f32 = out.iter().map(Tensor::sum).sum::<f32>() / 8.0;
-        assert!(mean.abs() < 1e-5);
-        // Running statistics should have moved towards the batch statistics.
-        assert!(bn.running_mean().as_slice()[0] > 0.0);
-    }
-
-    #[test]
-    fn training_forward_rejects_empty_batch() {
-        let mut bn = BatchNorm2d::new(1).unwrap();
-        assert!(bn.forward_training(&[]).is_err());
     }
 
     #[test]

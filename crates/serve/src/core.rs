@@ -7,13 +7,22 @@
 //!  acceptors (any thread)          worker threads (N = ServeConfig::workers)
 //!  ─────────────────────           ──────────────────────────────────────────
 //!  submit(request) ──try_push──▶  BoundedQueue ──pop_batch──▶ [r0 r1 .. rk]
-//!      │     (never blocks;                     (coalesce ≤ max_batch or
-//!      │      sheds Overloaded)                  flush at max_delay)
+//!      │     (never blocks;                     (idle worker: serve on
+//!      │      sheds Overloaded)                  arrival; backlog: coalesce
+//!      │                                         ≤ max_batch or flush at
+//!      │                                         max_delay)
 //!      ▼                                             │ Runner::run_batch
 //!  ResponseHandle ◀──────────── per-request slots ◀──┘ (owns the model
 //!      .wait()                                          session; results
 //!                                                       land in order)
 //! ```
+//!
+//! A worker that finds the queue empty when it asks for work is keeping up,
+//! so it runs the first arrival at once (with whatever arrived alongside
+//! it). A worker that finds requests already queued is behind, because they
+//! piled up while it ran its last batch, so it coalesces them under the
+//! [`ServeConfig::max_delay`] budget. The rule reads only the queue's state
+//! at that moment: no timer, no rate estimate, no tuned constant.
 //!
 //! The model is owned by the workers: each worker thread builds its own
 //! [`ModelRunner`] from the shared [`ServeModel`] at startup (mirroring the
@@ -215,9 +224,11 @@ pub struct ServeConfig {
     /// Largest number of queued requests coalesced into one model batch
     /// (default 8).
     pub max_batch: usize,
-    /// Latency budget of the batcher: once the first request of a batch has
-    /// been picked up, the batch is flushed after at most this long even if
-    /// it is not full (default 2 ms).
+    /// Latency budget of the batcher when a worker finds a backlog (requests
+    /// already queued when it asks for work): once the first request of the
+    /// batch has been picked up, the batch is flushed after at most this
+    /// long even if it is not full (default 2 ms). A worker that was idle
+    /// runs the first arrival at once and never waits out this budget.
     pub max_delay: Duration,
     /// Hard bound on the request queue (default 128). The queue can never
     /// hold more than this many requests.

@@ -1,13 +1,15 @@
 //! # snn-serve — dynamic-batching inference serving
 //!
 //! A transport-agnostic serving layer for the SNN accelerator engine:
-//! requests enter a bounded MPSC queue, dedicated worker threads coalesce
-//! them into dynamic batches (up to [`ServeConfig::max_batch`] requests, or
-//! whatever has arrived when the [`ServeConfig::max_delay`] latency budget
-//! expires — whichever comes first), and a one-shot response slot carries
-//! each result back to its submitter. Producers never block: once the queue
-//! depth reaches the high-water mark, submissions are shed immediately with
-//! the typed [`ServeError::Overloaded`] so callers can back off.
+//! requests enter a bounded MPSC queue, dedicated worker threads take them
+//! in dynamic batches, and a one-shot response slot carries each result
+//! back to its submitter. A worker that was idle runs the first arrival at
+//! once; a worker that finds a backlog coalesces it (up to
+//! [`ServeConfig::max_batch`] requests, or whatever has arrived when the
+//! [`ServeConfig::max_delay`] latency budget expires — whichever comes
+//! first). Producers never block: once the queue depth reaches the
+//! high-water mark, submissions are shed immediately with the typed
+//! [`ServeError::Overloaded`] so callers can back off.
 //!
 //! The crate is generic over the model via the [`ServeModel`] /
 //! [`ModelRunner`] trait pair — it depends only on `snn-core` and

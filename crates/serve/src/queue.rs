@@ -4,11 +4,15 @@
 //! [`BoundedQueue::try_push`] either enqueues or reports why it cannot
 //! (shedding threshold reached, or the queue is closed). Consumers (the
 //! batch workers) block on [`BoundedQueue::pop_batch`], which implements the
-//! dynamic-batching drain policy: wait for the first request, then keep
-//! coalescing until either `max_batch` requests are in hand or the
-//! `max_delay` latency budget (measured from the first pop) has elapsed —
-//! whichever comes first. After [`BoundedQueue::close`], producers are
-//! rejected but consumers keep draining until the queue is empty, so
+//! dynamic-batching drain policy from the queue's state when the consumer
+//! asks for work. A consumer that finds the queue empty is keeping up: it
+//! waits for the first request and returns it at once, with whatever
+//! arrived alongside it (up to `max_batch`). A consumer that finds requests
+//! already queued is behind, because they piled up while it ran its last
+//! batch: it keeps coalescing until either `max_batch` requests are in hand
+//! or the `max_delay` latency budget (measured from the first pop) has
+//! elapsed, whichever comes first. After [`BoundedQueue::close`], producers
+//! are rejected but consumers keep draining until the queue is empty, so
 //! in-flight requests always complete.
 
 use std::collections::VecDeque;
@@ -33,6 +37,9 @@ struct QueueState<T> {
     closed: bool,
     /// Largest depth ever observed (after a push).
     peak_depth: usize,
+    /// Consumers blocked in [`BoundedQueue::pop_batch`] on an empty queue,
+    /// waiting for their first request.
+    idle_consumers: usize,
 }
 
 /// A bounded multi-producer queue with batch-draining consumers.
@@ -52,6 +59,7 @@ impl<T> BoundedQueue<T> {
                 items: VecDeque::with_capacity(capacity.min(1024)),
                 closed: false,
                 peak_depth: 0,
+                idle_consumers: 0,
             }),
             not_empty: Condvar::new(),
             capacity,
@@ -80,26 +88,40 @@ impl<T> BoundedQueue<T> {
         Ok(depth)
     }
 
-    /// Drains the next coalesced batch into `out` (cleared first).
+    /// Drains the next batch into `out` (cleared first).
     ///
-    /// Blocks until at least one item is available, then keeps collecting
-    /// until `out.len() == max_batch` or `max_delay` has elapsed since the
-    /// first item was taken. Once the queue is closed, remaining items are
-    /// drained without waiting out the delay budget (no new arrivals can
-    /// come). Returns `false` — the consumer should exit — only when the
-    /// queue is closed *and* empty.
+    /// What happens depends on the queue's state at the call:
+    /// - **Empty (the consumer is idle):** blocks until at least one item
+    ///   arrives, then returns at once with the items present, up to
+    ///   `max_batch`. The consumer is keeping up with arrivals, so holding
+    ///   the first one open for stragglers would mostly add `max_delay` to
+    ///   its latency.
+    /// - **Non-empty (a backlog):** takes the queued items, then keeps
+    ///   collecting until `out.len() == max_batch` or `max_delay` has
+    ///   elapsed since the first item was taken.
+    ///
+    /// Once the queue is closed, remaining items are drained without
+    /// waiting out the delay budget (no new arrivals can come). Returns
+    /// `false` — the consumer should exit — only when the queue is closed
+    /// *and* empty.
     pub fn pop_batch(&self, out: &mut Vec<T>, max_batch: usize, max_delay: Duration) -> bool {
         out.clear();
         let max_batch = max_batch.max(1);
         let mut state = self.state.lock().expect("queue lock poisoned");
         // Phase 1: wait for the first request (or closure).
-        while state.items.is_empty() {
-            if state.closed {
+        let idle = state.items.is_empty();
+        if idle {
+            state.idle_consumers += 1;
+            while state.items.is_empty() && !state.closed {
+                state = self.not_empty.wait(state).expect("queue lock poisoned");
+            }
+            state.idle_consumers -= 1;
+            if state.items.is_empty() {
                 return false;
             }
-            state = self.not_empty.wait(state).expect("queue lock poisoned");
         }
-        // Phase 2: coalesce under the latency budget.
+        // Phase 2: an idle consumer returns what it finds; one that found a
+        // backlog coalesces under the latency budget.
         let deadline = Instant::now() + max_delay;
         loop {
             while out.len() < max_batch {
@@ -108,7 +130,7 @@ impl<T> BoundedQueue<T> {
                     None => break,
                 }
             }
-            if out.len() >= max_batch || state.closed {
+            if idle || out.len() >= max_batch || state.closed {
                 return true;
             }
             let now = Instant::now();
@@ -141,6 +163,16 @@ impl<T> BoundedQueue<T> {
     pub fn close(&self) {
         self.state.lock().expect("queue lock poisoned").closed = true;
         self.not_empty.notify_all();
+    }
+
+    /// Consumers currently blocked in [`BoundedQueue::pop_batch`] waiting
+    /// for their first request.
+    #[cfg(test)]
+    pub(crate) fn idle_consumers(&self) -> usize {
+        self.state
+            .lock()
+            .expect("queue lock poisoned")
+            .idle_consumers
     }
 
     /// Whether [`BoundedQueue::close`] has been called.
@@ -198,6 +230,8 @@ mod tests {
         assert_eq!(q.depth(), 0);
     }
 
+    /// The backlog branch: item 0 is queued before the pop, so the consumer
+    /// is behind and holds the batch open for stragglers.
     #[test]
     fn pop_batch_waits_out_the_delay_budget_for_stragglers() {
         let q = Arc::new(BoundedQueue::new(16));
@@ -219,15 +253,56 @@ mod tests {
         assert_eq!(out.len() + q.depth(), 2);
     }
 
+    /// The backlog branch: the item is queued before the pop, so the batch
+    /// stays open for the whole budget and is then flushed short.
     #[test]
     fn pop_batch_flushes_at_deadline_without_full_batch() {
         let q: BoundedQueue<u32> = BoundedQueue::new(4);
         q.try_push(7, 4).unwrap();
         let mut out = Vec::new();
+        let budget = Duration::from_millis(20);
         let start = Instant::now();
-        assert!(q.pop_batch(&mut out, 4, Duration::from_millis(20)));
+        assert!(q.pop_batch(&mut out, 4, budget));
+        let elapsed = start.elapsed();
         assert_eq!(out, vec![7]);
-        assert!(start.elapsed() < Duration::from_secs(2));
+        assert!(
+            elapsed >= budget,
+            "a backlog must be held open for the budget, returned after {elapsed:?}"
+        );
+        assert!(elapsed < Duration::from_secs(2));
+    }
+
+    /// The idle branch: a consumer parked on an empty queue returns the
+    /// first arrival at once instead of holding it for the budget.
+    #[test]
+    fn idle_consumer_returns_the_first_arrival_at_once() {
+        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
+        let budget = Duration::from_secs(5);
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let mut out = Vec::new();
+                assert!(q.pop_batch(&mut out, 4, budget));
+                out
+            })
+        };
+        // Push only once the consumer is parked on the empty queue, so the
+        // item is an arrival it was idle for, not a backlog it finds.
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while q.idle_consumers() == 0 {
+            assert!(Instant::now() < give_up, "the consumer never parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let pushed = Instant::now();
+        q.try_push(7, 4).unwrap();
+        let out = consumer.join().unwrap();
+        let waited = pushed.elapsed();
+        assert_eq!(out, vec![7]);
+        assert!(
+            waited < budget / 2,
+            "an idle consumer must not wait out the {budget:?} budget, took {waited:?}"
+        );
+        assert_eq!(q.idle_consumers(), 0);
     }
 
     #[test]

@@ -659,31 +659,36 @@ impl Session {
         }
         let shared = &self.shared;
         let chunk = images.len().div_ceil(workers);
+        let run_chunk = |w: usize, chunk_images: &[Tensor], state: &mut RunState| {
+            chunk_images
+                .iter()
+                .enumerate()
+                .map(|(j, image)| run_one(shared, state, image, seed_for(w * chunk + j)))
+                .collect::<Vec<_>>()
+        };
         // Contiguous chunks keep report order == image order; every worker
         // derives its seeds from the global image index, so partitioning
-        // never changes results.
+        // never changes results. The calling thread runs the first chunk
+        // itself instead of idling in `join`.
         let chunk_results: Vec<Vec<Result<RunReport, SnnError>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = images
+            let mut chunks = images
                 .chunks(chunk)
                 .zip(self.worker_states.iter_mut())
-                .enumerate()
+                .enumerate();
+            let (_, (first_images, first_state)) =
+                chunks.next().expect("a batch has a first chunk");
+            let handles: Vec<_> = chunks
                 .map(|(w, (chunk_images, state))| {
-                    scope.spawn(move || {
-                        chunk_images
-                            .iter()
-                            .enumerate()
-                            .map(|(j, image)| {
-                                let seed = seed_for(w * chunk + j);
-                                run_one(shared, state, image, seed)
-                            })
-                            .collect()
-                    })
+                    scope.spawn(move || run_chunk(w, chunk_images, state))
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("batch worker thread panicked"))
-                .collect()
+            let mut results = vec![run_chunk(0, first_images, first_state)];
+            results.extend(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("batch worker thread panicked")),
+            );
+            results
         });
 
         let mut reports = Vec::with_capacity(images.len());
