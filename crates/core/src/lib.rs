@@ -61,8 +61,7 @@ pub use tensor::Tensor;
 /// 1 — sequential execution — and an unparsable `SNN_THREADS` is ignored.
 ///
 /// This is the single resolution rule shared by the inference engine
-/// (`EngineBuilder::threads`) and the trainer's worker pool, so the two paths
-/// cannot drift.
+/// (`EngineBuilder::threads`) and the trainer, so the two cannot drift.
 pub fn resolve_threads(explicit: Option<usize>) -> usize {
     explicit
         .or_else(|| {
@@ -76,6 +75,65 @@ pub fn resolve_threads(explicit: Option<usize>) -> usize {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         })
+}
+
+/// Runs `f(i, state)` for every `i` in `0..n` and returns the results in
+/// index order: the one ordered fan-out behind batched inference, serving
+/// batches and the trainer's per-sample gradients.
+///
+/// Each entry of `states` is one worker's mutable scratch (at most `n` are
+/// used). The calling thread works with `states[0]` and one scoped thread
+/// per further state works with the rest; every worker claims the next
+/// unclaimed index from one shared counter, so a slow item never strands
+/// others behind a static partition. With one state every call runs on the
+/// calling thread, in index order, and no thread is spawned.
+///
+/// Which worker ran an index is scheduling only: when `f`'s result depends
+/// on `i` alone (per-index seeds, no state carried between calls), the
+/// output is bitwise identical at every state count.
+///
+/// # Panics
+///
+/// Panics if `states` is empty while `n > 0`. A panic inside `f` on a
+/// spawned worker is re-raised on the calling thread with its payload.
+pub fn fan_out<S: Send, R: Send>(
+    n: usize,
+    states: &mut [S],
+    f: impl Fn(usize, &mut S) -> R + Sync,
+) -> Vec<R> {
+    if n == 0 {
+        return Vec::new();
+    }
+    let workers = states.len().min(n);
+    let (first, rest) = states[..workers]
+        .split_first_mut()
+        .expect("fan_out needs at least one state");
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let work = |state: &mut S| {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, f(i, state)));
+        }
+    };
+    let work = &work;
+    let mut done = std::thread::scope(|scope| {
+        let handles: Vec<_> = rest
+            .iter_mut()
+            .map(|state| scope.spawn(move || work(state)))
+            .collect();
+        let mut done = work(first);
+        for handle in handles {
+            let part = handle.join();
+            done.extend(part.unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// splitmix64 finalizer — a strong 64-bit mix, the standard seeding
@@ -111,5 +169,38 @@ mod thread_tests {
         std::env::set_var("SNN_THREADS", "not-a-number");
         assert!(super::resolve_threads(None) >= 1, "unparsable env ignored");
         std::env::remove_var("SNN_THREADS");
+    }
+
+    /// Results come back in index order and every index runs exactly once,
+    /// whatever the number of items and of worker states.
+    #[test]
+    fn fan_out_returns_each_index_once_in_order() {
+        for n in [0, 1, 5, 17] {
+            for workers in [1, 2, 3, 8] {
+                let mut states: Vec<Vec<usize>> = vec![Vec::new(); workers];
+                let results = super::fan_out(n, &mut states, |i, seen| {
+                    seen.push(i);
+                    i * 10 + 1
+                });
+                let want: Vec<usize> = (0..n).map(|i| i * 10 + 1).collect();
+                assert_eq!(results, want, "n {n}, {workers} states");
+                let mut ran: Vec<usize> = states.concat();
+                ran.sort_unstable();
+                assert_eq!(ran, (0..n).collect::<Vec<_>>(), "n {n}, {workers} states");
+            }
+        }
+    }
+
+    /// With one state no thread is spawned: every call runs on the caller.
+    #[test]
+    fn fan_out_with_one_state_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let mut states = [0usize];
+        let threads = super::fan_out(5, &mut states, |_, calls| {
+            *calls += 1;
+            std::thread::current().id()
+        });
+        assert_eq!(threads, vec![caller; 5]);
+        assert_eq!(states, [5]);
     }
 }

@@ -1,30 +1,32 @@
-//! A thin blocking HTTP/1.1 shim over [`ServeCore`] or a multi-model
-//! [`ModelZoo`], built directly on `std::net::TcpListener` — no async
-//! runtime, per the repo's vendored-deps policy. One acceptor thread, one
-//! thread per connection (keep-alive supported); all batching,
-//! backpressure and statistics live in the transport-agnostic core.
+//! A thin blocking HTTP/1.1 shim over a [`ModelZoo`], built directly on
+//! `std::net::TcpListener` — no async runtime, per the repo's vendored-deps
+//! policy. One acceptor thread, one thread per connection (keep-alive
+//! supported); all batching, backpressure and statistics live in the
+//! transport-agnostic serving cores behind the zoo. A single-model server
+//! is a zoo of one, so every served model carries the zoo's drift tracker:
+//! `/healthz` answers 503 while a model's drift reads Degraded, even under
+//! [`DriftPolicy::Annotate`](crate::registry::DriftPolicy), where that
+//! model's requests are still served.
 //!
 //! # Routes
 //!
 //! | Route             | Body                                        | Status |
 //! |-------------------|---------------------------------------------|--------|
-//! | `GET /healthz` (alias `/v1/healthz`) | `ok`, or per-model health JSON (zoo) | 200, or 503 when any model is degraded/wedged |
+//! | `GET /healthz` (alias `/v1/healthz`) | per-model health JSON | 200, or 503 when any model is degraded/wedged |
 //! | `GET /v1/stats`   | [`ZooStats`] as JSON | 200 |
 //! | `POST /v1/infer`  | JSON request or binary frame (by `Content-Type`) | 200 |
 //!
 //! `POST /v1/infer` dispatches on `Content-Type`: `application/json` bodies
 //! go through the JSON codec, `application/octet-stream` bodies through the
 //! binary frame codec; the response mirrors the request format. A request
-//! carrying a model id is routed to that model ([`HttpServer::bind_zoo`]
-//! servers) or rejected with 404 (single-model servers, which serve only
-//! unnamed requests). Responses served by a drift-Degraded model under
+//! carrying a model id is routed to that model (an unknown id gets 404);
+//! an unnamed request goes to the zoo's default model. Responses served by
+//! a drift-Degraded model under
 //! [`DriftPolicy::Annotate`](crate::registry::DriftPolicy) carry the
 //! degraded marker (JSON `"degraded": true`, binary status
 //! [`STATUS_OK_DEGRADED`](crate::protocol::STATUS_OK_DEGRADED)).
 //!
-//! `GET /v1/stats` always returns the registry shape, one section per
-//! model keyed by name (single-model servers report one `"default"`
-//! entry):
+//! `GET /v1/stats` returns one section per model, keyed by name:
 //!
 //! ```json
 //! {
@@ -41,7 +43,9 @@
 //! }
 //! ```
 //!
-//! `GET /healthz` on a zoo server returns per-model health:
+//! `GET /healthz` returns per-model health; a healthy zoo of one model
+//! named `default` answers `{"status":"ok","models":{"default":{"health":"healthy"}}}`,
+//! and a drifted model reads:
 //!
 //! ```json
 //! {"status": "degraded",
@@ -77,10 +81,10 @@
 //! *before* any allocation. Writes carry [`HttpOptions::write_timeout`] so
 //! a peer that stops reading cannot pin a thread either.
 
-use crate::core::{ServeCore, ServeModel, ServedResponse};
+use crate::core::ServeModel;
 use crate::error::ServeError;
 use crate::protocol;
-use crate::registry::{ModelHealth, ModelStats, ModelZoo, ZooStats};
+use crate::registry::{ModelHealth, ModelZoo, ZooStats};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -147,143 +151,56 @@ impl std::fmt::Debug for HttpOptions {
     }
 }
 
-/// What the server fronts: one core, or a whole registry.
-enum Backend<M: ServeModel> {
-    Single(ServeCore<M>),
-    Zoo(ModelZoo<M>),
-}
-
-impl<M: ServeModel> Backend<M> {
-    /// Routes and serves one request, reporting whether the serving model
-    /// was drift-Degraded (always `false` for a single core, which has no
-    /// drift tracker). A single-model server refuses named requests: it
-    /// serves exactly one anonymous model.
-    fn infer_annotated(
-        &self,
-        request: crate::core::InferenceRequest,
-    ) -> Result<(ServedResponse, bool), ServeError> {
-        match self {
-            Backend::Single(core) => {
-                if let Some(model) = &request.model {
-                    return Err(ServeError::UnknownModel {
-                        model: model.clone(),
-                    });
-                }
-                Ok((core.infer(request)?, false))
+/// The `/healthz` status and JSON body: 200 only when every model is
+/// healthy, otherwise 503 with `"degraded"` or `"wedged"` as the status.
+fn health_response<M: ServeModel>(zoo: &ModelZoo<M>) -> (u16, Vec<u8>) {
+    let health = zoo.health_all();
+    let all_healthy = health.values().all(|h| *h == ModelHealth::Healthy);
+    let status_word = if all_healthy {
+        "ok"
+    } else if health.values().any(|h| *h == ModelHealth::Wedged) {
+        "wedged"
+    } else {
+        "degraded"
+    };
+    let models = health
+        .into_iter()
+        .map(|(name, h)| {
+            let mut fields = vec![(
+                "health".to_string(),
+                serde::Value::Str(h.as_str().to_string()),
+            )];
+            if let ModelHealth::Degraded { kl, layer } = h {
+                fields.push(("kl".to_string(), serde::Value::F64(kl)));
+                fields.push(("layer".to_string(), serde::Value::Str(layer)));
             }
-            Backend::Zoo(zoo) => zoo.infer_annotated(request),
-        }
-    }
-
-    /// The `/v1/stats` payload: always the registry shape, so clients see
-    /// one JSON schema regardless of backend. A single core reports one
-    /// `"default"` section with the drift fields idle.
-    fn stats(&self) -> ZooStats {
-        match self {
-            Backend::Single(core) => {
-                let health = if core.is_wedged() {
-                    ModelHealth::Wedged
-                } else {
-                    ModelHealth::Healthy
-                };
-                let mut models = std::collections::BTreeMap::new();
-                models.insert(
-                    "default".to_string(),
-                    ModelStats {
-                        version: "unversioned".to_string(),
-                        health: health.as_str().to_string(),
-                        drift_kl: 0.0,
-                        drift_layer: None,
-                        drift_calibrated: false,
-                        drift_observed: 0,
-                        swaps: 0,
-                        validation_failures: 0,
-                        rollbacks: 0,
-                        serve: core.stats(),
-                    },
-                );
-                ZooStats {
-                    default_model: Some("default".to_string()),
-                    models,
-                }
-            }
-            Backend::Zoo(zoo) => zoo.stats(),
-        }
-    }
-
-    /// The `/healthz` payload and status: 200 only when every model is
-    /// healthy. Single healthy cores keep the classic `ok` text body so
-    /// trivial probes keep working; everything else is JSON.
-    fn health_response(&self) -> (u16, &'static str, Vec<u8>) {
-        let health = match self {
-            Backend::Single(core) => {
-                if !core.is_wedged() {
-                    return (200, "text/plain", b"ok".to_vec());
-                }
-                let mut models = std::collections::BTreeMap::new();
-                models.insert("default".to_string(), ModelHealth::Wedged);
-                models
-            }
-            Backend::Zoo(zoo) => zoo.health_all(),
-        };
-        let all_healthy = health.values().all(|h| *h == ModelHealth::Healthy);
-        let status_word = if all_healthy {
-            "ok"
-        } else if health.values().any(|h| *h == ModelHealth::Wedged) {
-            "wedged"
-        } else {
-            "degraded"
-        };
-        let models = health
-            .into_iter()
-            .map(|(name, h)| {
-                let mut fields = vec![(
-                    "health".to_string(),
-                    serde::Value::Str(h.as_str().to_string()),
-                )];
-                if let ModelHealth::Degraded { kl, layer } = h {
-                    fields.push(("kl".to_string(), serde::Value::F64(kl)));
-                    fields.push(("layer".to_string(), serde::Value::Str(layer)));
-                }
-                (name, serde::Value::Obj(fields))
-            })
-            .collect();
-        let value = serde::Value::Obj(vec![
-            (
-                "status".to_string(),
-                serde::Value::Str(status_word.to_string()),
-            ),
-            ("models".to_string(), serde::Value::Obj(models)),
-        ]);
-        let body = serde_json::to_string(&value)
-            .unwrap_or_else(|_| "{\"status\":\"unknown\"}".to_string())
-            .into_bytes();
+            (name, serde::Value::Obj(fields))
+        })
+        .collect();
+    let value = serde::Value::Obj(vec![
         (
-            if all_healthy { 200 } else { 503 },
-            "application/json",
-            body,
-        )
-    }
-
-    fn shutdown(&self) {
-        match self {
-            Backend::Single(core) => core.shutdown(),
-            Backend::Zoo(zoo) => zoo.shutdown(),
-        }
-    }
+            "status".to_string(),
+            serde::Value::Str(status_word.to_string()),
+        ),
+        ("models".to_string(), serde::Value::Obj(models)),
+    ]);
+    let body = serde_json::to_string(&value)
+        .unwrap_or_else(|_| "{\"status\":\"unknown\"}".to_string())
+        .into_bytes();
+    (if all_healthy { 200 } else { 503 }, body)
 }
 
 struct HttpShared<M: ServeModel> {
-    backend: Backend<M>,
+    zoo: ModelZoo<M>,
     stop: AtomicBool,
     options: HttpOptions,
     /// Ordinal fed to the chaos hook, one per inference request served.
     chaos_requests: AtomicU64,
 }
 
-/// The blocking HTTP server. Owns the [`ServeCore`] it fronts; dropping the
-/// server (or calling [`HttpServer::shutdown`]) stops the acceptor, joins
-/// connection threads, and shuts the core down.
+/// The blocking HTTP server over a [`ModelZoo`]; dropping the server (or
+/// calling [`HttpServer::shutdown`]) stops the acceptor, joins connection
+/// threads, and shuts the zoo's cores down.
 pub struct HttpServer<M: ServeModel> {
     shared: Arc<HttpShared<M>>,
     local_addr: SocketAddr,
@@ -293,13 +210,21 @@ pub struct HttpServer<M: ServeModel> {
 
 impl<M: ServeModel> HttpServer<M> {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and starts
-    /// accepting connections on a dedicated thread.
+    /// accepting connections on a dedicated thread. Requests are routed by
+    /// their model id (absent → the zoo's default model), `/v1/stats`
+    /// reports one section per model, and `/healthz` reports per-model
+    /// health. Keep a [`ModelZoo`] clone to drive swaps and rollbacks while
+    /// the server runs.
+    ///
+    /// Every model, a zoo of one included, carries the zoo's drift tracker,
+    /// and `/healthz` answers 503 while any model reads Degraded or Wedged,
+    /// even when its requests are still served.
     ///
     /// # Errors
     ///
     /// [`ServeError::Io`] if the address cannot be bound.
-    pub fn bind(core: ServeCore<M>, addr: impl ToSocketAddrs) -> Result<Self, ServeError> {
-        Self::bind_with_options(core, addr, HttpOptions::default())
+    pub fn bind(zoo: ModelZoo<M>, addr: impl ToSocketAddrs) -> Result<Self, ServeError> {
+        Self::bind_with_options(zoo, addr, HttpOptions::default())
     }
 
     /// Like [`HttpServer::bind`] with explicit transport limits, timeouts
@@ -309,49 +234,14 @@ impl<M: ServeModel> HttpServer<M> {
     ///
     /// [`ServeError::Io`] if the address cannot be bound.
     pub fn bind_with_options(
-        core: ServeCore<M>,
-        addr: impl ToSocketAddrs,
-        options: HttpOptions,
-    ) -> Result<Self, ServeError> {
-        Self::bind_backend(Backend::Single(core), addr, options)
-    }
-
-    /// Binds a multi-model [`ModelZoo`]: requests are routed by their
-    /// model id (absent → the zoo's default model), `/v1/stats` reports
-    /// one section per model, and `/healthz` reports per-model health.
-    /// Keep a [`ModelZoo`] clone to drive swaps and rollbacks while the
-    /// server runs.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] if the address cannot be bound.
-    pub fn bind_zoo(zoo: ModelZoo<M>, addr: impl ToSocketAddrs) -> Result<Self, ServeError> {
-        Self::bind_zoo_with_options(zoo, addr, HttpOptions::default())
-    }
-
-    /// Like [`HttpServer::bind_zoo`] with explicit transport limits,
-    /// timeouts and chaos hooks.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] if the address cannot be bound.
-    pub fn bind_zoo_with_options(
         zoo: ModelZoo<M>,
-        addr: impl ToSocketAddrs,
-        options: HttpOptions,
-    ) -> Result<Self, ServeError> {
-        Self::bind_backend(Backend::Zoo(zoo), addr, options)
-    }
-
-    fn bind_backend(
-        backend: Backend<M>,
         addr: impl ToSocketAddrs,
         options: HttpOptions,
     ) -> Result<Self, ServeError> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(HttpShared {
-            backend,
+            zoo,
             stop: AtomicBool::new(false),
             options,
             chaos_requests: AtomicU64::new(0),
@@ -378,14 +268,13 @@ impl<M: ServeModel> HttpServer<M> {
         self.local_addr
     }
 
-    /// Snapshot of the serving statistics, in the per-model registry
-    /// shape (single-core servers report one `"default"` section).
+    /// Snapshot of the serving statistics, one section per model.
     pub fn stats(&self) -> ZooStats {
-        self.shared.backend.stats()
+        self.shared.zoo.stats()
     }
 
     /// Stops accepting, joins the acceptor and all connection threads, and
-    /// shuts down the serving core (draining in-flight requests).
+    /// shuts down the zoo's serving cores (draining in-flight requests).
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
@@ -403,7 +292,7 @@ impl<M: ServeModel> HttpServer<M> {
         for handle in handles {
             let _ = handle.join();
         }
-        self.shared.backend.shutdown();
+        self.shared.zoo.shutdown();
     }
 }
 
@@ -692,11 +581,18 @@ fn serve_connection<M: ServeModel>(
         let keep_alive = request.keep_alive && !shared.stop.load(Ordering::SeqCst);
         match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/healthz" | "/v1/healthz") => {
-                let (status, content_type, body) = shared.backend.health_response();
-                write_response(&mut stream, status, content_type, &body, keep_alive, None)?;
+                let (status, body) = health_response(&shared.zoo);
+                write_response(
+                    &mut stream,
+                    status,
+                    "application/json",
+                    &body,
+                    keep_alive,
+                    None,
+                )?;
             }
             ("GET", "/v1/stats") => {
-                let body = serde_json::to_string(&shared.backend.stats())
+                let body = serde_json::to_string(&shared.zoo.stats())
                     .unwrap_or_else(|_| "{}".to_string())
                     .into_bytes();
                 write_response(
@@ -723,12 +619,11 @@ fn serve_connection<M: ServeModel>(
                 } else {
                     protocol::decode_json_request(&request.body)
                 }
-                .and_then(|req| shared.backend.infer_annotated(req));
+                .and_then(|req| shared.zoo.infer_annotated(req));
                 match outcome {
                     Ok((response, degraded)) => {
                         if binary {
-                            let body =
-                                protocol::encode_frame_response_with_health(&response, degraded);
+                            let body = protocol::encode_frame_response(&response, degraded);
                             write_response(
                                 &mut stream,
                                 200,
@@ -738,8 +633,7 @@ fn serve_connection<M: ServeModel>(
                                 None,
                             )?;
                         } else {
-                            let body =
-                                protocol::encode_json_response_with_health(&response, degraded)?;
+                            let body = protocol::encode_json_response(&response, degraded)?;
                             write_response(
                                 &mut stream,
                                 200,

@@ -53,7 +53,7 @@
 //! - [`HttpServer`] — a thin blocking HTTP/1.1 shim on `std::net` exposing
 //!   `POST /v1/infer`, `GET /v1/stats` and `GET /healthz`, hardened via
 //!   [`HttpOptions`] (read/write timeouts, head/body caps); fronts a
-//!   single core or a whole [`ModelZoo`].
+//!   [`ModelZoo`] (a single model is a zoo of one).
 //! - [`fault`] / [`retry`] — deterministic fault injection and client
 //!   retry/backoff.
 //!

@@ -171,8 +171,7 @@ pub struct JsonResponse {
     pub batch_size: usize,
     /// Whether the serving model's drift tracker flagged it Degraded at
     /// response time (the registry's *annotate* policy; always `false` from
-    /// a healthy model or a single-model server). Always present on the
-    /// wire.
+    /// a healthy model). Always present on the wire.
     pub degraded: bool,
 }
 
@@ -268,23 +267,14 @@ pub fn encode_json_request(request: &InferenceRequest) -> Result<Vec<u8>, ServeE
         .map_err(|e| ServeError::protocol(e.to_string()))
 }
 
-/// Encodes a served response as a JSON body (healthy: `degraded = false`).
-///
-/// # Errors
-///
-/// [`ServeError::Protocol`] if a logit or estimate is non-finite.
-pub fn encode_json_response(response: &ServedResponse) -> Result<Vec<u8>, ServeError> {
-    encode_json_response_with_health(response, false)
-}
-
 /// Encodes a served response as a JSON body, carrying the serving model's
 /// drift annotation in the `degraded` field (the registry's *annotate*
-/// policy).
+/// policy; `false` for a healthy model).
 ///
 /// # Errors
 ///
 /// [`ServeError::Protocol`] if a logit or estimate is non-finite.
-pub fn encode_json_response_with_health(
+pub fn encode_json_response(
     response: &ServedResponse,
     degraded: bool,
 ) -> Result<Vec<u8>, ServeError> {
@@ -511,16 +501,11 @@ pub struct FrameResponse {
     pub batch_size: u32,
 }
 
-/// Encodes a served response as a binary frame (status 0).
-pub fn encode_frame_response(response: &ServedResponse) -> Vec<u8> {
-    encode_frame_response_with_health(response, false)
-}
-
 /// Encodes a served response as a binary frame, with the status byte
 /// carrying the serving model's drift annotation: 0 healthy,
 /// [`STATUS_OK_DEGRADED`] when the model is flagged Degraded under the
 /// *annotate* policy.
-pub fn encode_frame_response_with_health(response: &ServedResponse, degraded: bool) -> Vec<u8> {
+pub fn encode_frame_response(response: &ServedResponse, degraded: bool) -> Vec<u8> {
     let logits = &response.result.logits;
     let hw = response.result.hardware.as_ref();
     let payload_len =

@@ -201,7 +201,7 @@ proptest! {
         batch_size in 1_usize..64,
     ) {
         let response = sample_response(logits, queued_us, batch_size);
-        let encoded = encode_frame_response(&response);
+        let encoded = encode_frame_response(&response, false);
         let decoded = decode_frame_response(&encoded).expect("legal response decodes");
         prop_assert_eq!(decoded.status, 0);
         prop_assert_eq!(&decoded.logits, &response.result.logits);
@@ -360,7 +360,7 @@ fn json_seed_is_optional_and_errors_report_offsets() {
 #[test]
 fn json_response_carries_serving_metadata() {
     let response = sample_response(vec![3.0, 1.0, 2.0], 42, 5);
-    let body = encode_json_response(&response).expect("encodes");
+    let body = encode_json_response(&response, false).expect("encodes");
     let text = String::from_utf8(body).expect("utf8");
     assert!(text.contains("\"prediction\":0"), "got: {text}");
     assert!(text.contains("\"queued_us\":42"), "got: {text}");

@@ -24,11 +24,10 @@
 //! is rebuilt by gather from the stored planes' mask words when the frame is
 //! sparse (dispatching by the same crossover the forward uses), the pool
 //! backward takes each window's argmax from a word scan, a replayed
-//! direct-coded input is lowered once per sample under the
-//! [`BpttConfig::cache_lowerings`] budget, the first layer's never-consumed
-//! input gradient is skipped, and every intermediate lives in a long-lived
-//! [`BpttScratch`] — after warmup the backward's time loop performs zero
-//! heap allocations.
+//! direct-coded input is lowered once per sample (within a fixed 8 MiB
+//! budget), the first layer's never-consumed input gradient is skipped, and
+//! every intermediate lives in a long-lived [`BpttScratch`] — after warmup
+//! the backward's time loop performs zero heap allocations.
 //!
 //! Losses, logits and gradients of the event-driven sweep are **bitwise
 //! identical** to the dense sweep, which is retained as
@@ -250,30 +249,16 @@ impl EffectiveLayers {
     }
 }
 
-/// Memory/compute knobs of the BPTT backward pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BpttConfig {
-    /// Byte budget for caching the im2col lowering of a **replayed** input
-    /// (direct coding presents the identical frame at every timestep) across
-    /// the backward's time loop, instead of re-lowering the same frame `T`
-    /// times. The budget covers the cache's full footprint — the staging
-    /// columns plus the pre-transposed copy, i.e. twice the lowering's size.
-    /// A lowering that does not fit falls back to per-timestep rebuilding;
-    /// `0` disables the cache. Gradients are bitwise identical either way —
-    /// the cache only skips recomputing an identical matrix.
-    pub cache_lowerings: usize,
-}
-
-impl Default for BpttConfig {
-    fn default() -> Self {
-        BpttConfig {
-            // Generous for every model in this workspace: the largest
-            // replayed lowering (paper-scale CONV1_1, 27 × 1024 f32) is
-            // ~108 KiB.
-            cache_lowerings: 8 * 1024 * 1024,
-        }
-    }
-}
+/// Byte budget for caching the im2col lowering of a **replayed** input
+/// (direct coding presents the identical frame at every timestep) across the
+/// backward's time loop, instead of re-lowering the same frame `T` times.
+/// The budget covers the cache's full footprint — the staging columns plus
+/// the pre-transposed copy, i.e. twice the lowering's size; a lowering that
+/// does not fit is rebuilt per timestep. Generous for every model in this
+/// workspace: the largest replayed lowering (paper-scale CONV1_1,
+/// 27 × 1024 f32) is ~108 KiB. Gradients are bitwise identical either way —
+/// the cache only skips recomputing an identical matrix.
+const REPLAY_CACHE_BYTES: usize = 8 * 1024 * 1024;
 
 /// Surrogate-gradient BPTT engine.
 #[derive(Debug, Clone, Copy)]
@@ -282,55 +267,14 @@ pub struct Bptt {
     pub surrogate: SurrogateKind,
     /// Weight precision for QAT (`Fp32` disables fake-quantization).
     pub precision: Precision,
-    /// Backward-pass memory/compute configuration.
-    pub config: BpttConfig,
 }
 
 impl Bptt {
-    /// Creates a BPTT engine with the default [`BpttConfig`].
+    /// Creates a BPTT engine.
     pub fn new(surrogate: SurrogateKind, precision: Precision) -> Self {
         Bptt {
             surrogate,
             precision,
-            config: BpttConfig::default(),
-        }
-    }
-
-    /// Creates a BPTT engine with an explicit [`BpttConfig`].
-    ///
-    /// # Example
-    ///
-    /// One forward/backward pass with the replayed-lowering cache disabled —
-    /// gradients are bitwise identical either way; the budget only controls
-    /// whether an identical matrix is recomputed per timestep:
-    ///
-    /// ```
-    /// use snn_core::encoding::Encoder;
-    /// use snn_core::network::{vgg9, Vgg9Config};
-    /// use snn_core::quant::Precision;
-    /// use snn_core::tensor::Tensor;
-    /// use snn_train::bptt::{Bptt, BpttConfig};
-    /// use snn_train::surrogate::SurrogateKind;
-    ///
-    /// # fn main() -> Result<(), snn_core::SnnError> {
-    /// let net = vgg9(&Vgg9Config::cifar10_small())?;
-    /// let bptt = Bptt::with_config(
-    ///     SurrogateKind::paper_default(),
-    ///     Precision::Int4, // QAT: fake-quantized forward, fp32 master weights
-    ///     BpttConfig { cache_lowerings: 0 },
-    /// );
-    /// let image = Tensor::from_fn(&[3, 16, 16], |i| ((i as f32) * 0.02).sin().abs());
-    /// let result = bptt.sample_gradients(&net, &image, 3, &Encoder::direct(2), 0)?;
-    /// assert!(result.loss.is_finite());
-    /// assert!(result.gradients.global_norm() > 0.0);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn with_config(surrogate: SurrogateKind, precision: Precision, config: BpttConfig) -> Self {
-        Bptt {
-            surrogate,
-            precision,
-            config,
         }
     }
 
@@ -790,7 +734,7 @@ impl Bptt {
     /// allocations. Two further event/structure exploits: the first layer's
     /// input gradient (which has no consumer) is never computed, and a
     /// replayed direct-coded input is lowered once and its columns reused
-    /// across all timesteps under the [`BpttConfig::cache_lowerings`] budget.
+    /// across all timesteps within the `REPLAY_CACHE_BYTES` budget.
     /// Gradients are **bitwise identical** to [`Bptt::backward`] on the same
     /// forward pass.
     fn backward_scratch(
@@ -891,7 +835,7 @@ impl Bptt {
                     let replayed = forward.replay_first
                         && li == 0
                         && timesteps > 1
-                        && 2 * lowering_bytes <= self.config.cache_lowerings;
+                        && 2 * lowering_bytes <= REPLAY_CACHE_BYTES;
                     if replayed {
                         replay_lowering.prepare(conv, &caches[li].inputs[0])?;
                     }
@@ -1186,29 +1130,6 @@ mod tests {
                 .unwrap();
             assert_results_bitwise_eq(&reused, &fresh, &format!("{encoder:?}/{label}"));
         }
-    }
-
-    /// Disabling the replayed-lowering cache must not change a single bit —
-    /// the cache only skips recomputing an identical matrix.
-    #[test]
-    fn lowering_cache_budget_does_not_change_gradients() {
-        let net = small_net();
-        let image = sample_image();
-        let encoder = Encoder::direct(3);
-        let cached = Bptt::new(SurrogateKind::paper_default(), Precision::Fp32);
-        assert!(cached.config.cache_lowerings > 0);
-        let uncached = Bptt::with_config(
-            SurrogateKind::paper_default(),
-            Precision::Fp32,
-            BpttConfig { cache_lowerings: 0 },
-        );
-        let a = cached
-            .sample_gradients(&net, &image, 4, &encoder, 1)
-            .unwrap();
-        let b = uncached
-            .sample_gradients(&net, &image, 4, &encoder, 1)
-            .unwrap();
-        assert_results_bitwise_eq(&a, &b, "cache on/off");
     }
 
     /// The split forward/backward entry points compose to exactly the fused

@@ -26,7 +26,8 @@
 //!   long-lived [`bptt::BpttScratch`] (zero heap allocations per timestep
 //!   once warm), and per-batch preparation of the QAT weight copies and
 //!   transposed filter banks,
-//! * [`trainer`] — the epoch/batch loop over a persistent worker pool
+//! * [`trainer`] — the epoch/batch loop, each batch fanned out per sample
+//!   through [`snn_core::fan_out`] over persistent per-worker scratch
 //!   (bitwise identical at every thread count), QAT hook, per-sample worker
 //!   supervision with poisoned-data quarantine, graceful interruption
 //!   ([`StopHandle`]) and evaluation helpers,
@@ -51,7 +52,7 @@ pub mod schedule;
 pub mod surrogate;
 pub mod trainer;
 
-pub use bptt::{Bptt, BpttConfig, BpttScratch, NetworkGradients};
+pub use bptt::{Bptt, BpttScratch, NetworkGradients};
 pub use checkpoint::{DataFingerprint, LayerWeights, TrainCheckpoint, TrainCursor};
 pub use error::TrainError;
 pub use fault::{FaultReason, SampleFault, TrainFault, TrainFaultPlan};

@@ -46,19 +46,8 @@ use snn_core::stats::AggregateSpikeStats;
 use snn_core::tensor::Tensor;
 use snn_data::{Dataset, Sample, Split};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Number of samples a worker claims per grab from the shared batch queue: a
-/// couple at a time amortizes the atomic while keeping the tail balanced.
-/// Chunking is pure scheduling — results land in per-sample slots and are
-/// folded in sample order, so the batch gradient is bitwise identical at any
-/// thread count (and to the sequential path).
-const TRAIN_CHUNK: usize = 2;
-
-/// One supervised sample's outcome: outer `Err` is a hard engine error that
-/// aborts the run, the inner `Err(FaultReason)` a quarantinable fault.
-type SampleOutcome = Result<Result<SampleResult, FaultReason>, SnnError>;
 
 /// Hyper-parameters of a training run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -347,20 +336,20 @@ impl Optimizer for AnyOptimizer {
 /// optimizer (+ optional QAT), per-sample worker supervision and resumable
 /// checkpoints.
 ///
-/// Per-sample gradient computation fans out over a chunked worker pool
-/// ([`std::thread::scope`] workers pulling sample chunks from a shared
-/// counter, mirroring `Session::run_batch`), so per-batch overhead is
-/// O(threads) thread spawns instead of the former one-spawn-per-sample.
-/// Each worker slot owns a **persistent** [`BpttScratch`] that lives in the
-/// trainer across batches and epochs, so the backward pass stops allocating
-/// once the first batch has warmed the buffers.
+/// Per-sample gradient computation fans out over the batch through
+/// [`snn_core::fan_out`], the ordered fan-out `Session::run_batch` also
+/// uses: the calling thread and `threads − 1` scoped workers each claim the
+/// next sample from a shared counter. Each worker slot owns a
+/// **persistent** [`BpttScratch`] that lives in the trainer across batches
+/// and epochs, so the backward pass stops allocating once the first batch
+/// has warmed the buffers.
 #[derive(Debug)]
 pub struct Trainer {
     config: TrainConfig,
     bptt: Bptt,
     optimizer: AnyOptimizer,
-    /// One long-lived backward scratch per worker slot, index-aligned with
-    /// the spawned workers (slot 0 doubles as the sequential-path scratch).
+    /// One long-lived backward scratch per worker slot; slot 0 belongs to
+    /// the calling thread.
     scratches: Vec<BpttScratch>,
     /// Deterministic fault injection for chaos tests (off by default).
     fault_plan: Option<TrainFaultPlan>,
@@ -705,20 +694,19 @@ impl Trainer {
     }
 
     /// Computes supervised per-sample outcomes for one batch over the
-    /// persistent chunked worker pool. The fake-quantized working copies of
+    /// persistent per-worker scratches. The fake-quantized working copies of
     /// the weight layers are built once per batch ([`Bptt::prepare`]) and
     /// shared by every sample and worker thread — weights only change at the
     /// optimizer step between batches, so per-sample re-quantization would
     /// be pure overhead.
     ///
-    /// Determinism: workers pull contiguous [`TRAIN_CHUNK`]-sized index
-    /// chunks from an atomic counter and deposit each outcome in its
-    /// sample's slot, and the caller folds the slots in sample order —
-    /// which worker computed which sample can never affect a bit of the
-    /// batch gradient. Workers do **not** fold gradients into per-worker
-    /// accumulators: a race-dependent (or thread-count-dependent) merge
-    /// order would reassociate the f32 sums and break the bitwise
-    /// thread-count-invariance guarantee of `fit`.
+    /// Determinism: [`snn_core::fan_out`] returns the outcomes in sample
+    /// order and each sample's seed is `base + i`, so the caller folds them
+    /// in sample order and which worker computed which sample can never
+    /// affect a bit of the batch gradient. Workers do **not** fold gradients
+    /// into per-worker accumulators: a race-dependent (or
+    /// thread-count-dependent) merge order would reassociate the f32 sums
+    /// and break the bitwise thread-count-invariance guarantee of `fit`.
     ///
     /// Supervision: each sample runs under `catch_unwind` after input
     /// validation; a panic or invalid sample becomes an `Err(FaultReason)`
@@ -742,85 +730,28 @@ impl Trainer {
         let plan = self.fault_plan;
         let quarantine = self.config.quarantine;
         let effective = bptt.prepare(network)?;
-        let workers = self.config.threads.max(1).min(batch.len());
-        while self.scratches.len() < workers.max(1) {
+        let workers = self.config.threads.min(batch.len());
+        while self.scratches.len() < workers {
             self.scratches.push(BpttScratch::new());
         }
-        if workers <= 1 {
-            let scratch = &mut self.scratches[0];
-            return batch
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    supervised_sample(
-                        &bptt,
-                        network,
-                        &effective,
-                        s,
-                        &encoder,
-                        base_seed + i as u64,
-                        scratch,
-                        plan,
-                        epoch as usize,
-                        batch_start + i,
-                        num_classes,
-                        quarantine,
-                    )
-                })
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<SampleOutcome>> = (0..batch.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self.scratches[..workers]
-                .iter_mut()
-                .map(|scratch| {
-                    let next = &next;
-                    let effective = &effective;
-                    let bptt = &bptt;
-                    scope.spawn(move || {
-                        let mut done: Vec<(usize, SampleOutcome)> = Vec::new();
-                        loop {
-                            let start = next.fetch_add(TRAIN_CHUNK, Ordering::Relaxed);
-                            if start >= batch.len() {
-                                break;
-                            }
-                            let end = (start + TRAIN_CHUNK).min(batch.len());
-                            for (offset, s) in batch[start..end].iter().enumerate() {
-                                let i = start + offset;
-                                done.push((
-                                    i,
-                                    supervised_sample(
-                                        bptt,
-                                        network,
-                                        effective,
-                                        s,
-                                        &encoder,
-                                        base_seed + i as u64,
-                                        scratch,
-                                        plan,
-                                        epoch as usize,
-                                        batch_start + i,
-                                        num_classes,
-                                        quarantine,
-                                    ),
-                                ));
-                            }
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, result) in handle.join().expect("trainer worker panicked") {
-                    slots[i] = Some(result);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every sample is claimed by exactly one chunk"))
-            .collect()
+        snn_core::fan_out(batch.len(), &mut self.scratches, |i, scratch| {
+            supervised_sample(
+                &bptt,
+                network,
+                &effective,
+                &batch[i],
+                &encoder,
+                base_seed + i as u64,
+                scratch,
+                plan,
+                epoch as usize,
+                batch_start + i,
+                num_classes,
+                quarantine,
+            )
+        })
+        .into_iter()
+        .collect()
     }
 }
 

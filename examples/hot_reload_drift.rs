@@ -93,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     Checkpoint::new(cifar.network().clone()).save(&ckpt)?;
     zoo.record_golden("cifar")?;
 
-    let server = HttpServer::bind_zoo(zoo.clone(), "127.0.0.1:0")?;
+    let server = HttpServer::bind(zoo.clone(), "127.0.0.1:0")?;
     let addr = server.local_addr();
     println!("zoo serving at http://{addr}");
     println!("  curl http://{addr}/healthz");

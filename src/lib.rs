@@ -79,17 +79,6 @@ struct EngineShared {
     threads: usize,
 }
 
-/// Resolves the worker-thread count for batched inference: an explicit
-/// builder setting wins, then the `SNN_THREADS` environment variable, then
-/// the machine's available parallelism — the [`snn_core::resolve_threads`]
-/// rule shared with the trainer's worker pool, so the two paths cannot
-/// drift. Values below 1 (builder or env) clamp to 1 — sequential execution
-/// — matching [`EngineBuilder::threads`]'s documented behavior; an
-/// unparsable `SNN_THREADS` is ignored.
-fn resolve_threads(builder_threads: Option<usize>) -> usize {
-    snn_core::resolve_threads(builder_threads)
-}
-
 /// Fused result of one inference: classification output, per-layer spike
 /// traces, and the accelerator's performance estimate — everything the old
 /// API needed a manual `run` → `estimate` two-step for.
@@ -352,16 +341,15 @@ impl EngineBuilder {
                 encoder: self.encoder,
                 plan,
                 precision: self.precision,
-                threads: resolve_threads(self.threads),
+                threads: snn_core::resolve_threads(self.threads),
             }),
         })
     }
 }
 
 /// One fused inference: network forward (event-driven where the input is
-/// sparse enough) plus the hardware estimate. Shared by the sequential and
-/// parallel batch paths — each caller brings its own `RunState`, which is all
-/// the mutable state an inference needs.
+/// sparse enough) plus the hardware estimate. Each caller brings its own
+/// `RunState`, which is all the mutable state an inference needs.
 fn run_one(
     shared: &EngineShared,
     state: &mut RunState,
@@ -435,12 +423,9 @@ impl Engine {
     /// Creates a session: the per-thread handle that actually runs
     /// inferences, with preallocated membrane/spike/im2col scratch buffers.
     pub fn session(&self) -> Session {
-        let state = RunState::new(&self.shared.network)
-            .expect("engine network geometry was validated at build time");
         Session {
             shared: Arc::clone(&self.shared),
-            state,
-            worker_states: Vec::new(),
+            states: vec![new_state(&self.shared)],
         }
     }
 
@@ -536,6 +521,11 @@ impl Engine {
     }
 }
 
+/// A fresh run state for the engine's network.
+fn new_state(shared: &EngineShared) -> RunState {
+    RunState::new(&shared.network).expect("engine network geometry was validated at build time")
+}
+
 /// Per-thread inference handle vended by [`Engine::session`].
 ///
 /// Owns the mutable run state — LIF membrane potentials, firing history,
@@ -543,17 +533,17 @@ impl Engine {
 /// scratch — which is reset (not reallocated) between runs, so batched
 /// inference pays no per-image allocation cost for them. When the engine's
 /// thread count is above one, [`Session::run_batch`] fans images out over
-/// scoped worker threads, each with its own lazily created (then cached)
-/// `RunState`. Every run's hardware estimate reuses the engine's memoized
-/// [`EstimatePlan`] (area/power models plus the per-layer cycle models), so
-/// a batch only re-folds per-trace spike counts.
+/// worker threads through [`snn_core::fan_out`], one lazily created (then
+/// cached) `RunState` per worker. Every run's hardware estimate reuses the
+/// engine's memoized [`EstimatePlan`] (area/power models plus the per-layer
+/// cycle models), so a batch only re-folds per-trace spike counts.
 #[derive(Debug)]
 pub struct Session {
     shared: Arc<EngineShared>,
-    state: RunState,
-    /// Per-worker run states for parallel batches, created on first use and
-    /// reused by subsequent `run_batch` calls.
-    worker_states: Vec<RunState>,
+    /// One run state per batch worker, created on first use and reused by
+    /// later calls; `states[0]` belongs to the calling thread and also
+    /// serves [`Session::run_seeded`].
+    states: Vec<RunState>,
 }
 
 impl Session {
@@ -574,7 +564,7 @@ impl Session {
     ///
     /// Same as [`Session::run`].
     pub fn run_seeded(&mut self, image: &Tensor, seed: u64) -> Result<RunReport, SnnError> {
-        run_one(&self.shared, &mut self.state, image, seed)
+        run_one(&self.shared, &mut self.states[0], image, seed)
     }
 
     /// Runs a batch of images through the session and returns per-image
@@ -608,7 +598,7 @@ impl Session {
         images: &[Tensor],
         base_seed: u64,
     ) -> Result<BatchReport, SnnError> {
-        self.run_batch_inner(images, &|i| base_seed + i as u64)
+        Self::aggregate(self.run_each(images, |i| base_seed + i as u64))
     }
 
     /// Like [`Session::run_batch`] but image `i` uses the explicit
@@ -632,86 +622,44 @@ impl Session {
                 format!("{} seeds provided for {} images", seeds.len(), images.len()),
             ));
         }
-        self.run_batch_inner(images, &|i| seeds[i])
+        Self::aggregate(self.run_each(images, |i| seeds[i]))
     }
 
-    /// Shared batch driver: `seed_for(i)` supplies image `i`'s encoder seed,
-    /// always indexed by the *global* image position so partitioning across
-    /// workers never changes results.
-    fn run_batch_inner(
+    /// Runs every image once over the engine's workers and returns each
+    /// image's own result, in image order. `seed_for(i)` supplies image
+    /// `i`'s encoder seed by its position in the batch, so which worker ran
+    /// it never changes a bit.
+    fn run_each(
         &mut self,
         images: &[Tensor],
-        seed_for: &(dyn Fn(usize) -> u64 + Sync),
-    ) -> Result<BatchReport, SnnError> {
-        let workers = self.shared.threads.min(images.len()).max(1);
-        if workers <= 1 {
-            let mut reports = Vec::with_capacity(images.len());
-            for (i, image) in images.iter().enumerate() {
-                reports.push(self.run_seeded(image, seed_for(i))?);
-            }
-            return Ok(Self::aggregate(reports));
-        }
-
-        // One cached RunState per worker; grown on first use.
-        while self.worker_states.len() < workers {
-            self.worker_states
-                .push(RunState::new(&self.shared.network)?);
+        seed_for: impl Fn(usize) -> u64 + Sync,
+    ) -> Vec<Result<RunReport, SnnError>> {
+        let workers = self.shared.threads.min(images.len());
+        while self.states.len() < workers {
+            self.states.push(new_state(&self.shared));
         }
         let shared = &self.shared;
-        let chunk = images.len().div_ceil(workers);
-        let run_chunk = |w: usize, chunk_images: &[Tensor], state: &mut RunState| {
-            chunk_images
-                .iter()
-                .enumerate()
-                .map(|(j, image)| run_one(shared, state, image, seed_for(w * chunk + j)))
-                .collect::<Vec<_>>()
-        };
-        // Contiguous chunks keep report order == image order; every worker
-        // derives its seeds from the global image index, so partitioning
-        // never changes results. The calling thread runs the first chunk
-        // itself instead of idling in `join`.
-        let chunk_results: Vec<Vec<Result<RunReport, SnnError>>> = std::thread::scope(|scope| {
-            let mut chunks = images
-                .chunks(chunk)
-                .zip(self.worker_states.iter_mut())
-                .enumerate();
-            let (_, (first_images, first_state)) =
-                chunks.next().expect("a batch has a first chunk");
-            let handles: Vec<_> = chunks
-                .map(|(w, (chunk_images, state))| {
-                    scope.spawn(move || run_chunk(w, chunk_images, state))
-                })
-                .collect();
-            let mut results = vec![run_chunk(0, first_images, first_state)];
-            results.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("batch worker thread panicked")),
-            );
-            results
-        });
-
-        let mut reports = Vec::with_capacity(images.len());
-        for result in chunk_results.into_iter().flatten() {
-            reports.push(result?);
-        }
-        Ok(Self::aggregate(reports))
+        snn_core::fan_out(images.len(), &mut self.states, |i, state| {
+            run_one(shared, state, &images[i], seed_for(i))
+        })
     }
 
     /// Sums the per-image hardware aggregates in image order (matching the
-    /// sequential accumulation order bitwise).
-    fn aggregate(reports: Vec<RunReport>) -> BatchReport {
+    /// sequential accumulation order bitwise); the first failing image's
+    /// error wins.
+    fn aggregate(results: Vec<Result<RunReport, SnnError>>) -> Result<BatchReport, SnnError> {
+        let reports = results.into_iter().collect::<Result<Vec<_>, _>>()?;
         let mut total_latency_ms = 0.0;
         let mut total_energy_mj = 0.0;
         for report in &reports {
             total_latency_ms += report.hardware.latency_ms;
             total_energy_mj += report.hardware.total_energy_mj;
         }
-        BatchReport {
+        Ok(BatchReport {
             reports,
             total_latency_ms,
             total_energy_mj,
-        }
+        })
     }
 
     /// Re-estimates previously recorded traces under this session's hardware
@@ -736,10 +684,11 @@ impl Session {
 }
 
 /// The engine-backed serving runner: one per serve worker, owning its own
-/// [`Session`]. A coalesced batch goes through
-/// [`Session::run_batch_with_seeds`], so serving inherits the batch path's
-/// bitwise determinism — a request's result is identical whether it was
-/// served alone or inside any coalesced batch.
+/// [`Session`]. A coalesced batch runs through the same fan-out as
+/// [`Session::run_batch_with_seeds`], once per request, so serving inherits
+/// the batch path's bitwise determinism — a request's result is identical
+/// whether it was served alone or inside any coalesced batch — and a
+/// failing request gets its own error without disturbing its neighbours.
 #[derive(Debug)]
 pub struct EngineRunner {
     session: Session,
@@ -765,25 +714,11 @@ impl serve::ModelRunner for EngineRunner {
     ) -> Vec<Result<serve::InferenceResult, SnnError>> {
         let (images, seeds): (Vec<Tensor>, Vec<u64>) =
             requests.into_iter().map(|r| (r.image, r.seed)).unzip();
-        match self.session.run_batch_with_seeds(&images, &seeds) {
-            Ok(batch) => batch
-                .reports
-                .into_iter()
-                .map(|report| Ok(Self::result_from_report(report)))
-                .collect(),
-            // The batch path reports only the first failure; re-run each
-            // request alone so errors are attributed per request and healthy
-            // batch neighbours still get their (bitwise-identical) results.
-            Err(_) => images
-                .iter()
-                .zip(&seeds)
-                .map(|(image, &seed)| {
-                    self.session
-                        .run_seeded(image, seed)
-                        .map(Self::result_from_report)
-                })
-                .collect(),
-        }
+        self.session
+            .run_each(&images, |i| seeds[i])
+            .into_iter()
+            .map(|result| result.map(Self::result_from_report))
+            .collect()
     }
 }
 

@@ -8,8 +8,10 @@
 use snn::core::encoding::Encoder;
 use snn::core::network::{vgg9, Vgg9Config};
 use snn::core::tensor::Tensor;
-use snn::serve::{InferenceRequest, ResponseHandle, ServeConfig, ServeCore};
-use snn::{Engine, Precision, RunReport};
+use snn::serve::{
+    InferenceRequest, ModelRunner, ResponseHandle, ServeConfig, ServeCore, ServeModel,
+};
+use snn::{Engine, Precision, RunReport, SnnError};
 use std::time::Duration;
 
 fn engine(threads: usize) -> Engine {
@@ -194,4 +196,35 @@ fn run_batch_with_seeds_matches_run_seeded() {
         .session()
         .run_batch_with_seeds(&images, &seeds[..3])
         .is_err());
+}
+
+#[test]
+fn engine_runner_attributes_errors_per_request() {
+    // A wrong-shape request inside a coalesced batch gets its own typed
+    // error, and its neighbours still get their run_seeded results bitwise,
+    // whether the batch runs on one thread or fans out over two.
+    for threads in [1, 2] {
+        let engine = engine(threads);
+        let seeds = [5u64, 6, 7];
+        let images = [test_image(0), Tensor::zeros(&[3, 8, 8]), test_image(2)];
+        let requests = images
+            .iter()
+            .zip(seeds)
+            .map(|(image, seed)| InferenceRequest::seeded(image.clone(), seed))
+            .collect();
+        let results = engine.runner().run_batch(requests);
+        assert_eq!(results.len(), 3, "{threads} threads");
+        match &results[1] {
+            Err(SnnError::ShapeMismatch { actual, .. }) => assert_eq!(actual, &[3, 8, 8]),
+            other => panic!("{threads} threads: expected a shape error, got {other:?}"),
+        }
+        let mut session = engine.session();
+        for i in [0, 2] {
+            let want = session.run_seeded(&images[i], seeds[i]).unwrap();
+            let got = results[i].as_ref().expect("healthy neighbour is served");
+            assert_eq!(got.logits, want.logits, "{threads} threads, request {i}");
+            assert_eq!(got.traces, want.traces, "{threads} threads, request {i}");
+            assert_eq!(got.hardware.as_ref(), Some(&want.hardware));
+        }
+    }
 }

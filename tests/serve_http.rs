@@ -7,7 +7,10 @@ use snn::core::encoding::Encoder;
 use snn::core::network::{vgg9, Vgg9Config};
 use snn::core::tensor::Tensor;
 use snn::serve::protocol::{decode_frame_response, encode_frame_request};
-use snn::serve::{FaultPlan, HttpOptions, HttpServer, InferenceRequest, ServeConfig, ServeCore};
+use snn::serve::{
+    FaultPlan, HttpOptions, HttpServer, InferenceRequest, ModelZoo, ServeConfig, ServeModel,
+    ZooConfig,
+};
 use snn::{Engine, Precision};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -22,17 +25,31 @@ fn serve_engine() -> HttpServer<Engine> {
         .threads(1)
         .build()
         .unwrap();
-    let core = ServeCore::start(
+    let zoo = zoo_of_one(
         engine,
         ServeConfig {
             max_batch: 4,
             max_delay: Duration::from_millis(2),
             ..ServeConfig::default()
         },
-    )
-    .unwrap();
-    HttpServer::bind(core, "127.0.0.1:0").unwrap()
+    );
+    HttpServer::bind(zoo, "127.0.0.1:0").unwrap()
 }
+
+/// A single-model server is a zoo of one model named `default`.
+fn zoo_of_one<M: ServeModel>(model: M, serve: ServeConfig) -> ModelZoo<M> {
+    let zoo = ModelZoo::new();
+    let config = ZooConfig {
+        serve,
+        ..ZooConfig::default()
+    };
+    zoo.register("default", "v1", model, config).unwrap();
+    zoo
+}
+
+/// The `/healthz` body of a healthy zoo of one.
+const HEALTHY_ZOO_OF_ONE: &[u8] =
+    b"{\"status\":\"ok\",\"models\":{\"default\":{\"health\":\"healthy\"}}}";
 
 fn test_image(i: usize) -> Tensor {
     Tensor::from_fn(&[3, 16, 16], move |p| {
@@ -199,7 +216,7 @@ fn malformed_bodies_map_to_400_and_health_stats_respond() {
     let mut conn = TcpStream::connect(addr).unwrap();
     let (status, body) = http_roundtrip(&mut conn, "GET", "/v1/healthz", "text/plain", b"");
     assert_eq!(status, 200);
-    assert_eq!(body, b"ok");
+    assert_eq!(body, HEALTHY_ZOO_OF_ONE);
 
     let mut conn = TcpStream::connect(addr).unwrap();
     let (status, body) = http_roundtrip(&mut conn, "GET", "/v1/stats", "text/plain", b"");
@@ -312,7 +329,7 @@ impl snn::serve::ServeModel for SlowModel {
 }
 
 fn slow_server(delay_ms: u64, options: HttpOptions) -> HttpServer<SlowModel> {
-    let core = ServeCore::start(
+    let zoo = zoo_of_one(
         SlowModel {
             delay: Duration::from_millis(delay_ms),
         },
@@ -324,9 +341,8 @@ fn slow_server(delay_ms: u64, options: HttpOptions) -> HttpServer<SlowModel> {
             workers: Some(1),
             ..ServeConfig::default()
         },
-    )
-    .unwrap();
-    HttpServer::bind_with_options(core, "127.0.0.1:0", options).unwrap()
+    );
+    HttpServer::bind_with_options(zoo, "127.0.0.1:0", options).unwrap()
 }
 
 /// Regression: a client that connects, sends half a request head, and then
@@ -544,7 +560,7 @@ fn chaos_connection_drops_sever_infer_but_not_the_server() {
     let (status, _head, body) =
         http_roundtrip_with_head(&mut conn, "GET", "/v1/healthz", "text/plain", b"");
     assert_eq!(status, 200);
-    assert_eq!(body, b"ok");
+    assert_eq!(body, HEALTHY_ZOO_OF_ONE);
     server.shutdown();
 }
 

@@ -197,7 +197,7 @@ fn http_zoo_routes_by_model_and_reports_per_model_state() {
         .unwrap();
     zoo.register("beta", "v1", engine.clone(), zoo_config())
         .unwrap();
-    let server = HttpServer::bind_zoo(zoo.clone(), "127.0.0.1:0").unwrap();
+    let server = HttpServer::bind(zoo.clone(), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
     // JSON request routed by name; the response carries the health marker.
