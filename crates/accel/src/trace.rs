@@ -161,15 +161,10 @@ pub fn synthetic_traces(
     Ok(traces)
 }
 
-/// Total output spikes across all layers and timesteps of a trace set.
-pub fn total_spikes(traces: &[LayerTrace]) -> u64 {
-    traces.iter().map(LayerTrace::total_output_spikes).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snn_core::network::{vgg9, Vgg9Config};
+    use snn_core::network::{total_output_spikes, vgg9, Vgg9Config};
 
     fn geometry() -> Vec<LayerGeometry> {
         vgg9(&Vgg9Config::cifar10()).unwrap().geometry().unwrap()
@@ -202,7 +197,7 @@ mod tests {
         let geo = geometry();
         let direct = synthetic_traces(&geo, &ActivityProfile::paper_direct(geo.len())).unwrap();
         let rate = synthetic_traces(&geo, &ActivityProfile::paper_rate(geo.len())).unwrap();
-        let ratio = total_spikes(&rate) as f64 / total_spikes(&direct) as f64;
+        let ratio = total_output_spikes(&rate) as f64 / total_output_spikes(&direct) as f64;
         // The paper reports 2.6x more spikes for rate coding (Table II).
         assert!(
             (1.5..=5.0).contains(&ratio),
@@ -219,7 +214,7 @@ mod tests {
             &ActivityProfile::paper_direct(geo.len()).with_quantization_reduction(10.1),
         )
         .unwrap();
-        let reduction = 1.0 - total_spikes(&int4) as f64 / total_spikes(&fp32) as f64;
+        let reduction = 1.0 - total_output_spikes(&int4) as f64 / total_output_spikes(&fp32) as f64;
         assert!(
             (0.05..=0.15).contains(&reduction),
             "reduction {reduction:.3}"
@@ -248,7 +243,7 @@ mod tests {
         // factor of that.
         let geo = geometry();
         let traces = synthetic_traces(&geo, &ActivityProfile::paper_direct(geo.len())).unwrap();
-        let total = total_spikes(&traces);
+        let total = total_output_spikes(&traces);
         assert!(
             (10_000..=200_000).contains(&total),
             "calibrated total spikes {total} far from the paper's ~41K"

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snn_bench::experiments::bench_image;
 use snn_core::encoding::Encoder;
-use snn_core::network::{vgg9, Vgg9Config};
+use snn_core::network::{total_output_spikes, vgg9, Vgg9Config};
 use snn_core::quant::{fake_quantize, Precision, QuantizedTensor};
 use snn_core::tensor::Tensor;
 
@@ -47,7 +47,7 @@ fn network_precision_and_spikes(c: &mut Criterion) {
                     let mut net = vgg9(&Vgg9Config::cifar10_small()).unwrap();
                     net.apply_precision(p).unwrap();
                     let out = net.run(&image, &Encoder::paper_direct()).unwrap();
-                    out.record.total_spikes()
+                    total_output_spikes(&out.traces)
                 });
             },
         );

@@ -134,7 +134,7 @@ pub fn train_and_evaluate(
     // Materialise the quantized weights for inference, as the hardware does.
     network.apply_precision(precision)?;
     let eval = evaluate(
-        &mut network,
+        &network,
         &data,
         Split::Test,
         &encoder,

@@ -34,9 +34,12 @@ pub struct DatasetComparison {
     pub fp32_accuracy: f64,
     /// int4 accuracy.
     pub int4_accuracy: f64,
-    /// Total spikes of the fp32 model over the evaluation set.
+    /// Total spikes of the fp32 model over the evaluation set: every
+    /// layer's output spikes, pooled maps included
+    /// (`EvalReport::total_spikes`).
     pub fp32_spikes: u64,
-    /// Total spikes of the int4 model over the evaluation set.
+    /// Total spikes of the int4 model over the evaluation set, counted like
+    /// `fp32_spikes`.
     pub int4_spikes: u64,
     /// Spike reduction of int4 vs fp32 in percent (positive = sparser).
     pub spike_reduction_percent: f64,
@@ -74,18 +77,16 @@ pub fn run(scale: ExperimentScale) -> Result<Fig1Report, SnnError> {
         Trainer::new(cfg)?.fit(&mut network, &data)?;
 
         // Evaluate the same trained weights at both precisions.
-        let mut fp32_net = network.clone();
         let fp32 = evaluate(
-            &mut fp32_net,
+            &network,
             &data,
             Split::Test,
             &encoder,
             Some(scale.eval_samples()),
         )?;
-        let mut int4_net = network;
-        int4_net.apply_precision(Precision::Int4)?;
+        network.apply_precision(Precision::Int4)?;
         let int4 = evaluate(
-            &mut int4_net,
+            &network,
             &data,
             Split::Test,
             &encoder,
@@ -101,12 +102,12 @@ pub fn run(scale: ExperimentScale) -> Result<Fig1Report, SnnError> {
         };
         datasets.push(DatasetComparison {
             dataset: dataset.to_string(),
-            fp32_accuracy: fp32.accuracy,
-            int4_accuracy: int4.accuracy,
+            fp32_accuracy: fp32.accuracy(),
+            int4_accuracy: int4.accuracy(),
             fp32_spikes,
             int4_spikes,
             spike_reduction_percent: reduction,
-            accuracy_drop_percent: (fp32.accuracy - int4.accuracy) * 100.0,
+            accuracy_drop_percent: (fp32.accuracy() - int4.accuracy()) * 100.0,
             paper_fp32_accuracy: paper_accuracy_reference(dataset, Precision::Fp32),
             paper_int4_accuracy: paper_accuracy_reference(dataset, Precision::Int4),
         });

@@ -18,9 +18,10 @@ use crate::experiments::{paper_network, train_and_evaluate, ExperimentScale};
 use serde::{Deserialize, Serialize};
 use snn_accel::accelerator::HybridAccelerator;
 use snn_accel::config::{HwConfig, PerfScale};
-use snn_accel::trace::{synthetic_traces, total_spikes, ActivityProfile};
+use snn_accel::trace::{synthetic_traces, ActivityProfile};
 use snn_core::encoding::Encoder;
 use snn_core::error::SnnError;
+use snn_core::network::total_output_spikes;
 use snn_core::quant::Precision;
 
 /// One coding scheme's row of Table II.
@@ -102,8 +103,8 @@ fn coding_row(
     Ok(CodingRow {
         coding: label.to_string(),
         timesteps: encoder.timesteps,
-        total_spikes: total_spikes(&traces),
-        accuracy_percent: trained.eval.accuracy * 100.0,
+        total_spikes: total_output_spikes(&traces),
+        accuracy_percent: trained.eval.accuracy() * 100.0,
         latency_ms: report.latency_ms,
         energy_mj: report.dynamic_energy_mj,
     })

@@ -344,7 +344,7 @@ mod tests {
         let a = original.run(&image, &Encoder::direct(2)).unwrap();
         let b = restored_net.run(&image, &Encoder::direct(2)).unwrap();
         assert_eq!(a.logits, b.logits);
-        assert_eq!(a.record.total_spikes(), b.record.total_spikes());
+        assert_eq!(a.traces, b.traces);
     }
 
     #[test]

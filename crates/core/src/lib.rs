@@ -10,12 +10,16 @@
 //!   helpers used by convolution layers,
 //! * [`neuron`] — the leaky integrate-and-fire (LIF) neuron of Eq. 1–2,
 //! * [`spike`] — bit-packed spike planes, the one packed spike format the
-//!   event-driven kernels read, and per-run spike records,
+//!   event-driven kernels read,
 //! * [`encoding`] — direct coding and rate coding input encoders,
 //! * [`quant`] — symmetric integer quantization used for int4/int8 QAT,
 //! * [`layers`] — Conv2d, Linear, spike max-pooling and batch normalisation,
-//! * [`network`] — the layer container plus VGG9 builders used in the paper,
-//! * [`stats`] — spike-count / sparsity statistics feeding the workload model.
+//! * [`network`] — the layer container plus VGG9 builders used in the paper;
+//!   a run's per-layer [`network::LayerTrace`]s are its one spike-count
+//!   record, and [`network::total_output_spikes`] /
+//!   [`network::average_sparsity`] summarise them,
+//! * [`stats`] — streaming latency histograms and the per-layer spike-rate
+//!   drift tracker.
 //!
 //! # Example
 //!
@@ -52,7 +56,6 @@ pub mod test_support;
 pub use error::SnnError;
 pub use network::{RunOutput, RunState, SnnNetwork};
 pub use neuron::{LifParams, LifPopulation};
-pub use spike::SpikeRecord;
 pub use tensor::Tensor;
 
 /// Resolves a worker-thread count for batched execution: an explicit caller

@@ -34,7 +34,7 @@ use crate::error::SnnError;
 use crate::layers::{BatchNorm2d, Conv2d, ConvScratch, Linear, SpikeMaxPool2d};
 use crate::neuron::{LifParams, LifPopulation};
 use crate::quant::Precision;
-use crate::spike::{SpikePlane, SpikeRecord};
+use crate::spike::SpikePlane;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -141,7 +141,8 @@ impl LayerGeometry {
 
 /// Per-layer trace of one inference run: input events and output spikes at
 /// every timestep, the counts the accelerator estimate and the workload
-/// model fold.
+/// model fold. A run's traces are its one spike-count record;
+/// [`total_output_spikes`] and [`average_sparsity`] summarise them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerTrace {
     /// Layer name.
@@ -176,6 +177,29 @@ impl LayerTrace {
     }
 }
 
+/// Total output spikes of a run: every layer's output over every timestep,
+/// the spike max-pooling layers' maps included. Fig. 1's fp32/int4 spikes
+/// and Table II's spike column use this count. Training's
+/// `SampleResult::total_spikes` counts the LIF layers only, so the two
+/// totals differ by the pooled maps.
+pub fn total_output_spikes(traces: &[LayerTrace]) -> u64 {
+    traces.iter().map(LayerTrace::total_output_spikes).sum()
+}
+
+/// Output sparsity of a run averaged over its layers, weighted by neuron
+/// count: one minus [`total_output_spikes`] over the run's output
+/// neuron-timesteps (0.0 for an empty run).
+pub fn average_sparsity(traces: &[LayerTrace]) -> f64 {
+    let slots: u64 = traces
+        .iter()
+        .map(|t| t.output_neurons * t.output_spikes.len() as u64)
+        .sum();
+    if slots == 0 {
+        return 0.0;
+    }
+    1.0 - total_output_spikes(traces) as f64 / slots as f64
+}
+
 /// Result of one inference run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutput {
@@ -183,9 +207,7 @@ pub struct RunOutput {
     pub logits: Vec<f32>,
     /// Index of the predicted class.
     pub prediction: usize,
-    /// Per-layer spike record (summed over timesteps).
-    pub record: SpikeRecord,
-    /// Detailed per-layer traces.
+    /// Per-layer traces: the run's spike counts per layer and timestep.
     pub traces: Vec<LayerTrace>,
     /// Number of timesteps simulated.
     pub timesteps: usize,
@@ -526,23 +548,14 @@ impl SnnNetwork {
     ) -> Result<RunOutput, SnnError> {
         self.run_observed(image, encoder, seed, state, |_, _, _, _| Ok(()))?;
         let timesteps = state.timesteps();
-        let mut record = SpikeRecord::new(timesteps);
         let mut traces = Vec::with_capacity(self.layers.len());
         for (li, layer) in self.layers.iter().enumerate() {
             let span = li * timesteps..(li + 1) * timesteps;
-            let input_events = &state.input_events[span.clone()];
-            let output_spikes = &state.output_spikes[span];
-            record.push_layer(
-                layer.name(),
-                input_events.iter().sum(),
-                output_spikes.iter().sum(),
-                state.output_neurons[li],
-            );
             traces.push(LayerTrace {
                 name: layer.name().to_string(),
                 geometry: state.geometry[li].clone(),
-                input_events: input_events.to_vec(),
-                output_spikes: output_spikes.to_vec(),
+                input_events: state.input_events[span.clone()].to_vec(),
+                output_spikes: state.output_spikes[span].to_vec(),
                 output_neurons: state.output_neurons[li],
                 spikes: None,
             });
@@ -557,7 +570,6 @@ impl SnnNetwork {
         Ok(RunOutput {
             logits,
             prediction,
-            record,
             traces,
             timesteps,
         })
@@ -936,7 +948,6 @@ mod tests {
         assert_eq!(out.logits.len(), 10);
         assert_eq!(out.timesteps, 2);
         assert_eq!(out.traces.len(), net.layers().len());
-        assert_eq!(out.record.num_layers(), net.layers().len());
         // The direct-coded input layer sees analog inputs at every timestep.
         assert_eq!(out.traces[0].input_events.len(), 2,);
         assert!(out.traces[0].total_input_events() > 0);
@@ -1094,6 +1105,6 @@ mod tests {
         let net_b = vgg9(&cfg).unwrap();
         let short = net_a.run(&image, &Encoder::direct(1)).unwrap();
         let long = net_b.run(&image, &Encoder::direct(3)).unwrap();
-        assert!(long.record.total_spikes() >= short.record.total_spikes());
+        assert!(total_output_spikes(&long.traces) >= total_output_spikes(&short.traces));
     }
 }

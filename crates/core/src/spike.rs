@@ -1,18 +1,18 @@
-//! Bit-packed spike planes and per-run spike counts.
+//! Bit-packed spike planes.
 //!
 //! The accelerator moves spikes between layers as bit-packed binary frames,
 //! stored in on-chip BRAM in *timestep-major* order (paper, Sec. IV-A and
-//! Fig. 2). The simulator keeps one packed format for them:
+//! Fig. 2). The simulator keeps one packed format for them, [`SpikePlane`]:
+//! one layer input frame at one timestep, as the simulator runs it: a dense
+//! backing plus `u64` mask words, one bit per neuron, which the
+//! event-driven kernels word-scan and the run loop popcounts.
 //!
-//! * [`SpikePlane`] — one layer input frame at one timestep, as the simulator
-//!   runs it: a dense backing plus `u64` mask words, one bit per neuron,
-//!   which the event-driven kernels word-scan and the run loop popcounts.
-//! * [`SpikeRecord`] — per-layer spike counts collected during a network run,
-//!   which feed the workload model (Eq. 3) and the sparsity experiments.
+//! A run's spike counts are not kept here: they live in its per-layer
+//! [`LayerTrace`](crate::network::LayerTrace)s, which feed the workload model
+//! (Eq. 3) and the sparsity experiments.
 
 use crate::error::SnnError;
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// One sparse activation frame: the event-driven representation of a layer
 /// input at a single timestep.
@@ -452,87 +452,6 @@ pub fn scan_words(words: &[u64]) -> WordScan<'_> {
     }
 }
 
-/// Per-layer spike statistics collected while running a network, which drive
-/// both the sparsity experiments (Fig. 1) and the layer-wise workload model
-/// (Eq. 3) used for design-space exploration.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SpikeRecord {
-    /// Human-readable layer names, index-aligned with the other fields.
-    pub layer_names: Vec<String>,
-    /// Input spikes consumed by each layer, summed over all timesteps.
-    /// For the direct-coded input layer this counts non-zero analog inputs.
-    pub input_spikes: Vec<u64>,
-    /// Output spikes produced by each layer, summed over all timesteps.
-    pub output_spikes: Vec<u64>,
-    /// Number of neurons in each layer's output.
-    pub output_neurons: Vec<u64>,
-    /// Number of timesteps the record covers.
-    pub timesteps: usize,
-}
-
-impl SpikeRecord {
-    /// Creates an empty record for `timesteps` timesteps.
-    pub fn new(timesteps: usize) -> Self {
-        SpikeRecord {
-            timesteps,
-            ..Default::default()
-        }
-    }
-
-    /// Appends one layer's statistics.
-    pub fn push_layer(
-        &mut self,
-        name: impl Into<String>,
-        input_spikes: u64,
-        output_spikes: u64,
-        output_neurons: u64,
-    ) {
-        self.layer_names.push(name.into());
-        self.input_spikes.push(input_spikes);
-        self.output_spikes.push(output_spikes);
-        self.output_neurons.push(output_neurons);
-    }
-
-    /// Number of layers recorded.
-    pub fn num_layers(&self) -> usize {
-        self.layer_names.len()
-    }
-
-    /// Total output spikes across all layers (the paper's "Total Spikes").
-    pub fn total_spikes(&self) -> u64 {
-        self.output_spikes.iter().sum()
-    }
-
-    /// Average output sparsity across layers, weighted by neuron count.
-    pub fn average_sparsity(&self) -> f64 {
-        let neurons: u64 = self
-            .output_neurons
-            .iter()
-            .map(|&n| n * self.timesteps as u64)
-            .sum();
-        if neurons == 0 {
-            return 0.0;
-        }
-        1.0 - self.total_spikes() as f64 / neurons as f64
-    }
-
-    /// Per-layer output sparsity values.
-    pub fn layer_sparsity(&self) -> Vec<f64> {
-        self.output_spikes
-            .iter()
-            .zip(self.output_neurons.iter())
-            .map(|(&spikes, &neurons)| {
-                let slots = neurons * self.timesteps as u64;
-                if slots == 0 {
-                    0.0
-                } else {
-                    1.0 - spikes as f64 / slots as f64
-                }
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -735,19 +654,5 @@ mod tests {
             let dense = input.im2col((k, k), stride, padding).unwrap();
             prop_assert_eq!(gathered, dense);
         }
-    }
-
-    #[test]
-    fn record_total_and_sparsity() {
-        let mut rec = SpikeRecord::new(2);
-        rec.push_layer("conv1", 100, 50, 100);
-        rec.push_layer("conv2", 50, 10, 100);
-        assert_eq!(rec.num_layers(), 2);
-        assert_eq!(rec.total_spikes(), 60);
-        // 60 spikes over 2 layers * 100 neurons * 2 timesteps = 400 slots.
-        assert!((rec.average_sparsity() - (1.0 - 60.0 / 400.0)).abs() < 1e-9);
-        let per_layer = rec.layer_sparsity();
-        assert!((per_layer[0] - 0.75).abs() < 1e-9);
-        assert!((per_layer[1] - 0.95).abs() < 1e-9);
     }
 }

@@ -1,16 +1,14 @@
-//! Sparsity statistics and streaming distribution trackers.
+//! Streaming distribution trackers.
 //!
-//! [`SparsityComparison`] and [`AggregateSpikeStats`] compare and
-//! accumulate the per-layer spike counts of network runs, for the
-//! quantization-vs-sparsity comparisons of Fig. 1. The Eq. 3 workload model
-//! over the same counts lives in `snn-accel`'s `workload` module.
-//!
-//! It also hosts [`LogHistogram`], a streaming fixed-log-bucket quantile
-//! tracker shared by the serving layer (p50/p99 request latency) and the
-//! per-layer spike-rate [`DriftTracker`].
+//! [`LogHistogram`] is a streaming fixed-log-bucket quantile tracker shared
+//! by the serving layer (p50/p99 request latency) and the per-layer
+//! spike-rate [`DriftTracker`], which folds the [`LayerTrace`]s of each
+//! served run. A run's spike totals are computed over its traces by
+//! [`crate::network::total_output_spikes`] and
+//! [`crate::network::average_sparsity`]; the Eq. 3 workload model over the
+//! same counts lives in `snn-accel`'s `workload` module.
 
-use crate::spike::SpikeRecord;
-use serde::{Deserialize, Serialize};
+use crate::network::LayerTrace;
 
 /// Sub-bucket resolution of [`LogHistogram`]: each power-of-two octave is
 /// split into `2^SUB_BITS` linear sub-buckets, bounding the relative
@@ -412,25 +410,32 @@ impl DriftStatus {
 ///    [`DriftConfig::threshold`] the run stream counts as **drifted** and
 ///    the serving registry flips the model's health to Degraded.
 ///
-/// Layer topology is learned from the first observation; later records with
+/// Layer topology is learned from the first observation; later runs with
 /// a different layer count are ignored (a swapped model gets a fresh
 /// tracker via [`DriftTracker::reset`]).
 ///
 /// # Example
 ///
 /// ```
-/// use snn_core::spike::SpikeRecord;
+/// use snn_core::network::LayerTrace;
 /// use snn_core::stats::{DriftConfig, DriftTracker};
 ///
 /// let config = DriftConfig { calibration: 4, window: 8, min_window: 4, threshold: 0.5 };
 /// let mut tracker = DriftTracker::new(config).unwrap();
-/// let mut record = SpikeRecord::new(2);
-/// record.push_layer("conv1", 0, 100, 1024);
+/// // One layer of 1024 neurons firing 60 + 40 spikes over two timesteps.
+/// let run = [LayerTrace {
+///     name: "conv1".into(),
+///     geometry: None,
+///     input_events: vec![0, 0],
+///     output_spikes: vec![60, 40],
+///     output_neurons: 1024,
+///     spikes: None,
+/// }];
 /// for _ in 0..4 {
-///     tracker.observe(&record); // calibration
+///     tracker.observe(&run); // calibration
 /// }
 /// for _ in 0..8 {
-///     tracker.observe(&record); // monitored window, same distribution
+///     tracker.observe(&run); // monitored window, same distribution
 /// }
 /// let status = tracker.status();
 /// assert!(status.calibrated);
@@ -476,37 +481,35 @@ impl DriftTracker {
         spikes.saturating_mul(RATE_SCALE) / slots
     }
 
-    /// Folds one run's per-layer spike record into the tracker. Records
+    /// Folds one run's per-layer traces into the tracker: each layer's
+    /// rate is its output spikes over its output neuron-timesteps. Runs
     /// with no layers (stub models) or a layer count different from the
     /// calibrated topology are ignored.
-    pub fn observe(&mut self, record: &SpikeRecord) {
-        if record.num_layers() == 0 {
+    pub fn observe(&mut self, traces: &[LayerTrace]) {
+        if traces.is_empty() {
             return;
         }
         if self.layers.is_empty() {
-            self.layers = record
-                .layer_names
+            self.layers = traces
                 .iter()
-                .map(|name| LayerDrift {
-                    name: name.clone(),
+                .map(|trace| LayerDrift {
+                    name: trace.name.clone(),
                     baseline: LogHistogram::new(),
                     window: LogHistogram::new(),
                     ring: std::collections::VecDeque::with_capacity(self.config.window),
                 })
                 .collect();
-        } else if self.layers.len() != record.num_layers() {
+        } else if self.layers.len() != traces.len() {
             return;
         }
         self.observed += 1;
         let calibrating = self.calibrating_seen < self.config.calibration;
-        for (layer, ((&spikes, &neurons), _)) in self.layers.iter_mut().zip(
-            record
-                .output_spikes
-                .iter()
-                .zip(record.output_neurons.iter())
-                .zip(record.layer_names.iter()),
-        ) {
-            let rate = Self::rate_q(spikes, neurons, record.timesteps);
+        for (layer, trace) in self.layers.iter_mut().zip(traces) {
+            let rate = Self::rate_q(
+                trace.total_output_spikes(),
+                trace.output_neurons,
+                trace.output_spikes.len(),
+            );
             if calibrating {
                 layer.baseline.record(rate);
             } else {
@@ -569,164 +572,10 @@ impl DriftTracker {
     }
 }
 
-/// Comparison of the spiking activity of two runs of the same network, used
-/// to quantify the quantization-sparsity interplay of Fig. 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SparsityComparison {
-    /// Name of the baseline run (e.g. `fp32`).
-    pub baseline_name: String,
-    /// Name of the comparison run (e.g. `int4`).
-    pub variant_name: String,
-    /// Total spikes in the baseline run.
-    pub baseline_spikes: u64,
-    /// Total spikes in the comparison run.
-    pub variant_spikes: u64,
-    /// Per-layer spike counts of the baseline run.
-    pub baseline_per_layer: Vec<u64>,
-    /// Per-layer spike counts of the comparison run.
-    pub variant_per_layer: Vec<u64>,
-    /// Layer names.
-    pub layer_names: Vec<String>,
-}
-
-impl SparsityComparison {
-    /// Builds a comparison from two spike records of the same network.
-    pub fn new(
-        baseline_name: impl Into<String>,
-        baseline: &SpikeRecord,
-        variant_name: impl Into<String>,
-        variant: &SpikeRecord,
-    ) -> Self {
-        SparsityComparison {
-            baseline_name: baseline_name.into(),
-            variant_name: variant_name.into(),
-            baseline_spikes: baseline.total_spikes(),
-            variant_spikes: variant.total_spikes(),
-            baseline_per_layer: baseline.output_spikes.clone(),
-            variant_per_layer: variant.output_spikes.clone(),
-            layer_names: baseline.layer_names.clone(),
-        }
-    }
-
-    /// Relative spike reduction of the variant vs. the baseline, in percent.
-    /// Positive values mean the variant spikes *less* (the paper reports
-    /// 6.1% / 10.1% / 15.2% for int4 vs fp32).
-    pub fn spike_reduction_percent(&self) -> f64 {
-        if self.baseline_spikes == 0 {
-            return 0.0;
-        }
-        (1.0 - self.variant_spikes as f64 / self.baseline_spikes as f64) * 100.0
-    }
-
-    /// Ratio of baseline to variant spikes (> 1 when the variant is sparser).
-    pub fn spike_ratio(&self) -> f64 {
-        if self.variant_spikes == 0 {
-            return f64::INFINITY;
-        }
-        self.baseline_spikes as f64 / self.variant_spikes as f64
-    }
-}
-
-/// Aggregated spike statistics over a set of inference runs (e.g. a test set),
-/// as used to produce the Fig. 1 bars.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct AggregateSpikeStats {
-    /// Number of runs aggregated.
-    pub runs: usize,
-    /// Total spikes summed over runs.
-    pub total_spikes: u64,
-    /// Per-layer totals (index-aligned with `layer_names`).
-    pub per_layer_spikes: Vec<u64>,
-    /// Layer names.
-    pub layer_names: Vec<String>,
-    /// Number of correct predictions (for accuracy).
-    pub correct: usize,
-}
-
-impl AggregateSpikeStats {
-    /// Creates an empty aggregate.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one run's record into the aggregate.
-    pub fn add_run(&mut self, record: &SpikeRecord, correct: bool) {
-        if self.layer_names.is_empty() {
-            self.layer_names = record.layer_names.clone();
-            self.per_layer_spikes = vec![0; record.num_layers()];
-        }
-        for (acc, &s) in self
-            .per_layer_spikes
-            .iter_mut()
-            .zip(record.output_spikes.iter())
-        {
-            *acc += s;
-        }
-        self.total_spikes += record.total_spikes();
-        self.runs += 1;
-        if correct {
-            self.correct += 1;
-        }
-    }
-
-    /// Mean spikes per run.
-    pub fn mean_spikes_per_run(&self) -> f64 {
-        if self.runs == 0 {
-            0.0
-        } else {
-            self.total_spikes as f64 / self.runs as f64
-        }
-    }
-
-    /// Classification accuracy over the aggregated runs, in `[0, 1]`.
-    pub fn accuracy(&self) -> f64 {
-        if self.runs == 0 {
-            0.0
-        } else {
-            self.correct as f64 / self.runs as f64
-        }
-    }
-
-    /// Mean per-layer spikes per run.
-    pub fn mean_per_layer(&self) -> Vec<f64> {
-        self.per_layer_spikes
-            .iter()
-            .map(|&s| {
-                if self.runs == 0 {
-                    0.0
-                } else {
-                    s as f64 / self.runs as f64
-                }
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn sparsity_comparison_reports_reduction() {
-        let mut base = SpikeRecord::new(2);
-        base.push_layer("l1", 0, 1000, 2048);
-        base.push_layer("l2", 0, 500, 1024);
-        let mut variant = SpikeRecord::new(2);
-        variant.push_layer("l1", 0, 850, 2048);
-        variant.push_layer("l2", 0, 425, 1024);
-        let cmp = SparsityComparison::new("fp32", &base, "int4", &variant);
-        assert!((cmp.spike_reduction_percent() - 15.0).abs() < 1e-9);
-        assert!((cmp.spike_ratio() - 1500.0 / 1275.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sparsity_comparison_handles_zero_baseline() {
-        let base = SpikeRecord::new(1);
-        let variant = SpikeRecord::new(1);
-        let cmp = SparsityComparison::new("a", &base, "b", &variant);
-        assert_eq!(cmp.spike_reduction_percent(), 0.0);
-    }
 
     /// Sorted-vector oracle for the `q`-quantile under the histogram's
     /// definition (smallest value with at least `ceil(q·n)` values ≤ it).
@@ -906,12 +755,25 @@ mod tests {
         assert!(kl_shifted > 0.5);
     }
 
-    fn drift_record(timesteps: usize, spikes: &[u64]) -> SpikeRecord {
-        let mut rec = SpikeRecord::new(timesteps);
-        for (i, &s) in spikes.iter().enumerate() {
-            rec.push_layer(format!("layer{i}"), 0, s, 1024);
-        }
-        rec
+    /// One run's traces: layer `i` has 1024 neurons and fires `spikes[i]`
+    /// spikes over `timesteps` timesteps (all of them in the first).
+    fn drift_record(timesteps: usize, spikes: &[u64]) -> Vec<LayerTrace> {
+        spikes
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| {
+                let mut output_spikes = vec![0; timesteps];
+                output_spikes[0] = s;
+                LayerTrace {
+                    name: format!("layer{i}"),
+                    geometry: None,
+                    input_events: vec![0; timesteps],
+                    output_spikes,
+                    output_neurons: 1024,
+                    spikes: None,
+                }
+            })
+            .collect()
     }
 
     fn small_drift_config() -> DriftConfig {
@@ -981,7 +843,7 @@ mod tests {
     #[test]
     fn drift_tracker_ignores_empty_and_mismatched_records() {
         let mut tracker = DriftTracker::new(small_drift_config()).unwrap();
-        tracker.observe(&SpikeRecord::new(4));
+        tracker.observe(&[]);
         assert_eq!(tracker.status().observed, 0);
         tracker.observe(&drift_record(4, &[100, 50]));
         tracker.observe(&drift_record(4, &[100])); // topology mismatch
@@ -1051,19 +913,5 @@ mod tests {
             prop_assert_eq!(h.counts, counts_before);
             prop_assert_eq!(h.count(), count_before);
         }
-    }
-
-    #[test]
-    fn aggregate_accumulates_runs_and_accuracy() {
-        let mut agg = AggregateSpikeStats::new();
-        let mut rec = SpikeRecord::new(2);
-        rec.push_layer("l1", 0, 100, 256);
-        agg.add_run(&rec, true);
-        agg.add_run(&rec, false);
-        assert_eq!(agg.runs, 2);
-        assert_eq!(agg.total_spikes, 200);
-        assert_eq!(agg.accuracy(), 0.5);
-        assert_eq!(agg.mean_spikes_per_run(), 100.0);
-        assert_eq!(agg.mean_per_layer(), vec![100.0]);
     }
 }

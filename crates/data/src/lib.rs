@@ -15,7 +15,6 @@
 //! * ordered in difficulty like the real datasets (SVHN easiest, CIFAR-100
 //!   hardest) via the noise level and class count.
 
-pub mod augment;
 pub mod dataset;
 pub mod synthetic;
 

@@ -43,7 +43,6 @@ use crate::queue::{BoundedQueue, PushRefusal};
 use serde::Serialize;
 use snn_accel::accelerator::InferenceReport;
 use snn_core::network::LayerTrace;
-use snn_core::spike::SpikeRecord;
 use snn_core::stats::LogHistogram;
 use snn_core::tensor::Tensor;
 use snn_core::SnnError;
@@ -135,9 +134,7 @@ pub struct InferenceResult {
     pub logits: Vec<f32>,
     /// Index of the predicted class.
     pub prediction: usize,
-    /// Per-layer spike record (summed over timesteps).
-    pub record: SpikeRecord,
-    /// Detailed per-layer traces.
+    /// Per-layer traces: the run's spike counts per layer and timestep.
     pub traces: Vec<LayerTrace>,
     /// Number of timesteps simulated.
     pub timesteps: usize,
@@ -160,7 +157,6 @@ impl InferenceResult {
         InferenceResult {
             logits,
             prediction,
-            record: SpikeRecord::new(0),
             traces: Vec::new(),
             timesteps: 0,
             hardware: None,

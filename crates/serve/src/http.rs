@@ -12,7 +12,7 @@
 //!
 //! | Route             | Body                                        | Status |
 //! |-------------------|---------------------------------------------|--------|
-//! | `GET /healthz` (alias `/v1/healthz`) | per-model health JSON | 200, or 503 when any model is degraded/wedged |
+//! | `GET /healthz` (alias `/v1/healthz`) | per-model health JSON | 200, or 503 when any model is degraded/wedged or the zoo is empty |
 //! | `GET /v1/stats`   | [`ZooStats`] as JSON | 200 |
 //! | `POST /v1/infer`  | JSON request or binary frame (by `Content-Type`) | 200 |
 //!
@@ -45,7 +45,8 @@
 //!
 //! `GET /healthz` returns per-model health; a healthy zoo of one model
 //! named `default` answers `{"status":"ok","models":{"default":{"health":"healthy"}}}`,
-//! and a drifted model reads:
+//! a zoo with no models answers 503 `{"status":"empty","models":{}}` (it
+//! can serve no request), and a drifted model reads:
 //!
 //! ```json
 //! {"status": "degraded",
@@ -151,12 +152,15 @@ impl std::fmt::Debug for HttpOptions {
     }
 }
 
-/// The `/healthz` status and JSON body: 200 only when every model is
-/// healthy, otherwise 503 with `"degraded"` or `"wedged"` as the status.
+/// The `/healthz` status and JSON body: 200 only when the zoo has models
+/// and every one is healthy, otherwise 503 with `"empty"`, `"degraded"` or
+/// `"wedged"` as the status.
 fn health_response<M: ServeModel>(zoo: &ModelZoo<M>) -> (u16, Vec<u8>) {
     let health = zoo.health_all();
-    let all_healthy = health.values().all(|h| *h == ModelHealth::Healthy);
-    let status_word = if all_healthy {
+    let all_healthy = !health.is_empty() && health.values().all(|h| *h == ModelHealth::Healthy);
+    let status_word = if health.is_empty() {
+        "empty"
+    } else if all_healthy {
         "ok"
     } else if health.values().any(|h| *h == ModelHealth::Wedged) {
         "wedged"
@@ -218,7 +222,9 @@ impl<M: ServeModel> HttpServer<M> {
     ///
     /// Every model, a zoo of one included, carries the zoo's drift tracker,
     /// and `/healthz` answers 503 while any model reads Degraded or Wedged,
-    /// even when its requests are still served.
+    /// even when its requests are still served. A zoo with no models
+    /// answers 503 `{"status":"empty","models":{}}`, since it can serve no
+    /// request.
     ///
     /// # Errors
     ///

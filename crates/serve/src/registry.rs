@@ -25,8 +25,8 @@
 //!   epoch at batch start only, so in-flight batches finish on the version
 //!   they dequeued with. [`ModelZoo::rollback`] restores the previous
 //!   retained version with one call.
-//! - **Drift detection.** Every successful result's spike record is folded
-//!   into a per-model [`DriftTracker`] (via the core's
+//! - **Drift detection.** Every successful result's per-layer traces are
+//!   folded into a per-model [`DriftTracker`] (via the core's
 //!   [`ResultObserver`](crate::core::ResultObserver) hook — allocation-free
 //!   in steady state). When the windowed per-layer spike-rate distribution
 //!   diverges from the calibration baseline beyond the configured KL
@@ -638,7 +638,7 @@ impl<M: ServeModel> ModelZoo<M> {
                 drift
                     .lock()
                     .expect("drift tracker poisoned")
-                    .observe(&result.record);
+                    .observe(&result.traces);
             }) as crate::core::ResultObserver
         };
         let core = ServeCore::start_with_observer(swappable.clone(), config.serve, Some(observer))?;

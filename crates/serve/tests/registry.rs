@@ -6,7 +6,7 @@
 //! spike-rate drift detection driving the per-model health state machine
 //! under both the annotate and shed policies.
 
-use snn_core::spike::SpikeRecord;
+use snn_core::network::LayerTrace;
 use snn_core::stats::DriftConfig;
 use snn_core::tensor::Tensor;
 use snn_core::SnnError;
@@ -28,7 +28,7 @@ enum Mode {
 }
 
 /// A deterministic stub model: logits are a pure function of
-/// `(image, seed, scale)`, and the spike record's rates are proportional
+/// `(image, seed, scale)`, and the traces' spike rates are proportional
 /// to the input magnitude — so shifting the traffic distribution shifts
 /// the per-layer spike rates the drift tracker sees, exactly like a real
 /// workload drifting off its calibration set.
@@ -49,6 +49,19 @@ impl Stub {
 
 fn stub_logits(sum: f32, seed: u64, scale: f32) -> Vec<f32> {
     vec![sum * scale, sum + (seed % 1024) as f32]
+}
+
+/// One stub layer of `neurons` neurons firing `spikes` spikes over two
+/// timesteps.
+fn stub_trace(name: &str, spikes: u64, neurons: u64) -> LayerTrace {
+    LayerTrace {
+        name: name.to_string(),
+        geometry: None,
+        input_events: vec![0, 0],
+        output_spikes: vec![spikes, 0],
+        output_neurons: neurons,
+        spikes: None,
+    }
 }
 
 struct StubRunner {
@@ -75,10 +88,10 @@ impl ModelRunner for StubRunner {
                 };
                 let mut result = InferenceResult::from_logits(logits);
                 let spikes = (sum.abs() * 100.0) as u64;
-                let mut record = SpikeRecord::new(2);
-                record.push_layer("conv1", spikes, spikes, 1000);
-                record.push_layer("fc", spikes, spikes / 2 + 1, 500);
-                result.record = record;
+                result.traces = vec![
+                    stub_trace("conv1", spikes, 1000),
+                    stub_trace("fc", spikes / 2 + 1, 500),
+                ];
                 Ok(result)
             })
             .collect()

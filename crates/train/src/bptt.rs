@@ -174,7 +174,9 @@ pub struct SampleResult {
     pub correct: bool,
     /// Parameter gradients.
     pub gradients: NetworkGradients,
-    /// Total spikes emitted by all LIF layers across all timesteps.
+    /// Total spikes emitted by all LIF layers across all timesteps. The
+    /// spike max-pooling layers' maps are not counted, unlike the inference
+    /// total (`snn_core::network::total_output_spikes`).
     pub total_spikes: u64,
 }
 

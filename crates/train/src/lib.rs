@@ -46,7 +46,6 @@ pub mod error;
 pub mod fault;
 pub mod grad;
 pub mod loss;
-pub mod metrics;
 pub mod optim;
 pub mod schedule;
 pub mod surrogate;

@@ -40,9 +40,8 @@ use crate::surrogate::SurrogateKind;
 use serde::{Deserialize, Serialize};
 use snn_core::encoding::Encoder;
 use snn_core::error::SnnError;
-use snn_core::network::{Layer, SnnNetwork};
+use snn_core::network::{total_output_spikes, Layer, RunState, SnnNetwork};
 use snn_core::quant::Precision;
-use snn_core::stats::AggregateSpikeStats;
 use snn_core::tensor::Tensor;
 use snn_data::{Dataset, Sample, Split};
 use std::path::PathBuf;
@@ -180,7 +179,9 @@ pub struct TrainReport {
     /// Training accuracy per epoch.
     pub epoch_accuracies: Vec<f64>,
     /// Mean spikes per sample per epoch (a live view of the sparsity the
-    /// network settles into).
+    /// network settles into): the LIF layers' output spikes over all
+    /// timesteps, as [`SampleResult::total_spikes`] counts them. The pooled
+    /// maps that [`EvalReport::total_spikes`] also counts are left out.
     pub epoch_mean_spikes: Vec<f64>,
     /// Every quarantined sample of the run, identified by `(epoch, index)` —
     /// the list is identical across batch sizes and thread counts.
@@ -206,18 +207,34 @@ impl TrainReport {
 }
 
 /// Evaluation result on a dataset split.
+///
+/// Its spike counts are inference totals: every layer's output spikes over
+/// every timestep, the spike max-pooling layers' maps included, as
+/// [`total_output_spikes`] sums a run's traces. Training's
+/// [`SampleResult::total_spikes`] counts the LIF layers only.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvalReport {
-    /// Top-1 accuracy in `[0, 1]`.
-    pub accuracy: f64,
     /// Number of evaluated samples.
     pub samples: usize,
-    /// Total spikes over all samples and timesteps.
+    /// Number of correctly classified samples.
+    pub correct: usize,
+    /// Output spikes over all samples, layers and timesteps.
     pub total_spikes: u64,
-    /// Mean spikes per sample.
-    pub mean_spikes_per_sample: f64,
-    /// Per-layer aggregate spike statistics.
-    pub aggregate: AggregateSpikeStats,
+    /// Output spikes of each layer over all samples and timesteps,
+    /// index-aligned with the network's layers.
+    pub per_layer_spikes: Vec<u64>,
+}
+
+impl EvalReport {
+    /// Top-1 accuracy in `[0, 1]` (0.0 when no sample was evaluated).
+    pub fn accuracy(&self) -> f64 {
+        self.correct as f64 / self.samples.max(1) as f64
+    }
+
+    /// Mean output spikes per sample (0.0 when no sample was evaluated).
+    pub fn mean_spikes_per_sample(&self) -> f64 {
+        self.total_spikes as f64 / self.samples.max(1) as f64
+    }
 }
 
 /// A cloneable handle requesting graceful interruption of a training run.
@@ -886,40 +903,39 @@ pub fn apply_gradients(
 }
 
 /// Evaluates `network` on a dataset split: accuracy plus the spike statistics
-/// used by the sparsity and energy experiments.
+/// used by the sparsity and energy experiments. Sample `i` runs with encoder
+/// seed `i`, through one [`RunState`] reused across samples.
 ///
 /// # Errors
 ///
 /// Propagates inference errors.
 pub fn evaluate(
-    network: &mut SnnNetwork,
+    network: &SnnNetwork,
     data: &dyn Dataset,
     split: Split,
     encoder: &Encoder,
     max_samples: Option<usize>,
 ) -> Result<EvalReport, SnnError> {
     let total = data.len(split);
-    let limit = max_samples.unwrap_or(total).min(total);
-    let mut aggregate = AggregateSpikeStats::new();
-    let mut total_spikes = 0u64;
-    for i in 0..limit {
+    let samples = max_samples.unwrap_or(total).min(total);
+    let mut report = EvalReport {
+        samples,
+        per_layer_spikes: vec![0; network.layers().len()],
+        ..EvalReport::default()
+    };
+    let mut state = RunState::new(network)?;
+    for i in 0..samples {
         let sample = data.sample(split, i);
-        let out = network.run_seeded(&sample.image, encoder, i as u64)?;
-        let correct = out.prediction == sample.label;
-        total_spikes += out.record.total_spikes();
-        aggregate.add_run(&out.record, correct);
+        let out = network.run_with_state(&sample.image, encoder, i as u64, &mut state)?;
+        if out.prediction == sample.label {
+            report.correct += 1;
+        }
+        for (layer, trace) in report.per_layer_spikes.iter_mut().zip(&out.traces) {
+            *layer += trace.total_output_spikes();
+        }
+        report.total_spikes += total_output_spikes(&out.traces);
     }
-    Ok(EvalReport {
-        accuracy: aggregate.accuracy(),
-        samples: limit,
-        total_spikes,
-        mean_spikes_per_sample: if limit == 0 {
-            0.0
-        } else {
-            total_spikes as f64 / limit as f64
-        },
-        aggregate,
-    })
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -1056,21 +1072,23 @@ mod tests {
 
     #[test]
     fn evaluate_reports_accuracy_and_spikes() {
-        let mut net = vgg9(&Vgg9Config::cifar10_small()).unwrap();
+        let net = vgg9(&Vgg9Config::cifar10_small()).unwrap();
         let data = tiny_data();
-        let report = evaluate(
-            &mut net,
-            &data,
-            Split::Test,
-            &Encoder::paper_direct(),
-            Some(5),
-        )
-        .unwrap();
+        let report = evaluate(&net, &data, Split::Test, &Encoder::paper_direct(), Some(5)).unwrap();
         assert_eq!(report.samples, 5);
         assert!(report.total_spikes > 0);
-        assert!(report.mean_spikes_per_sample > 0.0);
-        assert!((0.0..=1.0).contains(&report.accuracy));
-        assert_eq!(report.aggregate.runs, 5);
+        assert!(report.mean_spikes_per_sample() > 0.0);
+        assert!((0.0..=1.0).contains(&report.accuracy()));
+        assert_eq!(report.accuracy(), report.correct as f64 / 5.0);
+        assert_eq!(
+            report.mean_spikes_per_sample(),
+            report.total_spikes as f64 / 5.0
+        );
+        assert_eq!(report.per_layer_spikes.len(), net.layers().len());
+        assert_eq!(
+            report.per_layer_spikes.iter().sum::<u64>(),
+            report.total_spikes
+        );
     }
 
     /// The worker-pool determinism claim: training is bitwise identical at

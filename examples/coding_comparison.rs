@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example coding_comparison`
 
 use snn::core::network::{vgg9, Vgg9Config};
-use snn::{Encoder, Engine, HwConfig, Precision, Tensor};
+use snn::{total_output_spikes, Encoder, Engine, HwConfig, Precision, Tensor};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let image = Tensor::from_fn(&[3, 16, 16], |i| ((i as f32) * 0.017).cos().abs());
@@ -39,20 +39,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "Direct  | {:>2} | {:>12} | {:>12.4} | {:>10.4}",
         direct.timesteps,
-        direct.record.total_spikes(),
+        total_output_spikes(&direct.traces),
         direct.hardware.latency_ms,
         direct.hardware.dynamic_energy_mj
     );
     println!(
         "Rate    | {:>2} | {:>12} | {:>12.4} | {:>10.4}",
         rate.timesteps,
-        rate.record.total_spikes(),
+        total_output_spikes(&rate.traces),
         rate.hardware.latency_ms,
         rate.hardware.dynamic_energy_mj
     );
     println!(
         "\nDirect coding improvement: {:.1}x fewer spikes, {:.1}x less energy (paper: 2.6x / 26.4x)",
-        rate.record.total_spikes() as f64 / direct.record.total_spikes().max(1) as f64,
+        total_output_spikes(&rate.traces) as f64 / total_output_spikes(&direct.traces).max(1) as f64,
         rate.hardware.dynamic_energy_mj / direct.hardware.dynamic_energy_mj.max(1e-12)
     );
     Ok(())

@@ -5,7 +5,6 @@
 //! Run with: `cargo run --release --example quantization_sparsity`
 
 use snn::core::network::{vgg9, Vgg9Config};
-use snn::core::stats::SparsityComparison;
 use snn::data::{Split, SyntheticConfig, SyntheticDataset};
 use snn::train::trainer::{evaluate, TrainConfig, Trainer};
 use snn::{Encoder, Precision};
@@ -14,7 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let data = SyntheticDataset::generate(SyntheticConfig::cifar10_like().scaled_down(16, 60, 30));
     let encoder = Encoder::paper_direct();
 
-    let mut results = Vec::new();
+    let mut totals = Vec::new();
     for precision in [Precision::Fp32, Precision::Int4] {
         let mut network = vgg9(&Vgg9Config::cifar10_small())?;
         let mut cfg = TrainConfig::quick_qat(precision);
@@ -23,49 +22,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut trainer = Trainer::new(cfg)?;
         let report = trainer.fit(&mut network, &data)?;
         network.apply_precision(precision)?;
-        let eval = evaluate(&mut network, &data, Split::Test, &encoder, None)?;
+        let eval = evaluate(&network, &data, Split::Test, &encoder, None)?;
         println!(
             "{precision}: train loss {:.3} -> {:.3} | test accuracy {:.1}% | total spikes {} | spikes/sample {:.0}",
             report.epoch_losses.first().copied().unwrap_or(0.0),
             report.final_loss(),
-            eval.accuracy * 100.0,
+            eval.accuracy() * 100.0,
             eval.total_spikes,
-            eval.mean_spikes_per_sample
+            eval.mean_spikes_per_sample()
         );
-        results.push((precision, eval));
+        totals.push(eval.total_spikes);
     }
 
-    let (_, fp32_eval) = &results[0];
-    let (_, int4_eval) = &results[1];
-    let comparison = SparsityComparison::new(
-        "fp32",
-        &aggregate_to_record(fp32_eval),
-        "int4",
-        &aggregate_to_record(int4_eval),
-    );
+    let (fp32_spikes, int4_spikes) = (totals[0], totals[1]);
+    let reduction = if fp32_spikes == 0 {
+        0.0
+    } else {
+        (1.0 - int4_spikes as f64 / fp32_spikes as f64) * 100.0
+    };
     println!(
-        "\nint4 spikes vs fp32: {:+.1}% ({} -> {})",
-        -comparison.spike_reduction_percent(),
-        comparison.baseline_spikes,
-        comparison.variant_spikes
+        "\nint4 spikes vs fp32: {:+.1}% ({fp32_spikes} -> {int4_spikes})",
+        -reduction
     );
     println!(
         "(The paper reports 6.1% / 10.1% / 15.2% fewer spikes for int4 on SVHN / CIFAR-10 / CIFAR-100.)"
     );
     Ok(())
-}
-
-/// Folds an evaluation aggregate back into a `SpikeRecord` so the
-/// `SparsityComparison` helper can be reused.
-fn aggregate_to_record(eval: &snn::train::trainer::EvalReport) -> snn::core::spike::SpikeRecord {
-    let mut record = snn::core::spike::SpikeRecord::new(1);
-    for (name, &spikes) in eval
-        .aggregate
-        .layer_names
-        .iter()
-        .zip(eval.aggregate.per_layer_spikes.iter())
-    {
-        record.push_layer(name.clone(), 0, spikes, 0);
-    }
-    record
 }

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use snn::core::network::{vgg9, Vgg9Config};
-use snn::{Encoder, Engine, Precision, Tensor};
+use snn::{average_sparsity, total_output_spikes, Encoder, Engine, Precision, Tensor};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Build a scaled-down CIFAR-10-like VGG9 (7 conv + 2 FC layers, each
@@ -35,8 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "Prediction: class {} | total spikes: {} | average sparsity: {:.1}%",
         report.prediction,
-        report.record.total_spikes(),
-        report.record.average_sparsity() * 100.0
+        total_output_spikes(&report.traces),
+        average_sparsity(&report.traces) * 100.0
     );
     println!(
         "Accelerator: {:.3} ms latency | {:.0} FPS | {:.3} mJ/image | {:.2} W dynamic | fits device: {}",

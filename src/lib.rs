@@ -62,9 +62,10 @@ pub use snn_accel::accelerator::{EstimatePlan, HybridAccelerator, InferenceRepor
 pub use snn_accel::config::{HwConfig, PerfScale};
 pub use snn_core::encoding::Encoder;
 pub use snn_core::error::SnnError;
-pub use snn_core::network::{LayerTrace, RunState, SnnNetwork, Vgg9Config};
+pub use snn_core::network::{
+    average_sparsity, total_output_spikes, LayerTrace, RunState, SnnNetwork, Vgg9Config,
+};
 pub use snn_core::quant::Precision;
-pub use snn_core::spike::SpikeRecord;
 pub use snn_core::tensor::Tensor;
 
 use std::sync::Arc;
@@ -88,9 +89,9 @@ pub struct RunReport {
     pub logits: Vec<f32>,
     /// Index of the predicted class.
     pub prediction: usize,
-    /// Per-layer spike record (summed over timesteps).
-    pub record: SpikeRecord,
-    /// Detailed per-layer traces (input events and output spikes per timestep).
+    /// Per-layer traces (input events and output spikes per timestep): the
+    /// run's one spike-count record, summarised by [`total_output_spikes`]
+    /// and [`average_sparsity`].
     pub traces: Vec<LayerTrace>,
     /// Number of timesteps simulated.
     pub timesteps: usize,
@@ -363,7 +364,6 @@ fn run_one(
     Ok(RunReport {
         logits: output.logits,
         prediction: output.prediction,
-        record: output.record,
         traces: output.traces,
         timesteps: output.timesteps,
         hardware,
@@ -699,7 +699,6 @@ impl EngineRunner {
         serve::InferenceResult {
             logits: report.logits,
             prediction: report.prediction,
-            record: report.record,
             traces: report.traces,
             timesteps: report.timesteps,
             hardware: Some(report.hardware),
@@ -778,7 +777,7 @@ mod tests {
         b.run(&test_image(2)).unwrap();
         let ra2 = a.run(&image).unwrap();
         assert_eq!(ra.logits, ra2.logits);
-        assert_eq!(ra.record.total_spikes(), ra2.record.total_spikes());
+        assert_eq!(ra.traces, ra2.traces);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use snn::accel::sparse_core::SparseCore;
 use snn::accel::workload::from_traces;
 use snn::accel::HybridAccelerator;
 use snn::core::network::{vgg9, RunState, SnnNetwork, Vgg9Config};
-use snn::{Encoder, Engine, HwConfig, PerfScale, Precision, Tensor};
+use snn::{total_output_spikes, Encoder, Engine, HwConfig, PerfScale, Precision, Tensor};
 
 fn small_image() -> Tensor {
     Tensor::from_fn(&[3, 16, 16], |i| ((i as f32) * 0.019).sin().abs())
@@ -169,7 +169,7 @@ fn direct_coding_beats_rate_coding_on_energy() {
     let rate = rate_engine.session().run_seeded(&image, 3).unwrap();
 
     assert!(
-        rate.record.total_spikes() > direct.record.total_spikes(),
+        total_output_spikes(&rate.traces) > total_output_spikes(&direct.traces),
         "rate coding at 20 timesteps should emit more spikes than direct at 2"
     );
     assert!(

@@ -5,7 +5,7 @@
 use snn::core::network::{vgg9, Vgg9Config};
 use snn::data::{Dataset, Split, SyntheticConfig, SyntheticDataset};
 use snn::train::trainer::{evaluate, TrainConfig, Trainer};
-use snn::{Encoder, Engine, Precision};
+use snn::{total_output_spikes, Encoder, Engine, Precision};
 
 fn tiny_dataset() -> SyntheticDataset {
     SyntheticDataset::generate(SyntheticConfig::cifar10_like().scaled_down(16, 16, 8))
@@ -28,7 +28,7 @@ fn train_quantize_infer_and_estimate() {
     let mut eval_net = network.clone();
     eval_net.apply_precision(Precision::Int4).unwrap();
     let eval = evaluate(
-        &mut eval_net,
+        &eval_net,
         &data,
         Split::Test,
         &Encoder::paper_direct(),
@@ -80,8 +80,8 @@ fn quantized_deployment_changes_spike_counts_but_not_structure() {
     assert_eq!(out_fp32.logits.len(), out_int4.logits.len());
     // Quantization perturbs the activity (almost surely), but both runs must
     // produce valid, finite spike statistics.
-    assert!(out_fp32.record.total_spikes() > 0);
-    assert!(out_int4.record.total_spikes() > 0);
+    assert!(total_output_spikes(&out_fp32.traces) > 0);
+    assert!(total_output_spikes(&out_int4.traces) > 0);
 }
 
 #[test]

@@ -127,7 +127,7 @@ fn run_batch_matches_sequential_low_level_runs_bitwise() {
             "batched logits diverge from sequential run for image {i}"
         );
         assert_eq!(got.prediction, seq.prediction);
-        assert_eq!(got.record.total_spikes(), seq.record.total_spikes());
+        assert_eq!(got.traces, seq.traces);
         assert_eq!(got.timesteps, seq.timesteps);
     }
 }

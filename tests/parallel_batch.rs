@@ -55,7 +55,6 @@ fn parallel_run_batch_is_bitwise_equal_to_sequential_run_seeded() {
                 "parallel ({threads} threads) logits diverge at image {i}"
             );
             assert_eq!(par.prediction, seq.prediction);
-            assert_eq!(par.record, seq.record);
             assert_eq!(par.traces, seq.traces);
             assert_eq!(par.hardware, seq.hardware);
         }

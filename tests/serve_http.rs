@@ -235,6 +235,31 @@ fn malformed_bodies_map_to_400_and_health_stats_respond() {
     server.shutdown();
 }
 
+/// A zoo with no models can serve no request, so `/healthz` must not call
+/// it healthy: it answers 503 with status `empty`, in step with the 404 an
+/// unnamed inference request gets.
+#[test]
+fn empty_zoo_is_not_healthy() {
+    let server = HttpServer::bind(ModelZoo::<Engine>::new(), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+
+    let mut conn = TcpStream::connect(addr).unwrap();
+    let (status, body) = http_roundtrip(&mut conn, "GET", "/healthz", "text/plain", b"");
+    assert_eq!(status, 503);
+    assert_eq!(body, b"{\"status\":\"empty\",\"models\":{}}");
+
+    let mut conn = TcpStream::connect(addr).unwrap();
+    let (status, _) = http_roundtrip(
+        &mut conn,
+        "POST",
+        "/v1/infer",
+        "application/json",
+        &json_body(&test_image(0), 0),
+    );
+    assert_eq!(status, 404);
+    server.shutdown();
+}
+
 /// Like [`http_roundtrip`] but also returns the raw response head, for
 /// asserting on headers like `Retry-After`.
 fn http_roundtrip_with_head(

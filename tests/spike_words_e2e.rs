@@ -6,7 +6,7 @@
 //! packed mask words flow through a complete network without perturbing a
 //! single output bit, whether one worker or four carry the batch.
 
-use snn::{Encoder, Engine, HwConfig, Precision, Tensor};
+use snn::{Encoder, Engine, HwConfig, Precision, RunState, Tensor};
 use snn_core::network::{vgg9, Vgg9Config};
 
 fn images(n: usize) -> Vec<Tensor> {
@@ -65,24 +65,54 @@ fn word_scan_inference_is_bitwise_identical_across_threads() {
                     a.prediction, b.prediction,
                     "{name}/{precision:?}: image {i}"
                 );
-                assert_eq!(a.record, b.record, "{name}/{precision:?}: spike record {i}");
                 assert_eq!(a.traces, b.traces, "{name}/{precision:?}: traces {i}");
             }
         }
     }
 }
 
-/// Spike counts reported by the engine come from mask-word popcounts; they
-/// must equal the number of ones in the recorded spike trains, and an
-/// all-zero image must produce zero input events under direct coding.
+/// Spike counts reported by the engine come from mask-word popcounts; each
+/// layer's must equal the number of ones in that layer's dense output
+/// planes, and an all-zero image must produce zero input events under
+/// direct coding.
 #[test]
 fn popcount_spike_statistics_are_consistent() {
-    let engine = engine(1, Encoder::paper_direct(), Precision::Fp32);
-    let report = engine.session().run(&images(1)[0]).unwrap();
-    let recorded = report.record.total_spikes();
-    let traced: u64 = report.traces.iter().map(|t| t.total_output_spikes()).sum();
+    let encoder = Encoder::paper_direct();
+    let engine = engine(1, encoder, Precision::Fp32);
+    let image = &images(1)[0];
+    let report = engine.session().run(image).unwrap();
+
+    // The same run (seed 0), read plane by plane through the run loop's
+    // observer: count the 1.0 cells of each layer's dense output backing.
+    let network = engine.network();
+    let mut ones = vec![0u64; network.layers().len()];
+    let mut state = RunState::new(network).unwrap();
+    network
+        .run_observed(image, &encoder, 0, &mut state, |li, _, output, _| {
+            ones[li] += output
+                .dense()
+                .as_slice()
+                .iter()
+                .filter(|&&v| v == 1.0)
+                .count() as u64;
+            Ok(())
+        })
+        .unwrap();
+    let traced: Vec<u64> = report
+        .traces
+        .iter()
+        .map(|t| t.total_output_spikes())
+        .collect();
     assert_eq!(
-        recorded, traced,
-        "record vs per-layer trace spike totals disagree"
+        traced, ones,
+        "per-layer trace totals vs ones in the dense output planes"
+    );
+    assert!(ones.iter().sum::<u64>() > 0, "the image must make spikes");
+
+    let silent = engine.session().run(&Tensor::zeros(&[3, 16, 16])).unwrap();
+    assert_eq!(
+        silent.traces[0].input_events,
+        vec![0; encoder.timesteps],
+        "an all-zero direct-coded image has no input events"
     );
 }
