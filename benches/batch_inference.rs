@@ -5,9 +5,9 @@
 //!   engine's default worker-thread resolution (`SNN_THREADS` or the
 //!   available parallelism).
 //! * `sparse_conv` — event-driven `Conv2d::forward_spikes` vs the dense
-//!   im2col + matmul forward on a CONV2-like layer at 5%/20%/50% input spike
-//!   density, tracking the sparse/dense crossover that
-//!   `Conv2d::sparse_crossover` encodes.
+//!   im2col + matmul forward on the small model's 8-, 16- and 32-wide layers
+//!   (CONV1_2, CONV2_2, CONV3_3) at 5–90% input spike density, tracking the
+//!   sparse/dense crossover that `Conv2d::sparse_crossover` encodes.
 //! * `matmul_blocked_vs_naive` — the cache-blocked `matmul_to` kernel vs the
 //!   retained `matmul_naive_to` reference on paper-scale dense-fallback
 //!   shapes (results are bitwise identical; only the speed differs).
@@ -86,33 +86,29 @@ fn spike_input(shape: &[usize], density: f64) -> Tensor {
 }
 
 fn bench_sparse_conv(c: &mut Criterion) {
-    // CONV2-like geometry from the small model: 16 -> 16 channels on an
-    // 8x8 map, 3x3 same-padding.
+    // The small model's 8-, 16- and 32-wide layers (CONV1_2: 8 -> 8 on
+    // 16x16, CONV2_2: 16 -> 16 on 8x8, CONV3_3: 24 -> 32 on 4x4), 3x3
+    // same-padding, at densities either side of each crossover.
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
-    let conv = Conv2d::with_kaiming_init(16, 16, 3, 1, 1, &mut rng).expect("conv builds");
     let mut group = c.benchmark_group("sparse_conv");
-    for &density in &[0.05_f64, 0.2, 0.5] {
-        let input = spike_input(&[16, 8, 8], density);
-        let plane = SpikePlane::from_tensor(&input);
-        group.bench_with_input(
-            BenchmarkId::new("event", format!("{:.0}%", density * 100.0)),
-            &plane,
-            |b, plane| {
+    for &(in_c, out_c, map) in &[(8_usize, 8_usize, 16_usize), (16, 16, 8), (24, 32, 4)] {
+        let conv = Conv2d::with_kaiming_init(in_c, out_c, 3, 1, 1, &mut rng).expect("conv builds");
+        for &density in &[0.05_f64, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.9] {
+            let input = spike_input(&[in_c, map, map], density);
+            let plane = SpikePlane::from_tensor(&input);
+            let param = format!("{out_c}ch/{:.0}%", density * 100.0);
+            group.bench_with_input(BenchmarkId::new("event", &param), &plane, |b, plane| {
                 b.iter(|| conv.forward_spikes(plane).expect("sparse forward"));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("dense", format!("{:.0}%", density * 100.0)),
-            &input,
-            |b, input| {
+            });
+            group.bench_with_input(BenchmarkId::new("dense", &param), &input, |b, input| {
                 let mut scratch = ConvScratch::new();
                 let mut out = Tensor::zeros(&[0]);
                 b.iter(|| {
                     conv.forward_into(input, &mut scratch, &mut out)
                         .expect("dense forward")
                 });
-            },
-        );
+            });
+        }
     }
     group.finish();
 }

@@ -431,7 +431,7 @@ impl Conv2d {
 
     /// Density-dispatching forward used by the inference loop: takes the
     /// event path when the frame is binary and sparser than
-    /// [`SPARSE_DENSITY_CROSSOVER`], and the dense im2col path otherwise
+    /// [`Conv2d::sparse_crossover`], and the dense im2col path otherwise
     /// (e.g. for analog direct-coded input frames). Both paths produce
     /// bit-identical output currents.
     ///
@@ -479,17 +479,20 @@ impl Conv2d {
     /// In vector-op terms the work ratio of the two paths is roughly the
     /// input density, but the sparse path's fixed costs (the accumulator
     /// transpose per call, the first-tap set-up per spike) weigh more at
-    /// small `out_channels`, where one tap's contiguous weight-row add spans
-    /// less than a vector register. The formula was calibrated against the
-    /// `sparse_conv` micro-bench in `benches/batch_inference.rs` when the
-    /// crossover measured ≈0.30 for 8 output channels, ≈0.55 for 16 and
-    /// above 0.70 at paper scale (112); clamped to
-    /// `[SPARSE_DENSITY_CROSSOVER, 0.75]`. Re-measured with the tap walk on a
-    /// 2-vCPU Sapphire Rapids VM (3×3 same-padding layers on 8×8 maps, as
-    /// many input as output channels, best of three alternating runs), the
-    /// crossover falls at ≈0.20–0.25 density for 8 output channels,
-    /// ≈0.30–0.35 for 16 and ≈0.65–0.70 for 112, so for narrow layers the
-    /// formula now sits above the measured crossover.
+    /// small `out_channels`. The formula, clamped to
+    /// `[SPARSE_DENSITY_CROSSOVER, 0.75]`, gives 0.30 at 8 output channels,
+    /// 0.55 at 16 and 0.675 at 32. It was fitted to the `sparse_conv`
+    /// micro-bench in `benches/batch_inference.rs` before the per-tap row
+    /// add ran at a compile-time width ([`Conv2d::add_tap_rows`]). With that
+    /// add (2-vCPU VM, 3×3 same-padding, medians of four alternating runs)
+    /// the event path is faster below ≈0.40 density at 8 output channels
+    /// (CONV1_2: 8 → 8 on 16×16), below ≈0.70 at 16 (CONV2_2: 16 → 16 on
+    /// 8×8) and at every density measured, up to 0.90, at 32 (CONV3_3:
+    /// 24 → 32 on 4×4). So at the small VGG9's widths the formula sits below
+    /// the measured crossover, and frames between the two take the slower
+    /// dense path, with the same bits. Paper-scale widths take the
+    /// runtime-width add, whose crossover measured ≈0.65–0.70 at 112 output
+    /// channels on 8×8 maps.
     pub fn sparse_crossover(&self) -> f64 {
         (0.8 - 4.0 / self.out_channels as f64).clamp(SPARSE_DENSITY_CROSSOVER, 0.75)
     }
@@ -539,6 +542,69 @@ impl Conv2d {
         Ok(())
     }
 
+    /// Adds one `out_channels`-wide row per tap of [`Conv2d::for_each_tap`]:
+    /// at tap `(p, cell)`, row `s` of `src` into row `d` of `dst`, where
+    /// `(d, s) = rows(p, cell)`. The event forward adds filter rows into
+    /// output cells, and the event-aware BPTT weight gradient adds
+    /// output-gradient rows into weight rows.
+    ///
+    /// The row add is chosen once per call from `out_channels`: a loop of
+    /// compile-time width for 8, 16, 24 and 32 (the small VGG9's widths),
+    /// which unrolls to whole vector adds, and [`add_assign_lanes`] for any
+    /// other width. Either way each element receives one add per tap, in tap
+    /// order, so the choice never changes a bit.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Conv2d::for_each_tap`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` names a row outside `dst` or `src`.
+    pub fn add_tap_rows(
+        &self,
+        plane: &SpikePlane,
+        dst: &mut [f32],
+        src: &[f32],
+        rows: impl Fn(usize, usize) -> (usize, usize),
+    ) -> Result<(), SnnError> {
+        match self.out_channels {
+            8 => self.add_tap_rows_at::<8>(plane, dst, src, rows),
+            16 => self.add_tap_rows_at::<16>(plane, dst, src, rows),
+            24 => self.add_tap_rows_at::<24>(plane, dst, src, rows),
+            32 => self.add_tap_rows_at::<32>(plane, dst, src, rows),
+            width => self.for_each_tap(plane, |p, cell| {
+                let (d, s) = rows(p, cell);
+                add_assign_lanes(
+                    &mut dst[d * width..(d + 1) * width],
+                    &src[s * width..(s + 1) * width],
+                );
+            }),
+        }
+    }
+
+    /// [`Conv2d::add_tap_rows`] with rows `W` wide.
+    fn add_tap_rows_at<const W: usize>(
+        &self,
+        plane: &SpikePlane,
+        dst: &mut [f32],
+        src: &[f32],
+        rows: impl Fn(usize, usize) -> (usize, usize),
+    ) -> Result<(), SnnError> {
+        let (dst, _) = dst.as_chunks_mut::<W>();
+        let (src, _) = src.as_chunks::<W>();
+        self.for_each_tap(plane, |p, cell| {
+            let (d, s) = rows(p, cell);
+            // Summing into a local copy keeps the stores clear of `src`'s
+            // loads, so the add compiles to whole vector adds.
+            let mut row = dst[d];
+            for (o, &v) in row.iter_mut().zip(&src[s]) {
+                *o += v;
+            }
+            dst[d] = row;
+        })
+    }
+
     /// The event-driven kernel behind [`Conv2d::forward_spikes`], with
     /// caller-provided scratch and output buffer.
     fn forward_spikes_with(
@@ -563,12 +629,7 @@ impl Conv2d {
         let acc = &mut scratch.acc;
         acc.clear();
         acc.resize(cell_count * oc_n, 0.0);
-        self.for_each_tap(plane, |p, cell| {
-            add_assign_lanes(
-                &mut acc[cell * oc_n..(cell + 1) * oc_n],
-                &wt[p * oc_n..(p + 1) * oc_n],
-            );
-        })?;
+        self.add_tap_rows(plane, acc, wt, |p, cell| (cell, p))?;
         // Transpose back to the `[out_channel][cell]` tensor layout.
         out.reset_to(&out_shape, 0.0);
         let odat = out.as_mut_slice();

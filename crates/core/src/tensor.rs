@@ -941,11 +941,12 @@ fn micro_kernel(
 }
 
 /// Element-wise `dst[i] += src[i]` through the same 8-lane (`MM_LANES`)
-/// explicit register accumulators as the micro-kernel — the "column-gather
-/// add" of the event-driven paths: a spike contributes a whole weight row
-/// unscaled, so the conv forward's per-tap gather and the backward's per-tap
-/// weight-gradient accumulation are exactly this loop. Lanes are independent
-/// elements, so the unrolling is bitwise-neutral.
+/// explicit register accumulators as the micro-kernel, for a length known
+/// only at run time. It is the per-tap row add of the event conv
+/// ([`Conv2d::add_tap_rows`](crate::layers::Conv2d::add_tap_rows)) at the
+/// widths that call does not compile a fixed-width add for — the paper-scale
+/// layers' 64–560 output channels among them. Lanes are independent elements,
+/// so the unrolling is bitwise-neutral.
 ///
 /// # Panics
 ///

@@ -24,14 +24,19 @@ use snn_core::test_support::{
     plane_from_mask_pushed,
 };
 
-/// Kaiming-initialized conv at both precisions: the fp32 layer and its
-/// int4-fake-quantized counterpart (still f32 arithmetic, so the bitwise
-/// contract is unchanged — only the weights move to the int4 grid).
-fn conv_pair(seed: u64, stride: usize, padding: usize) -> Vec<(&'static str, Conv2d)> {
+/// Kaiming-initialized 2 → `out_c` conv at both precisions: the fp32 layer
+/// and its int4-fake-quantized counterpart (still f32 arithmetic, so the
+/// bitwise contract is unchanged — only the weights move to the int4 grid).
+fn conv_pair(
+    seed: u64,
+    out_c: usize,
+    stride: usize,
+    padding: usize,
+) -> Vec<(&'static str, Conv2d)> {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(seed);
-    let fp32 = Conv2d::with_kaiming_init(2, 3, 3, stride, padding, &mut rng).unwrap();
+    let fp32 = Conv2d::with_kaiming_init(2, out_c, 3, stride, padding, &mut rng).unwrap();
     let int4 = fp32.to_precision(Precision::Int4).unwrap();
     vec![("fp32", fp32), ("int4", int4)]
 }
@@ -85,13 +90,42 @@ proptest! {
     ) {
         let shape = [2_usize, h, w];
         let len: usize = shape.iter().product();
-        for (prec, conv) in conv_pair(seed, stride, padding) {
+        for (prec, conv) in conv_pair(seed, 3, stride, padding) {
             for case in adversarial_masks(len, seed) {
                 let plane = plane_from_mask(&shape, &case.mask);
                 let word = conv.forward_spikes(&plane).unwrap();
                 let dense = conv.forward(plane.dense()).unwrap();
                 let ctx = format!("conv {prec} {}", case.name);
                 assert_tensor_bits_eq(&word, &dense, &format!("{ctx}: word vs dense"));
+            }
+        }
+    }
+
+    /// `Conv2d`: the event forward ≡ the dense forward, bit for bit, at fp32
+    /// and int4, at every output width `Conv2d::add_tap_rows` compiles a
+    /// fixed-width row add for (8, 16, 24, 32) and at one it does not (12),
+    /// on the full adversarial corpus. `forward_spikes` takes the event path
+    /// at any density.
+    #[test]
+    fn conv_forward_word_equals_dense_at_every_row_width(
+        h in 3_usize..9,
+        w in 3_usize..11,
+        stride in 1_usize..3,
+        padding in 0_usize..2,
+        seed in 0_u64..500,
+    ) {
+        let shape = [2_usize, h, w];
+        let len: usize = shape.iter().product();
+        let corpus = adversarial_masks(len, seed);
+        for out_c in [8, 16, 24, 32, 12] {
+            for (prec, conv) in conv_pair(seed, out_c, stride, padding) {
+                for case in &corpus {
+                    let plane = plane_from_mask(&shape, &case.mask);
+                    let word = conv.forward_spikes(&plane).unwrap();
+                    let dense = conv.forward(plane.dense()).unwrap();
+                    let ctx = format!("conv {out_c} {prec} {}", case.name);
+                    assert_tensor_bits_eq(&word, &dense, &format!("{ctx}: word vs dense"));
+                }
             }
         }
     }

@@ -25,8 +25,8 @@ use snn_core::error::SnnError;
 use snn_core::layers::{Conv2d, Linear, SpikeMaxPool2d};
 use snn_core::spike::{scan_words, SpikePlane};
 use snn_core::tensor::{
-    add_assign_lanes, matmul, matmul_a_bt, matmul_a_bt_to_with, matmul_at_b, matmul_scatter_col2im,
-    matmul_to_with, Im2Col, Tensor,
+    matmul, matmul_a_bt, matmul_a_bt_to_with, matmul_at_b, matmul_scatter_col2im, matmul_to_with,
+    Im2Col, Tensor,
 };
 
 /// Gradients of a convolution layer.
@@ -371,12 +371,7 @@ pub fn conv2d_backward_into(
         let accw = &mut scratch.accw;
         accw.clear();
         accw.resize(coeffs * out_c, 0.0);
-        conv.for_each_tap(input, |p, s| {
-            add_assign_lanes(
-                &mut accw[p * out_c..(p + 1) * out_c],
-                &got[s * out_c..(s + 1) * out_c],
-            );
-        })?;
+        conv.add_tap_rows(input, accw, got, |p, s| (p, s))?;
         let w_out = grads.weight.as_mut_slice();
         for (p, wrow) in scratch.accw.chunks_exact(out_c).enumerate() {
             for (oc, &v) in wrow.iter().enumerate() {
@@ -1018,6 +1013,48 @@ mod tests {
             assert_bits_eq(&cached.weight, &reference.weight, "cached weight");
             assert_bits_eq(&cached.bias, &reference.bias, "cached bias");
             assert_bits_eq(&cached.input, &reference.input, "cached input");
+        }
+
+        /// The event weight gradient equals the dense reference bit for bit
+        /// at every output width `Conv2d::add_tap_rows` compiles a
+        /// fixed-width row add for (8, 16, 24, 32) and at one it does not
+        /// (12), at fp32 and int4. Frames are thinned to at most one cell in
+        /// seven, below every width's density crossover, so each case takes
+        /// the event path.
+        #[test]
+        fn conv2d_backward_into_bitwise_equals_reference_at_every_row_width(
+            seed in 0_u64..500,
+            h in 4_usize..8,
+            w in 4_usize..8,
+            stride in 1_usize..3,
+            padding in 0_usize..2,
+            binary in proptest::collection::vec(any::<bool>(), 2 * 7 * 7),
+        ) {
+            use snn_core::quant::Precision;
+            let input = Tensor::from_fn(&[2, h, w], |i| {
+                f32::from(binary[i % binary.len()] && i % 7 == 0)
+            });
+            let plane = SpikePlane::from_tensor(&input);
+            let mut scratch = GradScratch::new();
+            let mut grads = ConvGrads::default();
+            for out_c in [8, 16, 24, 32, 12] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let fp32 =
+                    Conv2d::with_kaiming_init(2, out_c, 3, stride, padding, &mut rng).unwrap();
+                let int4 = fp32.to_precision(Precision::Int4).unwrap();
+                let out_shape = fp32.output_shape(input.shape()).unwrap();
+                let grad_out = grad_tensor(&out_shape, seed as usize);
+                for (prec, conv) in [("fp32", &fp32), ("int4", &int4)] {
+                    prop_assert!(plane.density() < conv.sparse_crossover());
+                    let reference = conv2d_backward(conv, &input, &grad_out).unwrap();
+                    conv2d_backward_into(conv, &plane, &grad_out, &mut scratch, &mut grads, true)
+                        .unwrap();
+                    let ctx = format!("{out_c} {prec}");
+                    assert_bits_eq(&grads.weight, &reference.weight, &format!("{ctx} weight"));
+                    assert_bits_eq(&grads.bias, &reference.bias, &format!("{ctx} bias"));
+                    assert_bits_eq(&grads.input, &reference.input, &format!("{ctx} input"));
+                }
+            }
         }
 
         /// The fused input-gradient kernel is bitwise identical to the
