@@ -187,62 +187,43 @@ fn bench_bptt_backward(c: &mut Criterion) {
 
 fn bench_input_grad(c: &mut Criterion) {
     use snn::train::grad::{conv2d_input_grad_into, GradScratch};
-    use snn_core::tensor::{matmul_at_b_to, Im2Col};
-
-    // CONV2-like geometry from the small model: 16 -> 16 channels on an
-    // 8x8 map, 3x3 same-padding (coeffs = 144, spatial = 64).
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
-    let conv = Conv2d::with_kaiming_init(16, 16, 3, 1, 1, &mut rng).expect("conv builds");
-    let input_shape = [16_usize, 8, 8];
-    let out_shape = conv.output_shape(&input_shape).expect("geometry");
-    let spatial = out_shape[1] * out_shape[2];
-    let coeffs = conv.coefficients_per_output();
-    conv.transposed_weight(); // warmed once per batch by Bptt::prepare
 
     let mut group = c.benchmark_group("bptt_input_grad");
-    for &(label, frac) in &[("dense", 1.0_f64), ("cols25%", 0.25), ("cols5%", 0.05)] {
-        // Gradient frame with only ~frac of its output columns non-zero —
-        // the regime the pool-routed, carry-free final timestep produces.
-        let grad = Tensor::from_fn(&out_shape, |i| {
-            let s = i % spatial;
-            if ((s.wrapping_mul(2_654_435_761)) % 1000) as f64 / 1000.0 < frac {
-                ((i as f32) * 0.37).sin() * 1e-2
-            } else {
-                0.0
-            }
-        });
-        group.bench_function(BenchmarkId::new("fused", label), |b| {
-            let mut scratch = GradScratch::new();
-            let mut out = Tensor::default();
-            b.iter(|| {
-                conv2d_input_grad_into(&conv, &input_shape, &grad, &mut scratch, &mut out)
-                    .expect("fused input grad")
+    // The small VGG9 layers whose input gradient moved most, 3x3 same
+    // padding: CONV1_2 (8 -> 8 on 16x16), CONV2_2 (16 -> 16 on 8x8) and
+    // CONV3_3 (24 -> 32 on 4x4).
+    for &(layer, in_c, out_c, side) in &[
+        ("conv1_2", 8_usize, 8_usize, 16_usize),
+        ("conv2_2", 16, 16, 8),
+        ("conv3_3", 24, 32, 4),
+    ] {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
+        let conv = Conv2d::with_kaiming_init(in_c, out_c, 3, 1, 1, &mut rng).expect("conv builds");
+        conv.tap_major_weight(); // warmed once per batch by Bptt::prepare
+        let input_shape = [in_c, side, side];
+        let cells = side * side;
+        // A dense frame, and a pool-routed one: each layer here feeds a 2x2
+        // spike pool, whose backward routes each window's gradient to one
+        // position per channel (its first spike), so the other three are 0.
+        for &(frame, pooled) in &[("dense", false), ("pooled", true)] {
+            let grad = Tensor::from_fn(&[out_c, side, side], |i| {
+                let (ch, y, x) = (i / cells, i % cells / side, i % side);
+                let routed = (ch * 7 + y / 2 * 3 + x / 2 * 5) % 4 == y % 2 * 2 + x % 2;
+                if pooled && !routed {
+                    0.0
+                } else {
+                    ((i + 1) as f32 * 0.37).sin() * 1e-2
+                }
             });
-        });
-        group.bench_function(BenchmarkId::new("unfused", label), |b| {
-            let mut cols = Im2Col {
-                data: Vec::new(),
-                rows: coeffs,
-                cols: spatial,
-                out_h: out_shape[1],
-                out_w: out_shape[2],
-            };
-            let mut out = Tensor::default();
-            b.iter(|| {
-                cols.data.clear();
-                cols.data.resize(coeffs * spatial, 0.0);
-                matmul_at_b_to(
-                    conv.weight().as_slice(),
-                    grad.as_slice(),
-                    conv.out_channels(),
-                    coeffs,
-                    spatial,
-                    &mut cols.data,
-                );
-                Tensor::col2im_into(&cols, 16, 8, 8, (3, 3), 1, 1, &mut out)
-                    .expect("unfused input grad")
+            group.bench_function(BenchmarkId::new(layer, frame), |b| {
+                let mut scratch = GradScratch::new();
+                let mut out = Tensor::default();
+                b.iter(|| {
+                    conv2d_input_grad_into(&conv, &input_shape, &grad, &mut scratch, &mut out)
+                        .expect("input grad")
+                });
             });
-        });
+        }
     }
     group.finish();
 }

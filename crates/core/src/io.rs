@@ -148,11 +148,12 @@ impl Checkpoint {
 /// Returns [`SnnError::InvalidConfig`] on I/O failure.
 pub fn save_payload(path: impl AsRef<Path>, payload: &[u8]) -> Result<(), SnnError> {
     let path = path.as_ref();
-    let mut bytes = Vec::with_capacity(payload.len() + TRAILER_LEN);
-    bytes.extend_from_slice(payload);
-    bytes.extend_from_slice(&TRAILER_MAGIC);
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&crc64(payload).to_le_bytes());
+    // The trailer is written after the payload, so the payload is never
+    // copied just to append 24 bytes.
+    let mut trailer = [0_u8; TRAILER_LEN];
+    trailer[..8].copy_from_slice(&TRAILER_MAGIC);
+    trailer[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    trailer[16..].copy_from_slice(&crc64(payload).to_le_bytes());
     let io_err = |what: &str, e: std::io::Error| {
         SnnError::config(
             "path",
@@ -175,7 +176,8 @@ pub fn save_payload(path: impl AsRef<Path>, payload: &[u8]) -> Result<(), SnnErr
     };
     let result = (|| {
         let mut file = fs::File::create(&tmp).map_err(|e| io_err("create temp for", e))?;
-        file.write_all(&bytes).map_err(|e| io_err("write", e))?;
+        file.write_all(payload).map_err(|e| io_err("write", e))?;
+        file.write_all(&trailer).map_err(|e| io_err("write", e))?;
         // Durability point 1: the temp file's contents reach the disk
         // before the rename can make them visible under `path`.
         file.sync_all().map_err(|e| io_err("sync", e))?;

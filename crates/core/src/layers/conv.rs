@@ -73,11 +73,14 @@ pub struct Conv2d {
     /// ([`Conv2d::invalidate_cache`]), it is excluded from equality, and it
     /// is not serialized (a deserialized layer starts cold).
     wt: OnceLock<Vec<f32>>,
+    /// Lazily built `[k², out_c, in_c]` tap-major filter bank consumed by the
+    /// BPTT input gradient; derived data under the same rules as `wt`.
+    wtap: OnceLock<Vec<f32>>,
 }
 
 /// Equality is over the layer's semantic state (geometry + parameters); the
-/// derived transposed-weight cache is ignored, so a cold and a warmed-up copy
-/// of the same layer compare equal.
+/// derived filter-bank caches are ignored, so a cold and a warmed-up copy of
+/// the same layer compare equal.
 impl PartialEq for Conv2d {
     fn eq(&self, other: &Self) -> bool {
         self.in_channels == other.in_channels
@@ -90,7 +93,7 @@ impl PartialEq for Conv2d {
     }
 }
 
-// Manual (rather than derived) impls so the cache field stays out of the
+// Manual (rather than derived) impls so the cache fields stay out of the
 // serialized form — the on-disk layout is identical to the pre-cache derive.
 impl Serialize for Conv2d {
     fn to_value(&self) -> serde::Value {
@@ -120,6 +123,7 @@ impl Deserialize for Conv2d {
             weight: serde::__field(obj, "weight", "Conv2d")?,
             bias: serde::__field(obj, "bias", "Conv2d")?,
             wt: OnceLock::new(),
+            wtap: OnceLock::new(),
         })
     }
 }
@@ -158,6 +162,7 @@ impl Conv2d {
             weight: Tensor::zeros(&[out_channels, in_channels, kernel, kernel]),
             bias: Tensor::zeros(&[out_channels]),
             wt: OnceLock::new(),
+            wtap: OnceLock::new(),
         })
     }
 
@@ -219,30 +224,29 @@ impl Conv2d {
         &self.weight
     }
 
-    /// Mutable weight tensor. Invalidates the transposed-weight cache: the
-    /// caller may mutate any coefficient through the returned reference.
+    /// Mutable weight tensor. Invalidates the filter-bank caches: the caller
+    /// may mutate any coefficient through the returned reference.
     pub fn weight_mut(&mut self) -> &mut Tensor {
         self.invalidate_cache();
         &mut self.weight
     }
 
-    /// Clears the lazily built transposed filter bank. Every path that can
-    /// change `weight` must call this so the event-driven forward never reads
-    /// stale coefficients (optimizer steps mutate weights between batches).
+    /// Clears the lazily built filter banks. Every path that can change
+    /// `weight` must call this so no kernel ever reads stale coefficients
+    /// (optimizer steps mutate weights between batches).
     fn invalidate_cache(&mut self) {
         self.wt.take();
+        self.wtap.take();
     }
 
     /// The `[in_c * k², out_c]` transposed filter bank `Wᵀ`, built on first
     /// use and cached until a weight mutation.
     ///
-    /// Two hot paths consume it: the event-driven forward
-    /// ([`Conv2d::forward_spikes`]) gathers its rows per spike tap, and the
-    /// BPTT input-gradient kernel (`snn-train`'s `conv2d_input_grad_into`)
-    /// uses it as the pre-transposed left operand of `Wᵀ · grad_out`, so
-    /// neither re-transposes the weights per call. Training warms it once
-    /// per batch in `Bptt::prepare` (weights only change at optimizer steps,
-    /// which invalidate the cache through [`Conv2d::weight_mut`]).
+    /// The event-driven forward ([`Conv2d::forward_spikes`]) gathers one of
+    /// its rows per spike tap, so it never re-transposes the weights per
+    /// call. Training warms it once per batch in `Bptt::prepare` (weights
+    /// only change at optimizer steps, which invalidate the cache through
+    /// [`Conv2d::weight_mut`]).
     pub fn transposed_weight(&self) -> &[f32] {
         self.wt.get_or_init(|| {
             let ck2 = self.coefficients_per_output();
@@ -254,6 +258,31 @@ impl Conv2d {
                 }
             }
             wt
+        })
+    }
+
+    /// The `[k², out_c, in_c]` tap-major filter bank: row `tap · out_c + oc`
+    /// holds the `in_c` weights `w[oc, :, ky, kx]` of tap `(ky, kx)`. Built on
+    /// first use and cached until a weight mutation, like
+    /// [`Conv2d::transposed_weight`].
+    ///
+    /// The BPTT input gradient (`snn-train`'s `conv2d_input_grad_into`)
+    /// reads one row per tap and non-zero gradient entry, so its lanes run
+    /// along the input channels. Training warms it once per batch in
+    /// `Bptt::prepare`.
+    pub fn tap_major_weight(&self) -> &[f32] {
+        self.wtap.get_or_init(|| {
+            let (in_c, out_c) = (self.in_channels, self.out_channels);
+            let k2 = self.kernel * self.kernel;
+            let mut bank = vec![0.0_f32; k2 * out_c * in_c];
+            for (oc, filter) in self.weight.as_slice().chunks_exact(in_c * k2).enumerate() {
+                for (ci, taps) in filter.chunks_exact(k2).enumerate() {
+                    for (tap, &wv) in taps.iter().enumerate() {
+                        bank[(tap * out_c + oc) * in_c + ci] = wv;
+                    }
+                }
+            }
+            bank
         })
     }
 
@@ -444,7 +473,7 @@ impl Conv2d {
         scratch: &mut ConvScratch,
         out: &mut Tensor,
     ) -> Result<(), SnnError> {
-        if plane.is_binary() && plane.density() < self.sparse_crossover() {
+        if self.takes_event_path(plane) {
             self.forward_spikes_with(plane, scratch, out)
         } else {
             self.forward_into(plane.dense(), scratch, out)
@@ -463,13 +492,22 @@ impl Conv2d {
     ///
     /// Same as [`Tensor::im2col`].
     pub fn lower_plane_into(&self, plane: &SpikePlane, cols: &mut Im2Col) -> Result<(), SnnError> {
-        if plane.is_binary() && plane.density() < self.sparse_crossover() {
+        if self.takes_event_path(plane) {
             plane.im2col_into((self.kernel, self.kernel), self.stride, self.padding, cols)
         } else {
             plane
                 .dense()
                 .im2col_into((self.kernel, self.kernel), self.stride, self.padding, cols)
         }
+    }
+
+    /// Whether `plane` takes this layer's event-driven path: it is binary and
+    /// sparser than [`Conv2d::sparse_crossover`]. The forward
+    /// ([`Conv2d::forward_plane_into`]), the im2col lowering
+    /// ([`Conv2d::lower_plane_into`]) and the BPTT weight gradient all
+    /// dispatch on it.
+    pub fn takes_event_path(&self, plane: &SpikePlane) -> bool {
+        plane.is_binary() && plane.density() < self.sparse_crossover()
     }
 
     /// Input density below which the event-driven path
@@ -782,6 +820,40 @@ mod tests {
         assert_eq!(same.weight(), conv.weight());
     }
 
+    /// The tap-major bank a cold layer with `conv`'s weights builds.
+    fn cold_tap_bank(conv: &Conv2d) -> Vec<f32> {
+        let mut cold = Conv2d::new(
+            conv.in_channels(),
+            conv.out_channels(),
+            conv.kernel(),
+            conv.stride(),
+            conv.padding(),
+        )
+        .unwrap();
+        cold.set_weight(conv.weight().clone()).unwrap();
+        cold.tap_major_weight().to_vec()
+    }
+
+    #[test]
+    fn tap_major_weight_orders_taps_then_out_then_in_channels() {
+        let mut conv = Conv2d::new(3, 4, 2, 1, 0).unwrap();
+        conv.set_weight(Tensor::from_fn(&[4, 3, 2, 2], |i| i as f32))
+            .unwrap();
+        let bank = conv.tap_major_weight();
+        assert_eq!(bank.len(), 4 * 4 * 3);
+        for oc in 0..4 {
+            for ci in 0..3 {
+                for (ky, kx) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                    let tap = ky * 2 + kx;
+                    assert_eq!(
+                        bank[(tap * 4 + oc) * 3 + ci],
+                        conv.weight().get(&[oc, ci, ky, kx]).unwrap()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn transposed_weight_cache_invalidates_on_every_mutation_path() {
         let mut rng = StdRng::seed_from_u64(11);
@@ -789,10 +861,12 @@ mod tests {
         let input = Tensor::from_fn(&[2, 6, 6], |i| f32::from(i % 7 == 0));
         let plane = SpikePlane::from_tensor(&input);
 
-        // Warm the cache, then mutate through weight_mut: the event path must
-        // see the new coefficients (compared against the dense path, which
-        // always reads the weight tensor directly).
+        // Warm the caches, then mutate through weight_mut: the event path
+        // must see the new coefficients (compared against the dense path,
+        // which always reads the weight tensor directly), and so must the
+        // tap-major bank.
         let before = conv.forward_spikes(&plane).unwrap();
+        let bank_before = conv.tap_major_weight().to_vec();
         conv.weight_mut().as_mut_slice()[0] += 1.0;
         let after = conv.forward_spikes(&plane).unwrap();
         assert_ne!(before.as_slice(), after.as_slice());
@@ -800,6 +874,12 @@ mod tests {
             after.as_slice(),
             conv.forward(&input).unwrap().as_slice(),
             "stale transposed-weight cache after weight_mut"
+        );
+        assert_ne!(conv.tap_major_weight(), bank_before);
+        assert_eq!(
+            conv.tap_major_weight(),
+            cold_tap_bank(&conv),
+            "stale tap-major bank after weight_mut"
         );
 
         // set_weight invalidates too.
@@ -811,9 +891,14 @@ mod tests {
             conv.forward(&input).unwrap().as_slice(),
             "stale transposed-weight cache after set_weight"
         );
+        assert_eq!(
+            conv.tap_major_weight(),
+            cold_tap_bank(&conv),
+            "stale tap-major bank after set_weight"
+        );
 
-        // to_precision returns a copy whose cache reflects the quantized
-        // weights, and leaves the original's cache intact and correct.
+        // to_precision returns a copy whose caches reflect the quantized
+        // weights, and leaves the original's caches intact and correct.
         conv.forward_spikes(&plane).unwrap(); // re-warm
         let q = conv.to_precision(Precision::Int4).unwrap();
         assert_eq!(
@@ -822,9 +907,15 @@ mod tests {
             "stale transposed-weight cache on quantized copy"
         );
         assert_eq!(
+            q.tap_major_weight(),
+            cold_tap_bank(&q),
+            "stale tap-major bank on quantized copy"
+        );
+        assert_eq!(
             conv.forward_spikes(&plane).unwrap().as_slice(),
             conv.forward(&input).unwrap().as_slice()
         );
+        assert_eq!(conv.tap_major_weight(), cold_tap_bank(&conv));
     }
 
     #[test]
@@ -836,7 +927,8 @@ mod tests {
         warmed
             .forward_spikes(&SpikePlane::from_tensor(&input))
             .unwrap();
-        // A warmed cache does not break equality.
+        warmed.tap_major_weight();
+        // Warmed caches do not break equality.
         assert_eq!(conv, warmed);
         // Serialization round-trips the semantic fields only; the restored
         // layer starts cold but computes identically.

@@ -1054,167 +1054,6 @@ pub fn matmul_a_bt_to_with(
     matmul_to_with(a, bt, m, k, n, out, panel);
 }
 
-/// Fused transposed-weight matmul + col2im scatter over the **active**
-/// columns only — the input-gradient kernel of the event-aware convolution
-/// backward pass.
-///
-/// Computes `grad_input = col2im(Wᵀ · grad_out)` without materialising the
-/// `[rows, n]` gradient-column matrix: `wt` is the pre-transposed `[rows, k]`
-/// filter bank (`rows = channels · kh · kw`, `k` output channels — the
-/// layout `Conv2d::transposed_weight` caches), `b` the `[k, n]` output
-/// gradient (`n = out_h · out_w`), and `active` the ascending indices of the
-/// columns of `b` that contain at least one non-zero — the caller detects
-/// them from the gradient frame and every skipped column must be entirely
-/// `±0.0`. The active columns are packed once into a contiguous panel, the
-/// product is computed four rows at a time with the same micro-kernel as
-/// [`matmul_to_with`] (each loaded panel-row quad is reused across four
-/// weight rows), and each finished row is scattered row-wise into the
-/// `[channels, height, width]` input-gradient plane: its active values are
-/// expanded into a full `[out_h, out_w]` row buffer (masked columns read
-/// `+0.0`), the valid output rows and columns of its `(ky, kx)` offset are
-/// computed once, and each output row lands as one slice add — contiguous
-/// at stride 1, strided otherwise — with no per-element bounds test.
-///
-/// **Bitwise identical** to [`matmul_at_b_to`] (over the un-transposed
-/// weights) followed by [`Tensor::col2im_into`] on finite inputs, enforced
-/// by proptest:
-///
-/// * per gradient-column cell the contributions accumulate one scalar at a
-///   time in ascending output-channel order — the reference matmul's exact
-///   order; dropping the products of an all-zero column removes only `±0.0`
-///   terms, which cannot change an IEEE-754 sum accumulated from `+0.0`
-///   in round-to-nearest (the two kernels' zero-*skip* decisions differ,
-///   which matters only for non-finite data, exactly like [`matmul_a_bt`]);
-/// * the scatter visits `(channel, ky, kx, oy, ox)` in ascending order —
-///   col2im's exact accumulation order — and a masked column adds `+0.0`
-///   into an accumulator that is never `-0.0`, which leaves it unchanged.
-///
-/// `packed`, `row` and `tile` are caller-owned scratch buffers (the backward
-/// pass threads them through its `GradScratch`), so the kernel allocates
-/// nothing once they are warm. `out` is fully overwritten.
-///
-/// # Panics
-///
-/// Panics if the slice lengths are inconsistent with the geometry, or (in
-/// debug builds) if `active` is not strictly ascending and in range.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_scatter_col2im(
-    wt: &[f32],
-    b: &[f32],
-    active: &[u32],
-    k: usize,
-    n: usize,
-    channels: usize,
-    height: usize,
-    width: usize,
-    kernel: (usize, usize),
-    stride: usize,
-    padding: usize,
-    out_w: usize,
-    packed: &mut Vec<f32>,
-    row: &mut Vec<f32>,
-    tile: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    let (kh, kw) = kernel;
-    let rows = channels * kh * kw;
-    assert_eq!(
-        wt.len(),
-        rows * k,
-        "transposed filter bank has wrong length"
-    );
-    assert_eq!(b.len(), k * n, "rhs matrix has wrong length");
-    assert_eq!(out.len(), channels * height * width, "out has wrong length");
-    debug_assert!(
-        active.windows(2).all(|w| w[0] < w[1]) && active.last().is_none_or(|&s| (s as usize) < n),
-        "active columns must be strictly ascending and in range"
-    );
-    out.fill(0.0);
-    let na = active.len();
-    if na == 0 {
-        return; // every column is zero: the gradient plane stays +0.0
-    }
-    // Pack the active columns of `b` into a contiguous [k, na] panel; when
-    // every column is active, `b` already is that panel.
-    let panel: &[f32] = if na == n {
-        b
-    } else {
-        packed.clear();
-        packed.reserve(k * na);
-        for b_row in b.chunks_exact(n) {
-            packed.extend(active.iter().map(|&s| b_row[s as usize]));
-        }
-        packed
-    };
-    // The full-width row buffer: only active cells are ever written, so the
-    // masked ones stay +0.0 for every row.
-    row.clear();
-    row.resize(n, 0.0);
-    let out_h = n / out_w;
-    // Output indices `o` of one axis whose input index `o · stride + kidx −
-    // padding` lies in `0..size`, as a half-open range.
-    let span = |kidx: usize, size: usize, n_out: usize| {
-        let lo = padding.saturating_sub(kidx).div_ceil(stride);
-        let hi = (size + padding).saturating_sub(kidx).div_ceil(stride);
-        (lo, hi.min(n_out))
-    };
-    tile.clear();
-    tile.resize(MM_ROW_TILE * na, 0.0);
-    for r0 in (0..rows).step_by(MM_ROW_TILE) {
-        let mr = MM_ROW_TILE.min(rows - r0);
-        let t = &mut tile[..mr * na];
-        t.fill(0.0);
-        micro_kernel(
-            &wt[r0 * k..(r0 + mr) * k],
-            k,
-            0,
-            k,
-            0,
-            mr,
-            panel,
-            na,
-            t,
-            na,
-            0,
-        );
-        // Scatter the finished rows in ascending row order, each over its
-        // output cells in ascending order — col2im's accumulation order.
-        for (r, vals) in t.chunks_exact(na).enumerate() {
-            let (ci, rem) = ((r0 + r) / (kh * kw), (r0 + r) % (kh * kw));
-            let (ki, kj) = (rem / kw, rem % kw);
-            let (oy0, oy1) = span(ki, height, out_h);
-            let (ox0, ox1) = span(kj, width, out_w);
-            if oy0 >= oy1 || ox0 >= ox1 {
-                continue;
-            }
-            let full: &[f32] = if na == n {
-                vals
-            } else {
-                for (&s, &v) in active.iter().zip(vals) {
-                    row[s as usize] = v;
-                }
-                row
-            };
-            let chan = &mut out[ci * height * width..(ci + 1) * height * width];
-            let ix0 = ox0 * stride + kj - padding;
-            for oy in oy0..oy1 {
-                let iy = oy * stride + ki - padding;
-                let src = &full[oy * out_w + ox0..oy * out_w + ox1];
-                let dst = &mut chan[iy * width + ix0..];
-                if stride == 1 {
-                    for (d, &v) in dst.iter_mut().zip(src) {
-                        *d += v;
-                    }
-                } else {
-                    for (d, &v) in dst.iter_mut().step_by(stride).zip(src) {
-                        *d += v;
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1560,114 +1399,6 @@ mod tests {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
         }
-    }
-
-    proptest! {
-        /// The fused matmul + col2im scatter is bitwise identical to the
-        /// unfused reference (`matmul_at_b_to` over the un-transposed weights
-        /// followed by `col2im_into`) across ragged geometries, strides,
-        /// paddings and gradient matrices whose inactive columns hold planted
-        /// exact `±0.0` — with the scratch buffers reused across cases.
-        #[test]
-        fn matmul_scatter_col2im_bitwise_equals_unfused_reference(
-            h in 3_usize..8,
-            w in 3_usize..8,
-            kk in 1_usize..4,
-            stride in 1_usize..3,
-            padding in 0_usize..2,
-            oc in 1_usize..6,
-            seed in 0_usize..1000,
-            keep in proptest::collection::vec(any::<bool>(), 64),
-            negzero in any::<bool>(),
-        ) {
-            let channels = 2;
-            let (_, _, _, out_h, out_w) =
-                im2col_geometry(&[channels, h, w], (kk, kk), stride, padding).unwrap();
-            let n = out_h * out_w;
-            let rows = channels * kk * kk;
-            // Weights [oc, rows] with exact zeros, and their transpose.
-            let weight = test_matrix(oc, rows, seed);
-            let mut wt = vec![0.0_f32; rows * oc];
-            for (o, w_row) in weight.chunks_exact(rows).enumerate() {
-                for (p, &v) in w_row.iter().enumerate() {
-                    wt[p * oc + o] = v;
-                }
-            }
-            // Gradient [oc, n]: inactive columns are forced to exact ±0.0.
-            let mut go = test_matrix(oc, n, seed + 3);
-            let active: Vec<u32> = (0..n).filter(|s| keep[s % keep.len()]).map(|s| s as u32).collect();
-            for (s, row_s) in (0..n).flat_map(|s| (0..oc).map(move |o| (s, o * n + s))) {
-                if !keep[s % keep.len()] {
-                    go[row_s] = if negzero { -0.0 } else { 0.0 };
-                }
-            }
-            // Unfused reference: full matmul + col2im over every column.
-            let mut grad_cols = Im2Col {
-                data: vec![0.0; rows * n],
-                rows,
-                cols: n,
-                out_h,
-                out_w,
-            };
-            matmul_at_b_to(&weight, &go, oc, rows, n, &mut grad_cols.data);
-            let mut reference = Tensor::default();
-            Tensor::col2im_into(
-                &grad_cols, channels, h, w, (kk, kk), stride, padding, &mut reference,
-            ).unwrap();
-            // Fused kernel over the active columns only.
-            let mut packed = Vec::new();
-            let mut pos = Vec::new();
-            let mut tile = Vec::new();
-            let mut fused = vec![f32::NAN; channels * h * w];
-            matmul_scatter_col2im(
-                &wt, &go, &active, oc, n, channels, h, w, (kk, kk), stride, padding,
-                out_w, &mut packed, &mut pos, &mut tile, &mut fused,
-            );
-            for (i, (x, y)) in fused.iter().zip(reference.as_slice().iter()).enumerate() {
-                prop_assert_eq!(x.to_bits(), y.to_bits(), "cell {} diverges: {} vs {}", i, x, y);
-            }
-            // A fully-active column list goes down the no-pack fast path and
-            // must agree too (the planted zero columns are then computed,
-            // not skipped).
-            let all: Vec<u32> = (0..n as u32).collect();
-            let mut dense = vec![f32::NAN; channels * h * w];
-            matmul_scatter_col2im(
-                &wt, &go, &all, oc, n, channels, h, w, (kk, kk), stride, padding,
-                out_w, &mut packed, &mut pos, &mut tile, &mut dense,
-            );
-            for (x, y) in dense.iter().zip(reference.as_slice().iter()) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_scatter_col2im_empty_active_zeroes_output() {
-        let wt = vec![1.0_f32; 4 * 2]; // channels=1, 2x2 kernel, oc=2
-        let go = vec![0.0_f32; 2 * 4]; // 2x2 output map
-        let mut packed = Vec::new();
-        let mut pos = Vec::new();
-        let mut tile = Vec::new();
-        let mut out = vec![f32::NAN; 9]; // 1x3x3 input
-        matmul_scatter_col2im(
-            &wt,
-            &go,
-            &[],
-            2,
-            4,
-            1,
-            3,
-            3,
-            (2, 2),
-            1,
-            0,
-            2,
-            &mut packed,
-            &mut pos,
-            &mut tile,
-            &mut out,
-        );
-        assert!(out.iter().all(|v| v.to_bits() == 0.0_f32.to_bits()));
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! backward takes each window's argmax from a word scan, a replayed
 //! direct-coded input is lowered once per sample (within a fixed 8 MiB
 //! budget), the first layer's never-consumed input gradient is skipped, and
-//! every intermediate lives in a long-lived [`BpttScratch`] — after warmup
-//! the backward's time loop performs zero heap allocations.
+//! every intermediate lives in a long-lived [`BpttScratch`] — once warm
+//! (see its doc) the backward's time loop performs zero heap allocations.
 //!
 //! Losses, logits and gradients of the event-driven sweep are **bitwise
 //! identical** to the dense sweep, which is retained as
@@ -213,8 +213,12 @@ pub struct ForwardSweep(ForwardPass);
 /// output buffers, the membrane-gradient and carry tensors of the BPTT
 /// recursion, the ping-pong per-timestep gradient frames, and the cached
 /// lowering of a replayed input. Owned long-lived by each trainer worker and
-/// reused across every sample it processes: after the first sample warms the
-/// buffers, the backward performs **zero heap allocations per timestep**.
+/// reused across every sample it processes. The backward performs **zero
+/// heap allocations per timestep** once the scratch is warm: once each
+/// weight-gradient path a layer can take (the event tap walk below the
+/// layer's density crossover, the dense lowering above it) has run. Every
+/// buffer is sized by layer shapes, never by a frame's content, so a path's
+/// buffers are warm after its first run.
 #[derive(Debug, Default)]
 pub struct BpttScratch {
     grad: GradScratch,
@@ -286,13 +290,14 @@ impl Bptt {
     /// pass the result to [`Bptt::sample_gradients_prepared`] for every
     /// sample, sharing one set of quantized weights across worker threads.
     ///
-    /// Each convolution's transposed filter bank `Wᵀ`
-    /// ([`snn_core::layers::Conv2d::transposed_weight`]) is warmed here,
-    /// once per batch — the
-    /// event-driven forward gathers its rows per spike tap and the backward's
-    /// fused input-gradient kernel ([`crate::grad::conv2d_input_grad_into`])
-    /// uses it as the pre-transposed matmul operand, so neither path pays a
-    /// weight transpose inside the time loop.
+    /// Each convolution's two cached filter banks are warmed here, once per
+    /// batch: the transposed bank `Wᵀ`
+    /// ([`snn_core::layers::Conv2d::transposed_weight`]), whose rows the
+    /// event-driven forward gathers per spike tap, and the tap-major bank
+    /// ([`snn_core::layers::Conv2d::tap_major_weight`]), whose rows the
+    /// backward's input gradient ([`crate::grad::conv2d_input_grad_into`])
+    /// reads per tap and gradient entry. So no path rebuilds a bank inside
+    /// the time loop, and worker threads share each bank read-only.
     ///
     /// # Errors
     ///
@@ -320,6 +325,7 @@ impl Bptt {
         for layer in &layers {
             if let Layer::Conv { conv, .. } = layer {
                 conv.transposed_weight();
+                conv.tap_major_weight();
             }
         }
         let network = SnnNetwork::new(
@@ -795,7 +801,7 @@ impl Bptt {
         let mut gradients = NetworkGradients::zeros_like(network);
         for (li, layer) in effective.iter().enumerate().rev() {
             // The first layer's input gradient has no consumer (its input is
-            // the encoded image), so its matmul + col2im are skipped.
+            // the encoded image), so it is skipped.
             let need_input = li > 0;
             match layer {
                 Layer::Pool { pool, .. } => {

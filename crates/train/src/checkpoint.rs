@@ -588,12 +588,13 @@ impl Writer {
         for &dim in t.shape() {
             self.u64(dim as u64);
         }
-        // Bulk-copy the f32 data: one reserve, then appends in 4-byte
+        // Bulk-copy the f32 data: one resize, then a copy into 4-byte
         // chunks — this path carries hundreds of KB of weights per save.
         let data = t.as_slice();
-        self.buf.reserve(data.len() * 4);
-        for &v in data {
-            self.buf.extend_from_slice(&v.to_le_bytes());
+        let start = self.buf.len();
+        self.buf.resize(start + data.len() * 4, 0);
+        for (dst, &v) in self.buf[start..].chunks_exact_mut(4).zip(data) {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
     }
 

@@ -16,17 +16,16 @@
 //!   use event-aware gather/scatter kernels), write into caller-owned
 //!   [`ConvGrads`]/[`LinearGrads`] buffers and thread a [`GradScratch`], so
 //!   the per-timestep backward allocates nothing in steady state. The conv
-//!   input gradient runs the fused event-aware [`conv2d_input_grad_into`]
-//!   kernel (cached `Wᵀ`, all-zero gradient columns skipped, matmul fused
-//!   with the col2im scatter). Results are **bitwise identical** to the
-//!   reference family — enforced by the proptests in this module.
+//!   input gradient runs [`conv2d_input_grad_into`], which walks each output
+//!   cell's non-zero gradient entries with lanes along the input channels.
+//!   Results are **bitwise identical** to the reference family — enforced
+//!   by the proptests in this module.
 
 use snn_core::error::SnnError;
 use snn_core::layers::{Conv2d, Linear, SpikeMaxPool2d};
-use snn_core::spike::{scan_words, SpikePlane};
+use snn_core::spike::SpikePlane;
 use snn_core::tensor::{
-    matmul, matmul_a_bt, matmul_a_bt_to_with, matmul_at_b, matmul_scatter_col2im, matmul_to_with,
-    Im2Col, Tensor,
+    matmul, matmul_a_bt, matmul_a_bt_to_with, matmul_at_b, matmul_to_with, Im2Col, Tensor,
 };
 
 /// Gradients of a convolution layer.
@@ -56,13 +55,15 @@ pub struct LinearGrads {
 /// Reusable scratch threaded through the `_into` backward passes: the im2col
 /// lowering of the layer input, the transposed-`b` repack and panel scratch
 /// of the weight-gradient matmul, the transposed gradient and accumulator of
-/// the event weight gradient, the active-column mask/list/panel/tile and
-/// scatter row of the fused input-gradient kernel
+/// the event weight gradient, the per-cell gradient entries, cell-major
+/// accumulator and runtime-width tap-sum row of the input gradient
 /// ([`conv2d_input_grad_into`]), and the per-window first-spike table of the
 /// event-aware pool backward. One instance lives in each trainer worker's
 /// [`crate::bptt::BpttScratch`] and is reused across every layer, timestep
-/// and sample that worker processes — after warmup the backward performs no
-/// per-timestep heap allocation.
+/// and sample that worker processes. Every buffer is sized by layer shapes,
+/// never by a frame's content, and grows the first time its kernel path
+/// runs, so the backward stops allocating once each path a layer can take
+/// has run.
 #[derive(Debug, Clone, Default)]
 pub struct GradScratch {
     cols: Im2Col,
@@ -71,11 +72,10 @@ pub struct GradScratch {
     pool_first: Vec<u32>,
     got: Vec<f32>,
     accw: Vec<f32>,
-    col_mask: Vec<u64>,
-    col_active: Vec<u32>,
-    col_row: Vec<f32>,
-    go_panel: Vec<f32>,
-    grad_tile: Vec<f32>,
+    entries: Vec<(u32, f32)>,
+    cell_bounds: Vec<u32>,
+    acc_in: Vec<f32>,
+    tap_sum: Vec<f32>,
 }
 
 impl GradScratch {
@@ -310,13 +310,13 @@ pub fn pool_backward(
 
 /// Scratch-backed, event-aware variant of [`conv2d_backward`]: writes the
 /// gradients into the caller-owned `grads` buffer, reusing every
-/// intermediate from `scratch`. When `need_input` is false the
-/// input-gradient matmul and col2im are skipped entirely (the first network
-/// layer's input gradient is never consumed) and `grads.input` is left
-/// untouched.
+/// intermediate from `scratch`. When `need_input` is false the input
+/// gradient is skipped entirely (the first network layer's input gradient is
+/// never consumed) and `grads.input` is left untouched.
 ///
-/// For a binary input below the layer's density crossover the weight
-/// gradient is computed **straight from the spike events** — no im2col
+/// For an input that takes the layer's event path
+/// ([`Conv2d::takes_event_path`]: binary and below its density crossover)
+/// the weight gradient is computed **straight from the spike events** — no im2col
 /// lowering, no `bᵀ` repack, no dense matmul: each `(spike, tap)` pair adds
 /// one `grad_output` column into one weight row. This drops exactly the
 /// products with a zero multiplicand, which cannot change an IEEE-754 sum
@@ -352,7 +352,7 @@ pub fn conv2d_backward_into(
 
     // grad_w [out_c, coeffs] = grad_out [out_c, spatial] * cols^T [spatial, coeffs]
     grads.weight.reset_to(conv.weight().shape(), 0.0);
-    if input.is_binary() && input.density() < conv.sparse_crossover() {
+    if conv.takes_event_path(input) {
         // Event path: transpose grad_out once into a [cell][out_c] layout,
         // then each tap is ONE contiguous vector add of a grad_out column
         // into a weight row (for every output channel simultaneously) —
@@ -463,37 +463,33 @@ pub fn conv2d_backward_cached(
     )
 }
 
-/// The fused, event-aware input-gradient kernel of the convolution backward:
-/// computes `grad_input = col2im(Wᵀ · grad_out)` in one pass, writing into
-/// the caller-owned `grad_input` tensor.
+/// The input gradient of the convolution backward, `grad_input =
+/// col2im(Wᵀ · grad_out)`, written into the caller-owned `grad_input` tensor
+/// (reshaped only when its shape changes; every cell is overwritten).
 ///
-/// Three exploits over the unfused [`matmul_at_b`] + [`Tensor::col2im`]
-/// reference, all bit-safe:
-///
-/// * **Cached `Wᵀ`** — the matmul's left operand is the layer's cached
-///   transposed filter bank ([`Conv2d::transposed_weight`], warmed once per
-///   batch by [`crate::bptt::Bptt::prepare`]), so the transposed-weight
-///   product runs the blocked row-tiled [`matmul_to_with`] micro-kernel
-///   instead of the scalar `matmul_at_b` loop — no per-call transpose.
-/// * **All-zero gradient columns are skipped** — one scan of `grad_output`
-///   finds the output cells whose gradient is zero across every channel.
-///   Such columns arise from the event structure of the backward itself: the
-///   pool backward routes gradient only to each window's first spike (found
-///   by word-scanning the stored [`SpikePlane`]s), and the final timestep
-///   has no β-carry to densify it, so whole columns of the incoming frame
-///   are exact zeros. Their products are all `±0.0`, which a sum accumulated
-///   from `+0.0` can never observe, so dropping them is bitwise-neutral.
-/// * **Fusion** — the surviving columns are packed once, multiplied four
-///   weight rows at a time, and each finished row is scattered row-wise into
-///   the input-gradient plane in col2im's exact `(channel, ky, kx, oy, ox)`
-///   accumulation order, one slice add per output row (masked columns add
-///   `+0.0`, which changes no bit): the `[coeffs, spatial]` gradient-column
-///   matrix is never materialised.
+/// One pass over `grad_output` lists each output cell's non-zero
+/// `(out channel, value)` entries in ascending channel order. Then, for each
+/// filter tap `(ky, kx)` in ascending order and each output cell whose input
+/// cell lies in the map, a sum starts at `+0.0`, adds the tap's
+/// [`Conv2d::tap_major_weight`] row of each entry's channel times the entry's
+/// value, and is added into the input cell's `in_c`-wide row of a
+/// cell-major accumulator, which is finally transposed into `grad_input`.
+/// Lanes run along the input channels. One body serves every width: a
+/// compile-time width at 8, 16 and 24 input channels (every small-VGG9 layer
+/// that needs an input gradient), a runtime length at any other.
 ///
 /// **Bitwise identical** to the retained dense reference (the
-/// `matmul_at_b` + `col2im` tail of [`conv2d_backward`]) on the finite
-/// gradients the training path produces — enforced by the proptests in this
-/// module.
+/// `matmul_at_b` + `col2im` tail of [`conv2d_backward`]) on finite
+/// gradients — enforced by the proptests in this module:
+///
+/// * each input cell receives its taps in ascending `(ky, kx)` order —
+///   col2im's order;
+/// * each tap's value is a sum over ascending output channels from `+0.0` —
+///   `matmul_at_b`'s order;
+/// * the only products dropped are those whose gradient factor is an exact
+///   `±0.0`. Such a product is `±0.0`, which a sum accumulated from `+0.0`
+///   never observes, so the pool backward's first-spike routing zeros cost
+///   nothing and change no bit.
 ///
 /// # Errors
 ///
@@ -514,61 +510,156 @@ pub fn conv2d_input_grad_into(
             "conv2d_input_grad grad_output",
         ));
     }
+    let (out_c, in_c) = (conv.out_channels(), conv.in_channels());
     let spatial = out_shape[1] * out_shape[2];
+    let in_cells = input_shape[1] * input_shape[2];
     let go = grad_output.as_slice();
-    // One pass over the gradient frame marks every output cell that carries
-    // gradient in at least one channel; the fused kernel only computes and
-    // scatters those columns. The mark bits are packed into the same
-    // LSB-first `u64` mask-word layout [`SpikePlane`] uses, built
-    // branch-free 64 cells at a time and extracted with the shared
-    // [`scan_words`] trailing-zeros walk.
-    let mask = &mut scratch.col_mask;
-    mask.clear();
-    mask.resize(spatial.div_ceil(64), 0);
-    for row in go.chunks_exact(spatial) {
-        for (m, chunk) in mask.iter_mut().zip(row.chunks(64)) {
-            let mut bits = 0_u64;
-            for (b, &v) in chunk.iter().enumerate() {
-                bits |= u64::from(v != 0.0) << b;
-            }
-            *m |= bits;
+    // Each output cell's non-zero entries, cells in order; cell `s` owns
+    // `entries[bounds[s]..bounds[s + 1]]`. The list is sized to its bound up
+    // front, so its capacity never follows the frame's content, and filled
+    // branch-free: every entry is written, and only a non-zero one advances
+    // the cursor.
+    let entries = &mut scratch.entries;
+    if entries.len() < out_c * spatial {
+        entries.resize(out_c * spatial, (0, 0.0));
+    }
+    let bounds = &mut scratch.cell_bounds;
+    bounds.clear();
+    bounds.push(0);
+    let mut n = 0;
+    for cell in 0..spatial {
+        for oc in 0..out_c {
+            let g = go[oc * spatial + cell];
+            entries[n] = (oc as u32, g);
+            n += usize::from(g != 0.0);
+        }
+        bounds.push(n as u32);
+    }
+    let acc = &mut scratch.acc_in;
+    acc.clear();
+    acc.resize(in_cells * in_c, 0.0);
+    let walk = TapWalk {
+        kernel: conv.kernel(),
+        stride: conv.stride(),
+        padding: conv.padding(),
+        in_map: (input_shape[1], input_shape[2]),
+        out_map: (out_shape[1], out_shape[2]),
+    };
+    let bank = conv.tap_major_weight();
+    let (entries, bounds) = (&scratch.entries, &scratch.cell_bounds);
+    let cells = |s: usize| &entries[bounds[s] as usize..bounds[s + 1] as usize];
+    // The one place the row width is chosen: a compile-time width for every
+    // small-VGG9 layer that needs an input gradient, a runtime one otherwise.
+    match in_c {
+        8 => tap_sums(&walk, cells, rows_at::<8>(bank, out_c), acc, [0.0; 8]),
+        16 => tap_sums(&walk, cells, rows_at::<16>(bank, out_c), acc, [0.0; 16]),
+        24 => tap_sums(&walk, cells, rows_at::<24>(bank, out_c), acc, [0.0; 24]),
+        width => {
+            let sum = &mut scratch.tap_sum;
+            sum.clear();
+            sum.resize(width, 0.0);
+            let row = |tap: usize, oc: u32| &bank[(tap * out_c + oc as usize) * width..][..width];
+            tap_sums(&walk, cells, row, acc, sum);
         }
     }
-    let active = &mut scratch.col_active;
-    active.clear();
-    active.extend(scan_words(&scratch.col_mask).map(|s| s as u32));
-    // Shape the output buffer only when it changes (between layers); the
-    // kernel overwrites every cell, so re-zeroing it per timestep here would
-    // just double the memset.
     if grad_input.shape() != input_shape {
         grad_input.reset_to(input_shape, 0.0);
     }
-    let k = conv.kernel();
-    matmul_scatter_col2im(
-        conv.transposed_weight(),
-        go,
-        active,
-        conv.out_channels(),
-        spatial,
-        input_shape[0],
-        input_shape[1],
-        input_shape[2],
-        (k, k),
-        conv.stride(),
-        conv.padding(),
-        out_shape[2],
-        &mut scratch.go_panel,
-        &mut scratch.col_row,
-        &mut scratch.grad_tile,
-        grad_input.as_mut_slice(),
-    );
+    let gi = grad_input.as_mut_slice();
+    for (cell, row) in acc.chunks_exact(in_c).enumerate() {
+        for (ci, &v) in row.iter().enumerate() {
+            gi[ci * in_cells + cell] = v;
+        }
+    }
     Ok(())
 }
 
+/// The input gradient's tap sums, one body for every row width of
+/// [`conv2d_input_grad_into`]: for each `(tap, output cell, input cell)` of
+/// `walk` whose output cell holds entries, a sum starts at `+0.0`, adds the
+/// bank row `row(tap, oc)` of each entry's channel times the entry's value,
+/// and is added into the input cell's row of `acc`. Rows are `sum.len()`
+/// input channels wide; at a compile-time width the sum is a local array
+/// that stays in registers, so each entry compiles to whole vector
+/// multiply-adds.
+fn tap_sums<'e, 'b>(
+    walk: &TapWalk,
+    cells: impl Fn(usize) -> &'e [(u32, f32)],
+    row: impl Fn(usize, u32) -> &'b [f32],
+    acc: &mut [f32],
+    mut sum: impl AsMut<[f32]>,
+) {
+    let sum = sum.as_mut();
+    let width = sum.len();
+    walk.for_each(|tap, out_cell, in_cell| {
+        let cell = cells(out_cell);
+        if cell.is_empty() {
+            return;
+        }
+        sum.fill(0.0);
+        for &(oc, g) in cell {
+            for (s, &wv) in sum.iter_mut().zip(row(tap, oc)) {
+                *s += wv * g;
+            }
+        }
+        for (a, &s) in acc[in_cell * width..][..width].iter_mut().zip(&*sum) {
+            *a += s;
+        }
+    });
+}
+
+/// The `row` of [`tap_sums`] at a compile-time width `W`: the bank row of
+/// `(tap, out channel)`, found with one bounds check.
+fn rows_at<'b, const W: usize>(bank: &'b [f32], out_c: usize) -> impl Fn(usize, u32) -> &'b [f32] {
+    let (rows, _) = bank.as_chunks::<W>();
+    move |tap, oc| &rows[tap * out_c + oc as usize]
+}
+
+/// The `(tap, output cell, input cell)` triples of a convolution's geometry
+/// whose input cell lies in the map, in the input gradient's order.
+struct TapWalk {
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+    in_map: (usize, usize),
+    out_map: (usize, usize),
+}
+
+impl TapWalk {
+    /// Calls `visit(tap, out_cell, in_cell)` for every triple: taps
+    /// `ky · k + kx` ascending and, per tap, output cells ascending. Each
+    /// input cell meets a tap at most once, so its taps arrive in ascending
+    /// `(ky, kx)` order — col2im's accumulation order.
+    fn for_each(&self, mut visit: impl FnMut(usize, usize, usize)) {
+        let (k, stride, padding) = (self.kernel, self.stride, self.padding);
+        let ((h, w), (out_h, out_w)) = (self.in_map, self.out_map);
+        // The output indices `o` of one axis whose input index
+        // `o · stride + kidx − padding` lies in `0..size`, half-open.
+        let span = |kidx: usize, size: usize, n_out: usize| {
+            let lo = padding.saturating_sub(kidx).div_ceil(stride);
+            let hi = (size + padding).saturating_sub(kidx).div_ceil(stride);
+            lo..hi.min(n_out)
+        };
+        for ky in 0..k {
+            let rows = span(ky, h, out_h);
+            for kx in 0..k {
+                let tap = ky * k + kx;
+                let cols = span(kx, w, out_w);
+                for oy in rows.clone() {
+                    let iy = oy * stride + ky - padding;
+                    for ox in cols.clone() {
+                        visit(tap, oy * out_w + ox, iy * w + ox * stride + kx - padding);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Shared tail of the scratch-backed conv backward: the bias gradient and
-/// (when requested) the input gradient via the fused
-/// [`conv2d_input_grad_into`] kernel. Accumulation orders are exactly those
-/// of [`conv2d_backward`], so results stay bitwise identical.
+/// (when requested) the input gradient via [`conv2d_input_grad_into`].
+/// Accumulation orders are exactly those of [`conv2d_backward`], so results
+/// stay bitwise identical.
 fn conv_bias_and_input_grads(
     conv: &Conv2d,
     input_shape: &[usize],
@@ -1045,7 +1136,7 @@ mod tests {
                 let out_shape = fp32.output_shape(input.shape()).unwrap();
                 let grad_out = grad_tensor(&out_shape, seed as usize);
                 for (prec, conv) in [("fp32", &fp32), ("int4", &int4)] {
-                    prop_assert!(plane.density() < conv.sparse_crossover());
+                    prop_assert!(conv.takes_event_path(&plane));
                     let reference = conv2d_backward(conv, &input, &grad_out).unwrap();
                     conv2d_backward_into(conv, &plane, &grad_out, &mut scratch, &mut grads, true)
                         .unwrap();
@@ -1057,58 +1148,77 @@ mod tests {
             }
         }
 
-        /// The fused input-gradient kernel is bitwise identical to the
-        /// retained dense reference tail (`matmul_at_b` + `col2im` inside
-        /// [`conv2d_backward`]) across ragged geometries, strides and
-        /// paddings, for gradient frames with planted exact ±0.0 and whole
-        /// all-zero columns (the case the kernel skips), including the
-        /// everything-zero and nothing-zero extremes — with one scratch
-        /// reused across all cases.
+        /// The input gradient is bitwise identical to the retained dense
+        /// reference tail (`matmul_at_b` + `col2im` inside
+        /// [`conv2d_backward`]) at every input width it compiles a
+        /// fixed-width sum for (8, 16, 24) and at two it does not (32, 12),
+        /// at fp32 and int4 (whose weights hold exact zeros), across kernel
+        /// sizes, strides and paddings. Gradient frames hold whole all-zero
+        /// columns and planted ±0.0 entries (the entries the kernel skips),
+        /// or no zero at all, or nothing else; the output is NaN-filled
+        /// before each call, so every cell must be overwritten, with `+0.0`
+        /// where no gradient reaches. One scratch serves every case.
         #[test]
         fn conv2d_input_grad_into_bitwise_equals_reference(
             seed in 0_u64..500,
             h in 3_usize..8,
             w in 3_usize..8,
+            kernel in 1_usize..4,
             stride in 1_usize..3,
             padding in 0_usize..2,
+            out_c in 1_usize..40,
             keep in proptest::collection::vec(any::<bool>(), 49),
-            all_mode in 0_usize..3,
-            negzero in any::<bool>(),
+            zero_pct in 0_usize..100,
+            mode in 0_usize..3,
         ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let conv = Conv2d::with_kaiming_init(2, 3, 3, stride, padding, &mut rng).unwrap();
-            let input_shape = [2_usize, h, w];
-            let out_shape = conv.output_shape(&input_shape).unwrap();
-            let spatial = out_shape[1] * out_shape[2];
-            // Gradient with whole output columns zeroed by `keep` (mode 0),
-            // or entirely kept/zeroed (modes 1/2).
-            let keep_col = |s: usize| match all_mode {
-                1 => true,
-                2 => false,
-                _ => keep[s % keep.len()],
-            };
-            let grad_out = Tensor::from_fn(&out_shape, |i| {
-                if keep_col(i % spatial) {
-                    grad_tensor(&[1], i).as_slice()[0]
-                } else if negzero {
-                    -0.0
-                } else {
-                    0.0
-                }
-            });
-            let input = Tensor::from_fn(&input_shape, |i| f32::from(i % 3 == 0));
-            let reference = conv2d_backward(&conv, &input, &grad_out).unwrap();
+            use snn_core::quant::Precision;
             let mut scratch = GradScratch::new();
             let mut grad_input = Tensor::default();
-            conv2d_input_grad_into(&conv, &input_shape, &grad_out, &mut scratch, &mut grad_input)
-                .unwrap();
-            assert_bits_eq(&grad_input, &reference.input, "fused input grad");
-            // Shape validation mirrors the reference.
-            let bad = Tensor::zeros(&[out_shape[0], out_shape[1] + 1, out_shape[2]]);
-            prop_assert!(conv2d_input_grad_into(
-                &conv, &input_shape, &bad, &mut scratch, &mut grad_input
-            )
-            .is_err());
+            for in_c in [8, 16, 24, 32, 12] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let fp32 =
+                    Conv2d::with_kaiming_init(in_c, out_c, kernel, stride, padding, &mut rng)
+                        .unwrap();
+                let int4 = fp32.to_precision(Precision::Int4).unwrap();
+                let input_shape = [in_c, h, w];
+                let out_shape = fp32.output_shape(&input_shape).unwrap();
+                let spatial = out_shape[1] * out_shape[2];
+                // Mode 0 zeroes the columns `keep` drops and `zero_pct`% of
+                // the other entries; mode 1 zeroes nothing, mode 2 all.
+                let grad_out = Tensor::from_fn(&out_shape, |i| {
+                    let hash = (i + seed as usize).wrapping_mul(2_654_435_761);
+                    let zero = match mode {
+                        0 => !keep[(i % spatial) % keep.len()] || hash % 100 < zero_pct,
+                        1 => false,
+                        _ => true,
+                    };
+                    let value = if zero {
+                        0.0
+                    } else {
+                        ((hash % 1000) as f32 - 499.5) * 1e-3
+                    };
+                    // Odd hashes flip the sign: planted zeros are ±0.0.
+                    if hash & 1 == 1 {
+                        -value
+                    } else {
+                        value
+                    }
+                });
+                let input = Tensor::zeros(&input_shape);
+                for (prec, conv) in [("fp32", &fp32), ("int4", &int4)] {
+                    let reference = conv2d_backward(conv, &input, &grad_out).unwrap();
+                    grad_input.reset_to(&input_shape, f32::NAN);
+                    conv2d_input_grad_into(conv, &input_shape, &grad_out, &mut scratch, &mut grad_input)
+                        .unwrap();
+                    assert_bits_eq(&grad_input, &reference.input, &format!("{in_c} {prec} input grad"));
+                }
+                // Shape validation mirrors the reference.
+                let bad = Tensor::zeros(&[out_shape[0], out_shape[1] + 1, out_shape[2]]);
+                prop_assert!(conv2d_input_grad_into(
+                    &fp32, &input_shape, &bad, &mut scratch, &mut grad_input
+                )
+                .is_err());
+            }
         }
 
         /// Scratch-backed linear backward (event-aware gather weight

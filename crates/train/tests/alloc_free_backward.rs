@@ -6,7 +6,10 @@
 //!   `backward_sweep` call is measured against cached forwards with
 //!   different timestep counts; all remaining allocations are per-sample
 //!   constants (the returned gradients, loss buffers), so the counts must be
-//!   identical across `T`, and repeatable at a fixed `T`.
+//!   identical across `T`, and repeatable at a fixed `T`. "Warm" means that
+//!   each weight-gradient path a layer can take (the event tap walk below
+//!   its density crossover, the dense lowering above) has run once: a
+//!   backward on a fresh input then allocates exactly what its repeat does.
 //! * **Forward** — a warm `SnnNetwork::run_observed` with a no-op observer
 //!   (the one event-driven loop inference and the BPTT sweep share,
 //!   including the encoder re-encoding each image) performs **zero** heap
@@ -28,6 +31,7 @@ use snn_core::tensor::Tensor;
 use snn_train::bptt::{Bptt, BpttScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 
 /// Counts every allocation and reallocation made by the calling thread.
 struct CountingAlloc;
@@ -82,10 +86,9 @@ fn warm_backward_allocation_count_is_independent_of_timesteps() {
     // Both coding schemes drive the backward through different kernel mixes:
     // direct coding replays an analog input frame (cached-lowering weight
     // gradient, dense gradient frames), rate coding feeds binary stochastic
-    // frames (event-tap weight gradient). Both exercise the fused
-    // input-gradient kernel (`conv2d_input_grad_into`) — including its
-    // active-column detection, packing and scatter scratch — which must also
-    // stay allocation-free once warm.
+    // frames (event-tap weight gradient). Both exercise the input gradient
+    // (`conv2d_input_grad_into`) — its per-cell entry list, accumulator and
+    // tap-sum row — which must also stay allocation-free once warm.
     for scheme in ["direct", "rate"] {
         let mut counts = Vec::new();
         for timesteps in [2_usize, 4, 6] {
@@ -128,6 +131,83 @@ fn warm_backward_allocation_count_is_independent_of_timesteps() {
             "{scheme} backward allocations grow with timesteps: {counts:?}"
         );
     }
+}
+
+/// The weight-gradient paths a forward run's conv layers take: for each
+/// conv layer (by index) and path, whether any timestep's input took it.
+/// The backward lowers a layer's input densely (`true`) unless
+/// `Conv2d::takes_event_path` sends it down the event path (`false`) — the
+/// dispatch `conv2d_backward_into` makes.
+fn conv_paths(net: &SnnNetwork, image: &Tensor, encoder: &Encoder) -> BTreeSet<(usize, bool)> {
+    let mut state = RunState::new(net).unwrap();
+    let mut paths = BTreeSet::new();
+    net.run_observed(image, encoder, 0, &mut state, |li, input, _, _| {
+        if let Layer::Conv { conv, .. } = &net.layers()[li] {
+            paths.insert((li, !conv.takes_event_path(input)));
+        }
+        Ok(())
+    })
+    .unwrap();
+    paths
+}
+
+#[test]
+fn warm_backward_allocation_count_holds_on_a_fresh_input() {
+    let net = vgg9(&Vgg9Config::cifar10_small()).unwrap();
+    let bptt = Bptt::default();
+    let effective = bptt.prepare(&net).unwrap();
+    let encoder = Encoder::direct(2);
+    let image = |scale: f32, phase: f32| {
+        Tensor::from_fn(&[3, 16, 16], |i| {
+            ((i as f32) * 0.023 + phase).sin().abs() * scale
+        })
+    };
+    // A dim image keeps CONV1_2's input below its density crossover (event
+    // weight gradient), a bright one pushes it above (dense lowering). The
+    // fresh image takes both paths, one per timestep, and its gradient
+    // frames differ from both warm-up images.
+    let warm = [image(0.5, 0.0), image(4.0, 0.0)];
+    let fresh = image(1.0, 0.5);
+    let warm_paths: BTreeSet<_> = warm
+        .iter()
+        .flat_map(|img| conv_paths(&net, img, &encoder))
+        .collect();
+    let fresh_paths = conv_paths(&net, &fresh, &encoder);
+    assert!(
+        warm_paths.is_superset(&fresh_paths),
+        "the warm-up misses a path the fresh input takes: {warm_paths:?} vs {fresh_paths:?}"
+    );
+    assert!(
+        fresh_paths
+            .iter()
+            .any(|&(li, dense)| dense && fresh_paths.contains(&(li, false))),
+        "the fresh input should take both paths at one layer: {fresh_paths:?}"
+    );
+
+    let mut scratch = BpttScratch::new();
+    for img in &warm {
+        let sweep = bptt
+            .forward_sweep(&net, &effective, img, &encoder, 0)
+            .unwrap();
+        bptt.backward_sweep(&net, &effective, &sweep, 3, &mut scratch)
+            .unwrap();
+    }
+    let sweep = bptt
+        .forward_sweep(&net, &effective, &fresh, &encoder, 0)
+        .unwrap();
+    let first = count_allocs(|| {
+        bptt.backward_sweep(&net, &effective, &sweep, 3, &mut scratch)
+            .unwrap();
+    });
+    let again = count_allocs(|| {
+        bptt.backward_sweep(&net, &effective, &sweep, 3, &mut scratch)
+            .unwrap();
+    });
+    assert!(again > 0, "counter saw nothing");
+    assert_eq!(
+        first, again,
+        "a backward on a fresh input allocated more than its repeat"
+    );
 }
 
 /// A conv → BN → LIF → pool → linear → LIF network over a ragged 9×9 map:
