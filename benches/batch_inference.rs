@@ -15,11 +15,13 @@
 //!   one cached forward sweep: the persistent-scratch production path vs a
 //!   fresh scratch per call (gradients are bitwise identical; only the
 //!   allocation behaviour differs).
-//! * `bptt_input_grad` — the fused event-aware conv input-gradient kernel
-//!   (`conv2d_input_grad_into`: cached `Wᵀ`, blocked matmul fused with the
-//!   col2im scatter, all-zero gradient columns skipped) vs the unfused
-//!   `matmul_at_b_to` + `col2im_into` reference, at 100%/25%/5% active
-//!   gradient columns (results are bitwise identical).
+//! * `bptt_input_grad` — the conv input-gradient kernel
+//!   (`conv2d_input_grad_into`: each output cell's non-zero gradient entries
+//!   times rows of the cached tap-major filter bank, lanes along the input
+//!   channels) on CONV1_2, CONV2_2 and CONV3_3, each with a dense gradient
+//!   frame and a pool-routed one (one non-zero entry per 2×2 window per
+//!   channel). Its bitwise oracle, the `matmul_at_b` + `col2im` tail of
+//!   `conv2d_backward`, is checked by proptest, not timed.
 //! * `train_epoch` — one BPTT sample (event-driven vs retained dense sweep)
 //!   and one full `Trainer::fit` epoch over 8 synthetic samples at 1/2/4
 //!   worker threads (bitwise-identical results at every thread count).

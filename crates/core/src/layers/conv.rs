@@ -29,11 +29,6 @@ impl ConvScratch {
     pub fn new() -> Self {
         ConvScratch::default()
     }
-
-    /// The im2col lowering buffer of the dense path.
-    pub fn im2col(&mut self) -> &mut Im2Col {
-        &mut self.cols
-    }
 }
 
 /// A 2-D convolution with square kernels, symmetric zero padding and a bias
@@ -382,25 +377,8 @@ impl Conv2d {
     ///
     /// Returns [`SnnError::ShapeMismatch`] for a wrongly-shaped input.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor, SnnError> {
-        let mut scratch = ConvScratch::new();
-        self.forward_with_scratch(input, &mut scratch)
-    }
-
-    /// Like [`Conv2d::forward`] but lowers the input into a caller-provided
-    /// [`ConvScratch`] (its im2col buffer and packed matmul panel), so
-    /// repeated inferences (sessions, batches) avoid the dominant per-call
-    /// allocations. Produces bit-identical results to [`Conv2d::forward`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Conv2d::forward`].
-    pub fn forward_with_scratch(
-        &self,
-        input: &Tensor,
-        scratch: &mut ConvScratch,
-    ) -> Result<Tensor, SnnError> {
         let mut out = Tensor::zeros(&[0]);
-        self.forward_into(input, scratch, &mut out)?;
+        self.forward_into(input, &mut ConvScratch::new(), &mut out)?;
         Ok(out)
     }
 
@@ -480,31 +458,9 @@ impl Conv2d {
         }
     }
 
-    /// Lowers one input frame into this layer's im2col column matrix,
-    /// dispatching by the same density-crossover logic the forward uses:
-    /// binary frames below [`Conv2d::sparse_crossover`] take the event-driven
-    /// tap-walk scatter ([`SpikePlane::im2col_into`]), everything else the dense
-    /// scan ([`Tensor::im2col_into`]). Both paths fill the **identical**
-    /// matrix, so consumers (the BPTT weight-gradient matmul) are bit-exact
-    /// regardless of the dispatch decision.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Tensor::im2col`].
-    pub fn lower_plane_into(&self, plane: &SpikePlane, cols: &mut Im2Col) -> Result<(), SnnError> {
-        if self.takes_event_path(plane) {
-            plane.im2col_into((self.kernel, self.kernel), self.stride, self.padding, cols)
-        } else {
-            plane
-                .dense()
-                .im2col_into((self.kernel, self.kernel), self.stride, self.padding, cols)
-        }
-    }
-
     /// Whether `plane` takes this layer's event-driven path: it is binary and
     /// sparser than [`Conv2d::sparse_crossover`]. The forward
-    /// ([`Conv2d::forward_plane_into`]), the im2col lowering
-    /// ([`Conv2d::lower_plane_into`]) and the BPTT weight gradient all
+    /// ([`Conv2d::forward_plane_into`]) and the BPTT weight gradient both
     /// dispatch on it.
     pub fn takes_event_path(&self, plane: &SpikePlane) -> bool {
         plane.is_binary() && plane.density() < self.sparse_crossover()
@@ -939,27 +895,6 @@ mod tests {
             restored.forward(&input).unwrap().as_slice(),
             warmed.forward(&input).unwrap().as_slice()
         );
-    }
-
-    #[test]
-    fn lower_plane_into_dispatches_both_paths_to_the_same_matrix() {
-        let conv = Conv2d::new(2, 4, 3, 1, 1).unwrap();
-        // Sparse binary (gather path), dense binary (dense path) and analog
-        // (dense path) frames must all reproduce the dense lowering exactly.
-        for fill in [0.05_f64, 0.9] {
-            let input = Tensor::from_fn(&[2, 6, 6], |i| {
-                f32::from(((i * 2654435761) % 1000) as f64 / 1000.0 < fill)
-            });
-            let plane = SpikePlane::from_tensor(&input);
-            let mut cols = Im2Col::default();
-            conv.lower_plane_into(&plane, &mut cols).unwrap();
-            assert_eq!(cols, input.im2col((3, 3), 1, 1).unwrap());
-        }
-        let analog = Tensor::from_fn(&[2, 6, 6], |i| (i as f32) * 0.01);
-        let mut cols = Im2Col::default();
-        conv.lower_plane_into(&SpikePlane::from_tensor(&analog), &mut cols)
-            .unwrap();
-        assert_eq!(cols, analog.im2col((3, 3), 1, 1).unwrap());
     }
 
     #[test]

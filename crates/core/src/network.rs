@@ -35,7 +35,7 @@ use crate::layers::{BatchNorm2d, Conv2d, ConvScratch, Linear, SpikeMaxPool2d};
 use crate::neuron::{LifParams, LifPopulation};
 use crate::quant::Precision;
 use crate::spike::SpikePlane;
-use crate::tensor::Tensor;
+use crate::tensor::{argmax, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -561,12 +561,7 @@ impl SnnNetwork {
             });
         }
         let logits = state.class_scores.clone();
-        let prediction = logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
+        let prediction = argmax(&logits);
         Ok(RunOutput {
             logits,
             prediction,

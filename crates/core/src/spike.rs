@@ -11,7 +11,6 @@
 //! [`LayerTrace`](crate::network::LayerTrace)s, which feed the workload model
 //! (Eq. 3) and the sparsity experiments.
 
-use crate::error::SnnError;
 use crate::tensor::Tensor;
 
 /// One sparse activation frame: the event-driven representation of a layer
@@ -249,51 +248,6 @@ impl SpikePlane {
         }
     }
 
-    /// Event-driven im2col lowering of a **binary** `[C, H, W]` spike plane:
-    /// instead of scanning the (mostly zero) dense backing, zero-fills the
-    /// column matrix and scatters a `1.0` for every `(spike, kernel tap)`
-    /// pair, found by the tap walk of the event-driven conv kernels
-    /// ([`crate::layers::Conv2d::for_each_tap`]). The result is the
-    /// **identical matrix** [`Tensor::im2col_into`] produces for the dense
-    /// backing — spikes are exactly the 1.0 entries —
-    /// at `O(active · k²)` cost instead of `O(C · k² · out_h · out_w)` copy
-    /// traffic, which is what makes the BPTT weight-gradient lowering
-    /// event-aware.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnnError::InvalidConfig`] for an analog plane (use the dense
-    /// lowering), plus the shape/geometry errors of [`Tensor::im2col`].
-    pub fn im2col_into(
-        &self,
-        kernel: (usize, usize),
-        stride: usize,
-        padding: usize,
-        out: &mut crate::tensor::Im2Col,
-    ) -> Result<(), SnnError> {
-        if !self.binary {
-            return Err(SnnError::config(
-                "input",
-                "SpikePlane::im2col_into requires a binary spike plane",
-            ));
-        }
-        let (_, _, _, out_h, out_w) =
-            crate::tensor::im2col_geometry(self.shape(), kernel, stride, padding)?;
-        let (kh, kw) = kernel;
-        let rows = self.shape()[0] * kh * kw;
-        let cols = out_h * out_w;
-        out.data.clear();
-        out.data.resize(rows * cols, 0.0);
-        out.rows = rows;
-        out.cols = cols;
-        out.out_h = out_h;
-        out.out_w = out_w;
-        self.for_each_tap(kernel, stride, padding, (out_h, out_w), |p, cell| {
-            out.data[p * cols + cell] = 1.0;
-        });
-        Ok(())
-    }
-
     /// The tap walk behind [`crate::layers::Conv2d::for_each_tap`] (which
     /// states its order), for any kernel shape: calls `tap(p, cell)` with
     /// `p = (c · kh + ky) · kw + kx` and `cell = oy · out_w + ox` for every
@@ -455,7 +409,6 @@ pub fn scan_words(words: &[u64]) -> WordScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn spike_plane_from_tensor_tracks_active_and_binary() {
@@ -621,38 +574,5 @@ mod tests {
         let mut plane = SpikePlane::new();
         plane.begin(&[64]);
         plane.push_word(1, 1);
-    }
-
-    #[test]
-    fn plane_im2col_rejects_analog_and_bad_shapes() {
-        use crate::tensor::{Im2Col, Tensor};
-        let analog = SpikePlane::from_tensor(&Tensor::full(&[1, 4, 4], 0.5));
-        let mut out = Im2Col::default();
-        assert!(analog.im2col_into((3, 3), 1, 1, &mut out).is_err());
-        let flat = SpikePlane::from_tensor(&Tensor::zeros(&[4, 4]));
-        assert!(flat.im2col_into((3, 3), 1, 1, &mut out).is_err());
-        let small = SpikePlane::from_tensor(&Tensor::zeros(&[1, 2, 2]));
-        assert!(small.im2col_into((5, 5), 1, 0, &mut out).is_err());
-    }
-
-    proptest! {
-        /// The event-driven gather lowering builds the identical column
-        /// matrix the dense scan produces, across strided/padded/ragged
-        /// geometries, while reusing one output buffer.
-        #[test]
-        fn plane_im2col_equals_dense_lowering(
-            bits in proptest::collection::vec(any::<bool>(), 2 * 6 * 5),
-            stride in 1_usize..3,
-            padding in 0_usize..2,
-            k in 1_usize..4,
-        ) {
-            use crate::tensor::{Im2Col, Tensor};
-            let input = Tensor::from_fn(&[2, 6, 5], |i| if bits[i] { 1.0 } else { 0.0 });
-            let plane = SpikePlane::from_tensor(&input);
-            let mut gathered = Im2Col::default();
-            plane.im2col_into((k, k), stride, padding, &mut gathered).unwrap();
-            let dense = input.im2col((k, k), stride, padding).unwrap();
-            prop_assert_eq!(gathered, dense);
-        }
     }
 }

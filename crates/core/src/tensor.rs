@@ -283,19 +283,6 @@ impl Tensor {
         self.data.iter().copied().fold(f32::INFINITY, f32::min)
     }
 
-    /// Index of the maximum element (ties resolved to the first occurrence).
-    pub fn argmax(&self) -> usize {
-        let mut best = 0;
-        let mut best_val = f32::NEG_INFINITY;
-        for (i, &v) in self.data.iter().enumerate() {
-            if v > best_val {
-                best_val = v;
-                best = i;
-            }
-        }
-        best
-    }
-
     /// Number of non-zero elements.
     pub fn count_nonzero(&self) -> usize {
         self.data.iter().filter(|&&x| x != 0.0).count()
@@ -382,8 +369,24 @@ impl Tensor {
         padding: usize,
         out: &mut Im2Col,
     ) -> Result<(), SnnError> {
-        let (c, h, w, out_h, out_w) = im2col_geometry(&self.shape, kernel, stride, padding)?;
+        if self.shape.len() != 3 {
+            return Err(SnnError::shape(&[0, 0, 0], &self.shape, "Tensor::im2col"));
+        }
+        let (c, h, w) = (self.shape[0], self.shape[1], self.shape[2]);
         let (kh, kw) = kernel;
+        if stride == 0 {
+            return Err(SnnError::config("stride", "stride must be >= 1"));
+        }
+        let padded_h = h + 2 * padding;
+        let padded_w = w + 2 * padding;
+        if kh > padded_h || kw > padded_w {
+            return Err(SnnError::config(
+                "kernel",
+                format!("kernel {kh}x{kw} larger than padded input {padded_h}x{padded_w}"),
+            ));
+        }
+        let out_h = (padded_h - kh) / stride + 1;
+        let out_w = (padded_w - kw) / stride + 1;
         let rows = c * kh * kw;
         let cols = out_h * out_w;
         out.data.clear();
@@ -460,7 +463,8 @@ impl Tensor {
 
     /// Inverse of [`Tensor::im2col`]: scatters a `[C * kh * kw, out_h * out_w]`
     /// matrix back into a `[C, H, W]` tensor, accumulating overlapping
-    /// contributions. Used by the convolution backward pass.
+    /// contributions in `(c, ky, kx, oy, ox)` order. The input-gradient tail
+    /// of the dense reference convolution backward.
     ///
     /// # Errors
     ///
@@ -475,32 +479,6 @@ impl Tensor {
         stride: usize,
         padding: usize,
     ) -> Result<Tensor, SnnError> {
-        let mut out = Tensor::default();
-        Tensor::col2im_into(
-            cols, channels, height, width, kernel, stride, padding, &mut out,
-        )?;
-        Ok(out)
-    }
-
-    /// Like [`Tensor::col2im`] but writes into a caller-provided tensor
-    /// (reshaped/reused in place), so the convolution backward pass can reuse
-    /// one input-gradient buffer across timesteps. Bit-identical to
-    /// [`Tensor::col2im`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Tensor::col2im`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn col2im_into(
-        cols: &Im2Col,
-        channels: usize,
-        height: usize,
-        width: usize,
-        kernel: (usize, usize),
-        stride: usize,
-        padding: usize,
-        out: &mut Tensor,
-    ) -> Result<(), SnnError> {
         let (kh, kw) = kernel;
         if cols.rows != channels * kh * kw {
             return Err(SnnError::shape(
@@ -516,43 +494,7 @@ impl Tensor {
                 "Tensor::col2im cols",
             ));
         }
-        out.reset_to(&[channels, height, width], 0.0);
-        if stride == 1 {
-            // Stride-1 fast path, mirroring `im2col_rows_stride1`: for a
-            // fixed `(ci, ki, kj)` the valid output cells form contiguous
-            // row runs shifted by `(ki - padding, kj - padding)`, so the
-            // scatter becomes vectorizable slice adds. The `(ci, ki, kj,
-            // oy, ox)` accumulation order — and therefore every f32 sum —
-            // is exactly the bounds-checked loop's.
-            let (out_h, out_w) = (cols.out_h, cols.out_w);
-            for ci in 0..channels {
-                let channel = &mut out.data[ci * height * width..(ci + 1) * height * width];
-                for ki in 0..kh {
-                    let oy0 = padding.saturating_sub(ki);
-                    let oy1 = (height + padding).saturating_sub(ki).min(out_h);
-                    for kj in 0..kw {
-                        let row_base = (ci * kh * kw + ki * kw + kj) * cols.cols;
-                        let ox0 = padding.saturating_sub(kj);
-                        let ox1 = (width + padding).saturating_sub(kj).min(out_w);
-                        if ox0 >= ox1 {
-                            continue;
-                        }
-                        let ix0 = ox0 + kj - padding;
-                        for oy in oy0..oy1 {
-                            let iy = oy + ki - padding;
-                            let src = &cols.data
-                                [row_base + oy * out_w + ox0..row_base + oy * out_w + ox1];
-                            let dst =
-                                &mut channel[iy * width + ix0..iy * width + ix0 + (ox1 - ox0)];
-                            for (d, &s) in dst.iter_mut().zip(src.iter()) {
-                                *d += s;
-                            }
-                        }
-                    }
-                }
-            }
-            return Ok(());
-        }
+        let mut out = Tensor::zeros(&[channels, height, width]);
         for ci in 0..channels {
             for ki in 0..kh {
                 for kj in 0..kw {
@@ -575,39 +517,8 @@ impl Tensor {
                 }
             }
         }
-        Ok(())
+        Ok(out)
     }
-}
-
-/// Validates a `[C, H, W]` shape against a convolution patch geometry and
-/// returns `(c, h, w, out_h, out_w)`. Shared by the dense im2col lowering and
-/// the event-driven gather lowering ([`crate::spike::SpikePlane`]) so the two
-/// paths cannot disagree on geometry.
-pub(crate) fn im2col_geometry(
-    shape: &[usize],
-    kernel: (usize, usize),
-    stride: usize,
-    padding: usize,
-) -> Result<(usize, usize, usize, usize, usize), SnnError> {
-    if shape.len() != 3 {
-        return Err(SnnError::shape(&[0, 0, 0], shape, "Tensor::im2col"));
-    }
-    let (c, h, w) = (shape[0], shape[1], shape[2]);
-    let (kh, kw) = kernel;
-    if stride == 0 {
-        return Err(SnnError::config("stride", "stride must be >= 1"));
-    }
-    let padded_h = h + 2 * padding;
-    let padded_w = w + 2 * padding;
-    if kh > padded_h || kw > padded_w {
-        return Err(SnnError::config(
-            "kernel",
-            format!("kernel {kh}x{kw} larger than padded input {padded_h}x{padded_w}"),
-        ));
-    }
-    let out_h = (padded_h - kh) / stride + 1;
-    let out_w = (padded_w - kw) / stride + 1;
-    Ok((c, h, w, out_h, out_w))
 }
 
 impl fmt::Display for Tensor {
@@ -971,22 +882,12 @@ pub fn add_assign_lanes(dst: &mut [f32], src: &[f32]) {
 }
 
 /// Multiplies the transpose of an `[k, m]` row-major matrix by a `[k, n]`
-/// row-major matrix, producing `[m, n]`. Used in backward passes to avoid
-/// materialising explicit transposes.
+/// row-major matrix, producing `[m, n]`. Used in the reference backward
+/// passes to avoid materialising explicit transposes.
 pub fn matmul_at_b(a: &[f32], b: &[f32], k: usize, m: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0_f32; m * n];
-    matmul_at_b_to(a, b, k, m, n, &mut out);
-    out
-}
-
-/// Like [`matmul_at_b`] but writes into a caller-provided output slice of
-/// length `m * n` (overwriting its contents), so the backward pass can reuse
-/// one gradient buffer across timesteps. Bit-identical to [`matmul_at_b`].
-pub fn matmul_at_b_to(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &mut [f32]) {
     assert_eq!(a.len(), k * m, "lhs matrix has wrong length");
     assert_eq!(b.len(), k * n, "rhs matrix has wrong length");
-    assert_eq!(out.len(), m * n, "out matrix has wrong length");
-    out.fill(0.0);
+    let mut out = vec![0.0_f32; m * n];
     for p in 0..k {
         let a_row = &a[p * m..(p + 1) * m];
         let b_row = &b[p * n..(p + 1) * n];
@@ -1000,12 +901,14 @@ pub fn matmul_at_b_to(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &
             }
         }
     }
+    out
 }
 
 /// Multiplies an `[m, k]` row-major matrix by the transpose of an `[n, k]`
 /// row-major matrix, producing `[m, n]`. This is the weight-gradient matmul
-/// of the convolution backward pass (`grad_w = grad_out · colsᵀ`), a per-step
-/// hot spot of BPTT training.
+/// of the dense reference convolution backward (`grad_w = grad_out ·
+/// colsᵀ`); the production backward runs the same two steps over its own
+/// scratch buffers.
 ///
 /// `b` is transposed once into a `[k, n]` layout and the product delegated to
 /// the blocked [`matmul_to`] kernel, so the inner loops run contiguously in
@@ -1020,38 +923,28 @@ pub fn matmul_at_b_to(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &
 /// diverge only on non-finite data, where the blocked kernel's zero-skip
 /// drops `0.0 × ∞`/`0.0 × NaN` terms the dot product would keep.
 pub fn matmul_a_bt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0_f32; m * n];
-    let mut bt = Vec::new();
-    let mut panel = Vec::new();
-    matmul_a_bt_to_with(a, b, m, k, n, &mut out, &mut bt, &mut panel);
-    out
-}
-
-/// The allocation-controlled entry point behind [`matmul_a_bt`]: `bt` is the
-/// scratch the `[k, n]` repack of `b` lands in and `panel` the blocked
-/// kernel's packing scratch, both reused across calls by the backward hot
-/// path. Bit-identical to [`matmul_a_bt`].
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_a_bt_to_with(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-    bt: &mut Vec<f32>,
-    panel: &mut Vec<f32>,
-) {
     assert_eq!(a.len(), m * k, "lhs matrix has wrong length");
     assert_eq!(b.len(), n * k, "rhs matrix has wrong length");
-    bt.clear();
-    bt.resize(k * n, 0.0);
+    let mut bt = vec![0.0_f32; k * n];
     for (o, b_row) in b.chunks_exact(k).enumerate() {
         for (p, &v) in b_row.iter().enumerate() {
             bt[p * n + o] = v;
         }
     }
-    matmul_to_with(a, bt, m, k, n, out, panel);
+    matmul(a, &bt, m, k, n)
+}
+
+/// Index of the largest value: the class prediction of a logit vector.
+/// Ties go to the **last** maximum (so all-zero logits predict the last
+/// class), a `NaN` compares equal to everything, and an empty slice gives 0.
+/// Inference, training, evaluation and serving all predict through it.
+pub fn argmax(values: &[f32]) -> usize {
+    values
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map(|(i, _)| i)
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -1109,10 +1002,14 @@ mod tests {
         assert!((t.sparsity() - 0.5).abs() < 1e-9);
     }
 
+    /// The one prediction rule: ties go to the last maximum, so all-zero
+    /// logits (a silent output population) predict the last class.
     #[test]
-    fn argmax_finds_first_maximum() {
-        let t = Tensor::from_vec(vec![1.0, 5.0, 5.0, 2.0], &[4]).unwrap();
-        assert_eq!(t.argmax(), 1);
+    fn argmax_breaks_ties_to_the_last_maximum() {
+        assert_eq!(argmax(&[0.0; 10]), 9);
+        assert_eq!(argmax(&[1.0, 5.0, 5.0, 2.0]), 2);
+        assert_eq!(argmax(&[3.0, 1.0, 2.0]), 0);
+        assert_eq!(argmax(&[]), 0);
     }
 
     #[test]
@@ -1286,44 +1183,6 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_match_allocating_kernels_across_reused_buffers() {
-        // One shared set of scratch/output buffers driven through differently
-        // sized products must reproduce the allocating entry points exactly.
-        let mut bt = Vec::new();
-        let mut panel = Vec::new();
-        for &(m, k, n, seed) in &[
-            (3_usize, 5_usize, 4_usize, 0_usize),
-            (6, 2, 7, 9),
-            (1, 9, 1, 3),
-        ] {
-            let a = test_matrix(m, k, seed);
-            let b_kn = test_matrix(k, n, seed + 1);
-            let b_nk = test_matrix(n, k, seed + 2);
-            let a_km = test_matrix(k, m, seed + 3);
-
-            let mut out = vec![f32::NAN; m * n];
-            matmul_a_bt_to_with(&a, &b_nk, m, k, n, &mut out, &mut bt, &mut panel);
-            assert_bitwise_eq(&out, &matmul_a_bt(&a, &b_nk, m, k, n), "a_bt");
-
-            let mut out = vec![f32::NAN; m * n];
-            matmul_at_b_to(&a_km, &b_kn, k, m, n, &mut out);
-            assert_bitwise_eq(&out, &matmul_at_b(&a_km, &b_kn, k, m, n), "at_b");
-        }
-    }
-
-    #[test]
-    fn col2im_into_reuses_buffer_and_matches_col2im() {
-        let t = Tensor::from_fn(&[2, 5, 4], |i| (i as f32) * 0.3 - 2.0);
-        let mut out = Tensor::from_vec(vec![f32::NAN; 3], &[3]).unwrap();
-        for &(stride, padding) in &[(1_usize, 1_usize), (2, 0)] {
-            let cols = t.im2col((3, 3), stride, padding).unwrap();
-            Tensor::col2im_into(&cols, 2, 5, 4, (3, 3), stride, padding, &mut out).unwrap();
-            let fresh = Tensor::col2im(&cols, 2, 5, 4, (3, 3), stride, padding).unwrap();
-            assert_eq!(out, fresh);
-        }
-    }
-
-    #[test]
     fn im2col_identity_kernel_reproduces_input() {
         let t = Tensor::from_vec((0..9).map(|x| x as f32).collect(), &[1, 3, 3]).unwrap();
         let cols = t.im2col((1, 1), 1, 0).unwrap();
@@ -1345,60 +1204,9 @@ mod tests {
     fn im2col_rejects_non_3d() {
         let t = Tensor::zeros(&[4, 4]);
         assert!(t.im2col((3, 3), 1, 1).is_err());
-    }
-
-    proptest! {
-        /// The stride-1 row-run col2im fast path accumulates bitwise
-        /// identically to the bounds-checked reference scatter (inlined
-        /// here), across paddings, kernel sizes and ragged maps.
-        #[test]
-        fn col2im_stride1_fast_path_bitwise_equals_reference(
-            h in 3_usize..8,
-            w in 3_usize..8,
-            k in 1_usize..4,
-            padding in 0_usize..2,
-            seed in 0_usize..1000,
-        ) {
-            let channels = 2;
-            let (_, _, _, out_h, out_w) =
-                im2col_geometry(&[channels, h, w], (k, k), 1, padding).unwrap();
-            let cols = Im2Col {
-                data: test_matrix(channels * k * k, out_h * out_w, seed),
-                rows: channels * k * k,
-                cols: out_h * out_w,
-                out_h,
-                out_w,
-            };
-            let mut fast = Tensor::default();
-            Tensor::col2im_into(&cols, channels, h, w, (k, k), 1, padding, &mut fast).unwrap();
-            // Reference: the general bounds-checked scatter.
-            let mut reference = Tensor::zeros(&[channels, h, w]);
-            for ci in 0..channels {
-                for ki in 0..k {
-                    for kj in 0..k {
-                        let row_base = (ci * k * k + ki * k + kj) * cols.cols;
-                        for oy in 0..out_h {
-                            let iy = (oy + ki) as isize - padding as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            for ox in 0..out_w {
-                                let ix = (ox + kj) as isize - padding as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                let idx = ci * h * w + iy as usize * w + ix as usize;
-                                reference.data[idx] += cols.data[row_base + oy * out_w + ox];
-                            }
-                        }
-                    }
-                }
-            }
-            prop_assert_eq!(fast.shape(), reference.shape());
-            for (x, y) in fast.as_slice().iter().zip(reference.as_slice().iter()) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
+        // A kernel larger than the padded input is rejected too.
+        let small = Tensor::zeros(&[1, 2, 2]);
+        assert!(small.im2col((5, 5), 1, 0).is_err());
     }
 
     #[test]

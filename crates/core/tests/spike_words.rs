@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use snn_core::layers::{Conv2d, Linear, SpikeMaxPool2d};
 use snn_core::quant::Precision;
 use snn_core::spike::SpikePlane;
-use snn_core::tensor::{Im2Col, Tensor};
+use snn_core::tensor::Tensor;
 use snn_core::test_support::{
     adversarial_masks, assert_plane_views_agree, assert_tensor_bits_eq, plane_from_mask,
     plane_from_mask_pushed,
@@ -174,32 +174,6 @@ proptest! {
             assert_tensor_bits_eq(word.dense(), &dense, &format!("{ctx}: word vs dense"));
             let dense_plane = SpikePlane::from_tensor(&dense);
             prop_assert_eq!(&word, &dense_plane, "{}: word vs dense plane", &ctx);
-        }
-    }
-
-    /// The event-driven im2col lowering (word scan) fills the identical
-    /// column matrix as the dense scan, on every corpus case.
-    #[test]
-    fn im2col_word_scan_equals_dense_lowering(
-        h in 3_usize..9,
-        w in 3_usize..11,
-        stride in 1_usize..3,
-        padding in 0_usize..2,
-        seed in 0_u64..500,
-    ) {
-        let shape = [2_usize, h, w];
-        let len: usize = shape.iter().product();
-        for case in adversarial_masks(len, seed) {
-            let plane = plane_from_mask(&shape, &case.mask);
-            let mut event = Im2Col::default();
-            plane.im2col_into((3, 3), stride, padding, &mut event).unwrap();
-            let dense = plane.dense().im2col((3, 3), stride, padding).unwrap();
-            let ctx = format!("im2col {}", case.name);
-            prop_assert_eq!(event.rows, dense.rows, "{}: rows", &ctx);
-            prop_assert_eq!(event.cols, dense.cols, "{}: cols", &ctx);
-            for (i, (a, b)) in event.data.iter().zip(dense.data.iter()).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "{}: cell {}", &ctx, i);
-            }
         }
     }
 }

@@ -44,7 +44,7 @@ use serde::Serialize;
 use snn_accel::accelerator::InferenceReport;
 use snn_core::network::LayerTrace;
 use snn_core::stats::LogHistogram;
-use snn_core::tensor::Tensor;
+use snn_core::tensor::{argmax, Tensor};
 use snn_core::SnnError;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -148,12 +148,7 @@ impl InferenceResult {
     /// traces, no hardware estimate). Intended for stub models in tests and
     /// examples.
     pub fn from_logits(logits: Vec<f32>) -> Self {
-        let prediction = logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
+        let prediction = argmax(&logits);
         InferenceResult {
             logits,
             prediction,

@@ -20,14 +20,16 @@
 //! layer input becomes the spike gradient of the preceding layer.
 //!
 //! The production backward is **scratch-backed and event-aware**: layer
-//! inputs are cached as [`SpikePlane`]s, so the conv weight-gradient lowering
-//! is rebuilt by gather from the stored planes' mask words when the frame is
-//! sparse (dispatching by the same crossover the forward uses), the pool
-//! backward takes each window's argmax from a word scan, a replayed
-//! direct-coded input is lowered once per sample (within a fixed 8 MiB
-//! budget), the first layer's never-consumed input gradient is skipped, and
-//! every intermediate lives in a long-lived [`BpttScratch`] — once warm
-//! (see its doc) the backward's time loop performs zero heap allocations.
+//! inputs are cached as [`SpikePlane`]s, so below a conv's density crossover
+//! (the same test the forward dispatches on) its weight gradient adds rows
+//! straight from a walk of the stored planes' mask words, and only analog or
+//! denser frames are lowered to im2col columns. The pool backward takes each
+//! window's first spike from a word scan, a replayed direct-coded input that
+//! takes the dense path is lowered once per sample and its columns reused at
+//! every later timestep, the first layer's never-consumed input gradient is
+//! skipped, and every intermediate lives in a long-lived [`BpttScratch`] —
+//! once warm (see its doc) the backward's time loop performs zero heap
+//! allocations.
 //!
 //! Losses, logits and gradients of the event-driven sweep are **bitwise
 //! identical** to the dense sweep, which is retained as
@@ -43,9 +45,8 @@
 //! shared across samples/workers instead of being re-cloned per sample.
 
 use crate::grad::{
-    conv2d_backward, conv2d_backward_cached, conv2d_backward_into, linear_backward,
-    linear_backward_into, pool_backward, pool_backward_into, CachedLowering, ConvGrads,
-    GradScratch, LinearGrads,
+    conv2d_backward, conv2d_backward_into, conv2d_backward_reuse, linear_backward,
+    linear_backward_into, pool_backward, pool_backward_into, ConvGrads, GradScratch, LinearGrads,
 };
 use crate::loss::cross_entropy;
 use crate::surrogate::SurrogateKind;
@@ -55,7 +56,7 @@ use snn_core::network::{Layer, RunState, SnnNetwork};
 use snn_core::neuron::LifPopulation;
 use snn_core::quant::Precision;
 use snn_core::spike::SpikePlane;
-use snn_core::tensor::Tensor;
+use snn_core::tensor::{argmax, Tensor};
 
 /// Per-layer weight/bias gradients for a whole network, index-aligned with
 /// [`SnnNetwork::layers`]. Pooling layers have no entry.
@@ -183,8 +184,8 @@ pub struct SampleResult {
 /// Per-layer forward cache for one sample.
 struct LayerCache {
     /// Layer inputs per timestep, kept as [`SpikePlane`]s so the backward can
-    /// run its event-aware kernels (gather im2col lowering, event pool
-    /// argmax) by word-scanning the stored mask words.
+    /// run its event-aware kernels (the conv weight gradient's tap walk, the
+    /// pool's first-spike scan) by word-scanning the stored mask words.
     inputs: Vec<SpikePlane>,
     /// Membrane potentials (at thresholding) per timestep — weight layers only.
     membranes: Vec<Tensor>,
@@ -197,8 +198,8 @@ struct ForwardPass {
     total_spikes: u64,
     timesteps: usize,
     /// Whether the first layer's input is the identical frame at every
-    /// timestep (direct coding with `timesteps > 1`) — the backward then
-    /// lowers it once and reuses the columns across timesteps.
+    /// timestep (direct coding with `timesteps > 1`) — on the dense path the
+    /// backward then lowers it once and reuses the columns across timesteps.
     replay_first: bool,
 }
 
@@ -211,14 +212,13 @@ pub struct ForwardSweep(ForwardPass);
 /// Reusable per-worker scratch for the scratch-backed BPTT backward: the
 /// layer-level [`GradScratch`], the per-timestep [`ConvGrads`]/[`LinearGrads`]
 /// output buffers, the membrane-gradient and carry tensors of the BPTT
-/// recursion, the ping-pong per-timestep gradient frames, and the cached
-/// lowering of a replayed input. Owned long-lived by each trainer worker and
-/// reused across every sample it processes. The backward performs **zero
-/// heap allocations per timestep** once the scratch is warm: once each
-/// weight-gradient path a layer can take (the event tap walk below the
-/// layer's density crossover, the dense lowering above it) has run. Every
-/// buffer is sized by layer shapes, never by a frame's content, so a path's
-/// buffers are warm after its first run.
+/// recursion and the ping-pong per-timestep gradient frames. Owned
+/// long-lived by each trainer worker and reused across every sample it
+/// processes. The backward performs **zero heap allocations per timestep**
+/// once the scratch is warm: once each weight-gradient path a layer can take
+/// (the event tap walk below the layer's density crossover, the dense
+/// lowering above it) has run. Every buffer is sized by layer shapes, never
+/// by a frame's content, so a path's buffers are warm after its first run.
 #[derive(Debug, Default)]
 pub struct BpttScratch {
     grad: GradScratch,
@@ -228,7 +228,6 @@ pub struct BpttScratch {
     carry: Tensor,
     grad_cur: Vec<Tensor>,
     grad_next: Vec<Tensor>,
-    replay_lowering: CachedLowering,
 }
 
 impl BpttScratch {
@@ -254,17 +253,6 @@ impl EffectiveLayers {
         self.network.layers()
     }
 }
-
-/// Byte budget for caching the im2col lowering of a **replayed** input
-/// (direct coding presents the identical frame at every timestep) across the
-/// backward's time loop, instead of re-lowering the same frame `T` times.
-/// The budget covers the cache's full footprint — the staging columns plus
-/// the pre-transposed copy, i.e. twice the lowering's size; a lowering that
-/// does not fit is rebuilt per timestep. Generous for every model in this
-/// workspace: the largest replayed lowering (paper-scale CONV1_1,
-/// 27 × 1024 f32) is ~108 KiB. Gradients are bitwise identical either way —
-/// the cache only skips recomputing an identical matrix.
-const REPLAY_CACHE_BYTES: usize = 8 * 1024 * 1024;
 
 /// Surrogate-gradient BPTT engine.
 #[derive(Debug, Clone, Copy)]
@@ -619,12 +607,7 @@ impl Bptt {
 
         // ---------- Loss ----------
         let (loss, grad_logits) = cross_entropy(&class_scores, label)?;
-        let prediction = class_scores
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
+        let prediction = argmax(&class_scores);
 
         // Seed gradient: every output-population neuron receives the gradient
         // of its class group at every timestep (the readout is a plain sum).
@@ -741,8 +724,9 @@ impl Bptt {
     /// [`crate::grad`] — after warmup the time loop performs zero heap
     /// allocations. Two further event/structure exploits: the first layer's
     /// input gradient (which has no consumer) is never computed, and a
-    /// replayed direct-coded input is lowered once and its columns reused
-    /// across all timesteps within the `REPLAY_CACHE_BYTES` budget.
+    /// replayed direct-coded input that takes the dense path is lowered at
+    /// the first timestep the backward visits and its columns reused
+    /// ([`conv2d_backward_reuse`]) at every other.
     /// Gradients are **bitwise identical** to [`Bptt::backward`] on the same
     /// forward pass.
     fn backward_scratch(
@@ -760,13 +744,7 @@ impl Bptt {
 
         // ---------- Loss ----------
         let (loss, grad_logits) = cross_entropy(&forward.class_scores, label)?;
-        let prediction = forward
-            .class_scores
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
+        let prediction = argmax(&forward.class_scores);
 
         let population = network.population();
         let group = population / network.num_classes();
@@ -779,7 +757,6 @@ impl Bptt {
             carry,
             grad_cur,
             grad_next,
-            replay_lowering,
         } = scratch;
 
         // Seed gradient: every output-population neuron receives the gradient
@@ -828,25 +805,13 @@ impl Bptt {
                     // overwritten by the derivative write below, making the
                     // one-time zero fill shape-keeping only.
                     grad_u.reset_to(caches[li].membranes[0].shape(), 0.0);
-                    // A replayed input frame (direct coding) lowers to the
-                    // same column matrix at every timestep: build it once
-                    // under the memory budget and reuse it across the time
-                    // loop instead of re-lowering the identical frame. The
-                    // cache keeps the staging columns alongside the
-                    // transposed copy, so it holds the budget to twice the
-                    // lowering's size.
-                    let out_shape = conv.output_shape(caches[li].inputs[0].shape())?;
-                    let lowering_bytes = conv.coefficients_per_output()
-                        * out_shape[1]
-                        * out_shape[2]
-                        * std::mem::size_of::<f32>();
+                    // A replayed input frame (direct coding) that takes the
+                    // dense path lowers to the same columns at every
+                    // timestep: the first timestep visited (the last one)
+                    // lowers it into the scratch, and the others reuse it.
                     let replayed = forward.replay_first
                         && li == 0
-                        && timesteps > 1
-                        && 2 * lowering_bytes <= REPLAY_CACHE_BYTES;
-                    if replayed {
-                        replay_lowering.prepare(conv, &caches[li].inputs[0])?;
-                    }
+                        && !conv.takes_event_path(&caches[li].inputs[0]);
                     let acc = gradients.per_layer[li]
                         .as_mut()
                         .expect("conv layer has grads");
@@ -883,10 +848,9 @@ impl Bptt {
                                 }
                             }
                         }
-                        if replayed {
-                            conv2d_backward_cached(
+                        if replayed && t + 1 < timesteps {
+                            conv2d_backward_reuse(
                                 conv,
-                                replay_lowering,
                                 caches[li].inputs[t].shape(),
                                 grad_u,
                                 gscratch,
@@ -1026,26 +990,39 @@ mod tests {
     /// logits, spike counts and every weight/bias gradient are bitwise-equal
     /// to the retained dense reference sweep — at full precision and under
     /// QAT, for direct (analog input + replay) and rate (stochastic binary
-    /// input) coding.
+    /// input) coding, and for direct-coded binary images: a sparse one, whose
+    /// CONV1_1 weight gradient takes the event path at every timestep, and a
+    /// dense one, whose replayed lowering is reused across timesteps.
     #[test]
     fn event_driven_sweep_bitwise_equals_dense_reference() {
         let net = small_net();
-        let image = sample_image();
+        let analog = sample_image();
+        let sparse_bin = Tensor::from_fn(&[3, 16, 16], |i| f32::from(i * 7 % 10 == 3));
+        let dense_bin = Tensor::from_fn(&[3, 16, 16], |i| f32::from(i * 7 % 10 < 6));
+        let Layer::Conv { conv: conv1_1, .. } = &net.layers()[0] else {
+            panic!("the first layer is a conv");
+        };
+        assert!(conv1_1.takes_event_path(&SpikePlane::from_tensor(&sparse_bin)));
+        assert!(!conv1_1.takes_event_path(&SpikePlane::from_tensor(&dense_bin)));
         let combos = [
-            (Precision::Fp32, Encoder::direct(3), 2usize, 0u64),
-            (Precision::Fp32, Encoder::rate(3), 5, 11),
-            (Precision::Int4, Encoder::direct(2), 7, 3),
-            (Precision::Int4, Encoder::rate(3), 0, 42),
+            (&analog, Precision::Fp32, Encoder::direct(3), 2usize, 0u64),
+            (&analog, Precision::Fp32, Encoder::rate(3), 5, 11),
+            (&analog, Precision::Int4, Encoder::direct(2), 7, 3),
+            (&analog, Precision::Int4, Encoder::rate(3), 0, 42),
+            (&sparse_bin, Precision::Fp32, Encoder::direct(3), 4, 5),
+            (&sparse_bin, Precision::Int4, Encoder::direct(3), 1, 8),
+            (&dense_bin, Precision::Fp32, Encoder::direct(3), 6, 9),
+            (&dense_bin, Precision::Int4, Encoder::direct(3), 3, 13),
         ];
-        for (precision, encoder, label, seed) in combos {
+        for (case, (image, precision, encoder, label, seed)) in combos.into_iter().enumerate() {
             let bptt = Bptt::new(SurrogateKind::paper_default(), precision);
             let event = bptt
-                .sample_gradients(&net, &image, label, &encoder, seed)
+                .sample_gradients(&net, image, label, &encoder, seed)
                 .unwrap();
             let dense = bptt
-                .sample_gradients_dense(&net, &image, label, &encoder, seed)
+                .sample_gradients_dense(&net, image, label, &encoder, seed)
                 .unwrap();
-            let ctx = format!("{precision:?}/{encoder:?}");
+            let ctx = format!("case {case}: {precision:?}/{encoder:?}");
             assert_eq!(event.loss.to_bits(), dense.loss.to_bits(), "loss {ctx}");
             assert_eq!(event.correct, dense.correct, "correct {ctx}");
             assert_eq!(event.total_spikes, dense.total_spikes, "spikes {ctx}");

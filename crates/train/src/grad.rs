@@ -13,20 +13,22 @@
 //! * [`conv2d_backward_into`] / [`linear_backward_into`] /
 //!   [`pool_backward_into`] — the production variants the BPTT hot loop runs:
 //!   they take the layer input as a [`SpikePlane`] (so binary spike frames
-//!   use event-aware gather/scatter kernels), write into caller-owned
+//!   use event-aware kernels), write into caller-owned
 //!   [`ConvGrads`]/[`LinearGrads`] buffers and thread a [`GradScratch`], so
 //!   the per-timestep backward allocates nothing in steady state. The conv
-//!   input gradient runs [`conv2d_input_grad_into`], which walks each output
-//!   cell's non-zero gradient entries with lanes along the input channels.
-//!   Results are **bitwise identical** to the reference family — enforced
-//!   by the proptests in this module.
+//!   weight gradient adds rows straight from the spike walk below the
+//!   layer's density crossover and otherwise multiplies by the frame's
+//!   im2col lowering, built in the [`GradScratch`]; the one conv lowering in
+//!   training, which [`conv2d_backward_reuse`] reuses for a replayed frame.
+//!   The conv input gradient runs [`conv2d_input_grad_into`], which walks
+//!   each output cell's non-zero gradient entries with lanes along the input
+//!   channels. Results are **bitwise identical** to the reference family —
+//!   enforced by the proptests in this module.
 
 use snn_core::error::SnnError;
 use snn_core::layers::{Conv2d, Linear, SpikeMaxPool2d};
 use snn_core::spike::SpikePlane;
-use snn_core::tensor::{
-    matmul, matmul_a_bt, matmul_a_bt_to_with, matmul_at_b, matmul_to_with, Im2Col, Tensor,
-};
+use snn_core::tensor::{matmul, matmul_a_bt, matmul_at_b, matmul_to_with, Im2Col, Tensor};
 
 /// Gradients of a convolution layer.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -53,8 +55,9 @@ pub struct LinearGrads {
 }
 
 /// Reusable scratch threaded through the `_into` backward passes: the im2col
-/// lowering of the layer input, the transposed-`b` repack and panel scratch
-/// of the weight-gradient matmul, the transposed gradient and accumulator of
+/// lowering of a dense-path conv input, its `[spatial, coeffs]` transpose
+/// (which [`conv2d_backward_reuse`] reads again) and the panel scratch of the
+/// weight-gradient matmul, the transposed gradient and accumulator of
 /// the event weight gradient, the per-cell gradient entries, cell-major
 /// accumulator and runtime-width tap-sum row of the input gradient
 /// ([`conv2d_input_grad_into`]), and the per-window first-spike table of the
@@ -82,49 +85,6 @@ impl GradScratch {
     /// Creates an empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         GradScratch::default()
-    }
-}
-
-/// The im2col lowering of a **replayed** input (direct coding presents the
-/// identical frame at every timestep), prepared once per sample and consumed
-/// by [`conv2d_backward_cached`] at every timestep. The columns are stored
-/// pre-transposed into the `[spatial, coeffs]` layout the blocked
-/// weight-gradient matmul consumes, so neither the lowering nor the
-/// per-timestep `bᵀ` repack is repaid inside the time loop.
-#[derive(Debug, Clone, Default)]
-pub struct CachedLowering {
-    /// `[spatial, coeffs]` row-major — the transpose of the im2col matrix.
-    bt: Vec<f32>,
-    rows: usize,
-    cols: usize,
-    staging: Im2Col,
-}
-
-impl CachedLowering {
-    /// Creates an empty cache; [`CachedLowering::prepare`] fills it.
-    pub fn new() -> Self {
-        CachedLowering::default()
-    }
-
-    /// Lowers `input` for `conv` (event gather or dense scan, dispatched by
-    /// density like [`Conv2d::lower_plane_into`]) and transposes the columns
-    /// into the matmul-ready layout, reusing this cache's buffers.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Tensor::im2col`].
-    pub fn prepare(&mut self, conv: &Conv2d, input: &SpikePlane) -> Result<(), SnnError> {
-        conv.lower_plane_into(input, &mut self.staging)?;
-        self.rows = self.staging.rows;
-        self.cols = self.staging.cols;
-        self.bt.clear();
-        self.bt.resize(self.rows * self.cols, 0.0);
-        for (p, row) in self.staging.data.chunks_exact(self.cols).enumerate() {
-            for (s, &v) in row.iter().enumerate() {
-                self.bt[s * self.rows + p] = v;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -323,9 +283,11 @@ pub fn pool_backward(
 /// accumulated from `+0.0` in round-to-nearest (a running sum can never be
 /// `-0.0`, and `t + ±0.0 == t` otherwise), so on the finite gradients the
 /// training path produces the result is **bitwise identical** to
-/// [`conv2d_backward`] — enforced by proptest. Denser or analog inputs take
-/// the dense lowering + blocked matmul, which is bit-identical by
-/// construction.
+/// [`conv2d_backward`] — enforced by proptest. Denser or analog inputs are
+/// lowered into the scratch ([`Tensor::im2col_into`]), transposed once into
+/// the `[spatial, coeffs]` layout and multiplied by the blocked kernel: the
+/// two steps of [`matmul_a_bt`], so bit-identical by construction. That
+/// lowering stays in the scratch for [`conv2d_backward_reuse`].
 ///
 /// # Errors
 ///
@@ -338,20 +300,11 @@ pub fn conv2d_backward_into(
     grads: &mut ConvGrads,
     need_input: bool,
 ) -> Result<(), SnnError> {
-    let out_shape = conv.output_shape(input.shape())?;
-    if grad_output.shape() != out_shape {
-        return Err(SnnError::shape(
-            &out_shape,
-            grad_output.shape(),
-            "conv2d_backward grad_output",
-        ));
-    }
+    let out_shape = checked_out_shape(conv, input.shape(), grad_output)?;
     let out_c = conv.out_channels();
     let spatial = out_shape[1] * out_shape[2];
     let coeffs = conv.coefficients_per_output();
 
-    // grad_w [out_c, coeffs] = grad_out [out_c, spatial] * cols^T [spatial, coeffs]
-    grads.weight.reset_to(conv.weight().shape(), 0.0);
     if conv.takes_event_path(input) {
         // Event path: transpose grad_out once into a [cell][out_c] layout,
         // then each tap is ONE contiguous vector add of a grad_out column
@@ -372,6 +325,7 @@ pub fn conv2d_backward_into(
         accw.clear();
         accw.resize(coeffs * out_c, 0.0);
         conv.add_tap_rows(input, accw, got, |p, s| (p, s))?;
+        grads.weight.reset_to(conv.weight().shape(), 0.0);
         let w_out = grads.weight.as_mut_slice();
         for (p, wrow) in scratch.accw.chunks_exact(out_c).enumerate() {
             for (oc, &v) in wrow.iter().enumerate() {
@@ -379,17 +333,19 @@ pub fn conv2d_backward_into(
             }
         }
     } else {
-        conv.lower_plane_into(input, &mut scratch.cols)?;
-        matmul_a_bt_to_with(
-            grad_output.as_slice(),
-            &scratch.cols.data,
-            out_c,
-            spatial,
-            coeffs,
-            grads.weight.as_mut_slice(),
-            &mut scratch.bt,
-            &mut scratch.panel,
-        );
+        let k = conv.kernel();
+        input
+            .dense()
+            .im2col_into((k, k), conv.stride(), conv.padding(), &mut scratch.cols)?;
+        let bt = &mut scratch.bt;
+        bt.clear();
+        bt.resize(spatial * coeffs, 0.0);
+        for (p, row) in scratch.cols.data.chunks_exact(spatial).enumerate() {
+            for (s, &v) in row.iter().enumerate() {
+                bt[s * coeffs + p] = v;
+            }
+        }
+        return conv2d_backward_reuse(conv, input.shape(), grad_output, scratch, grads, need_input);
     }
     conv_bias_and_input_grads(
         conv,
@@ -402,50 +358,43 @@ pub fn conv2d_backward_into(
     )
 }
 
-/// Like [`conv2d_backward_into`] but with the input's lowering supplied by a
-/// [`CachedLowering`] prepared once per sample — the BPTT backward uses this
-/// to reuse one transposed lowering across every timestep of a replayed
-/// (direct-coded) input instead of re-lowering and re-transposing the
-/// identical frame `T` times. `input_shape` is the `[in_c, h, w]` shape of
-/// the layer input the lowering was built from.
+/// [`conv2d_backward_into`] over the dense lowering already in `scratch`,
+/// for an input of shape `input_shape`: the weight gradient multiplies
+/// `grad_output` by the stored `[spatial, coeffs]` columns, without lowering
+/// or transposing again. Direct coding presents the identical analog frame at
+/// every timestep, so the BPTT backward lowers a replayed frame at the first
+/// timestep it visits and runs this entry at the others; the columns are the
+/// same, and so is every bit.
 ///
 /// # Errors
 ///
 /// Same as [`conv2d_backward`], plus [`SnnError::ShapeMismatch`] if the
-/// lowering does not match the layer's geometry for `input_shape`.
-pub fn conv2d_backward_cached(
+/// scratch's lowering does not match the layer's geometry for `input_shape`.
+pub fn conv2d_backward_reuse(
     conv: &Conv2d,
-    lowering: &CachedLowering,
     input_shape: &[usize],
     grad_output: &Tensor,
     scratch: &mut GradScratch,
     grads: &mut ConvGrads,
     need_input: bool,
 ) -> Result<(), SnnError> {
-    let out_shape = conv.output_shape(input_shape)?;
-    if grad_output.shape() != out_shape {
-        return Err(SnnError::shape(
-            &out_shape,
-            grad_output.shape(),
-            "conv2d_backward grad_output",
-        ));
-    }
+    let out_shape = checked_out_shape(conv, input_shape, grad_output)?;
     let out_c = conv.out_channels();
     let spatial = out_shape[1] * out_shape[2];
     let coeffs = conv.coefficients_per_output();
-    if lowering.rows != coeffs || lowering.cols != spatial {
+    let lowered = [scratch.cols.rows, scratch.cols.cols];
+    if lowered != [coeffs, spatial] {
         return Err(SnnError::shape(
             &[coeffs, spatial],
-            &[lowering.rows, lowering.cols],
-            "conv2d_backward_cached lowering",
+            &lowered,
+            "conv2d_backward_reuse lowering",
         ));
     }
-    // grad_w: the blocked kernel straight over the pre-transposed columns —
-    // exactly what `matmul_a_bt` computes after its per-call repack.
+    // grad_w [out_c, coeffs] = grad_out [out_c, spatial] * cols^T [spatial, coeffs]
     grads.weight.reset_to(conv.weight().shape(), 0.0);
     matmul_to_with(
         grad_output.as_slice(),
-        &lowering.bt,
+        &scratch.bt,
         out_c,
         spatial,
         coeffs,
@@ -461,6 +410,24 @@ pub fn conv2d_backward_cached(
         grads,
         need_input,
     )
+}
+
+/// The layer's output shape for `input_shape`, checked against
+/// `grad_output`'s shape.
+fn checked_out_shape(
+    conv: &Conv2d,
+    input_shape: &[usize],
+    grad_output: &Tensor,
+) -> Result<[usize; 3], SnnError> {
+    let out_shape = conv.output_shape(input_shape)?;
+    if grad_output.shape() != out_shape {
+        return Err(SnnError::shape(
+            &out_shape,
+            grad_output.shape(),
+            "conv2d_backward grad_output",
+        ));
+    }
+    Ok(out_shape)
 }
 
 /// The input gradient of the convolution backward, `grad_input =
@@ -1085,25 +1052,23 @@ mod tests {
             assert_bits_eq(&grads.weight, &reference.weight, "weight");
             assert_bits_eq(&grads.bias, &reference.bias, "bias");
             assert_bits_eq(&grads.input, &reference.input, "input");
-            // The cached-lowering entry point agrees too.
-            let mut lowering = CachedLowering::new();
-            lowering
-                .prepare(&conv, &SpikePlane::from_tensor(&input))
+            // A dense-path input leaves its lowering in the scratch, and the
+            // reuse entry point over it agrees too.
+            if !conv.takes_event_path(&SpikePlane::from_tensor(&input)) {
+                let mut reused = ConvGrads::default();
+                conv2d_backward_reuse(
+                    &conv,
+                    input.shape(),
+                    &grad_out,
+                    &mut scratch,
+                    &mut reused,
+                    true,
+                )
                 .unwrap();
-            let mut cached = ConvGrads::default();
-            conv2d_backward_cached(
-                &conv,
-                &lowering,
-                input.shape(),
-                &grad_out,
-                &mut scratch,
-                &mut cached,
-                true,
-            )
-            .unwrap();
-            assert_bits_eq(&cached.weight, &reference.weight, "cached weight");
-            assert_bits_eq(&cached.bias, &reference.bias, "cached bias");
-            assert_bits_eq(&cached.input, &reference.input, "cached input");
+                assert_bits_eq(&reused.weight, &reference.weight, "reused weight");
+                assert_bits_eq(&reused.bias, &reference.bias, "reused bias");
+                assert_bits_eq(&reused.input, &reference.input, "reused input");
+            }
         }
 
         /// The event weight gradient equals the dense reference bit for bit
@@ -1382,18 +1347,20 @@ mod tests {
                 conv2d_backward_into(&conv, &plane, &bad, &mut scratch, &mut grads, true).is_err()
             );
             // A lowering built for a different geometry is rejected too.
-            let mut wrong = CachedLowering::new();
-            wrong
-                .prepare(&conv, &SpikePlane::from_tensor(&Tensor::zeros(&[1, h + 2, w])))
-                .unwrap();
-            let wrong_spatial = {
-                let taller = conv.output_shape(&[1, h + 2, w]).unwrap();
-                taller[1] * taller[2] != out_shape[1] * out_shape[2]
-            };
-            if wrong_spatial {
+            let taller = conv.output_shape(&[1, h + 2, w]).unwrap();
+            conv2d_backward_into(
+                &conv,
+                &SpikePlane::from_tensor(&Tensor::full(&[1, h + 2, w], 0.5)),
+                &Tensor::zeros(&taller),
+                &mut scratch,
+                &mut grads,
+                true,
+            )
+            .unwrap();
+            if taller[1] * taller[2] != out_shape[1] * out_shape[2] {
                 let good = Tensor::zeros(&out_shape);
-                prop_assert!(conv2d_backward_cached(
-                    &conv, &wrong, input.shape(), &good, &mut scratch, &mut grads, true
+                prop_assert!(conv2d_backward_reuse(
+                    &conv, input.shape(), &good, &mut scratch, &mut grads, true
                 )
                 .is_err());
             }

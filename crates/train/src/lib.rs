@@ -16,8 +16,10 @@
 //! * [`surrogate`] — surrogate derivatives of the spike non-linearity,
 //! * [`grad`] — layer-level backward passes (conv, linear, pooling): an
 //!   allocating dense reference family plus the scratch-backed, event-aware
-//!   production `_into` family the hot loop runs (including the fused
-//!   [`grad::conv2d_input_grad_into`] input-gradient kernel), proven
+//!   production `_into` family the hot loop runs (the conv weight gradient
+//!   from the spike walk or from the one im2col lowering in
+//!   [`GradScratch`], which a replayed input reuses across timesteps, and
+//!   the [`grad::conv2d_input_grad_into`] input-gradient kernel), proven
 //!   bitwise identical to the reference,
 //! * [`loss`] — softmax cross-entropy over the population readout,
 //! * [`optim`] — SGD with momentum and Adam,
@@ -55,9 +57,9 @@ pub use bptt::{Bptt, BpttScratch, NetworkGradients};
 pub use checkpoint::{DataFingerprint, LayerWeights, TrainCheckpoint, TrainCursor};
 pub use error::TrainError;
 pub use fault::{FaultReason, SampleFault, TrainFault, TrainFaultPlan};
-pub use grad::{conv2d_input_grad_into, CachedLowering, GradScratch};
+pub use grad::{conv2d_input_grad_into, GradScratch};
 pub use loss::{cross_entropy, softmax};
 pub use optim::{Adam, Optimizer, OptimizerKind, OptimizerState, Sgd};
-pub use schedule::{LrSchedule, ScheduleKind};
+pub use schedule::ScheduleKind;
 pub use surrogate::SurrogateKind;
 pub use trainer::{EvalReport, StopHandle, TrainConfig, TrainReport, Trainer};

@@ -6,6 +6,7 @@
 //! the seed of the BPTT backward pass.
 
 use snn_core::error::SnnError;
+use snn_core::tensor::argmax;
 
 /// Numerically stable softmax.
 pub fn softmax(logits: &[f32]) -> Vec<f32> {
@@ -51,15 +52,7 @@ pub fn accuracy(predictions: &[(Vec<f32>, usize)]) -> f64 {
     }
     let correct = predictions
         .iter()
-        .filter(|(logits, target)| {
-            let argmax = logits
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            argmax == *target
-        })
+        .filter(|(logits, target)| argmax(logits) == *target)
         .count();
     correct as f64 / predictions.len() as f64
 }

@@ -2,71 +2,11 @@
 //!
 //! Long QAT runs in the paper's training setup decay the learning rate over
 //! epochs; this module provides the standard schedules the trainer can apply
-//! between epochs (constant, step decay, cosine annealing) behind one small
-//! trait.
+//! between epochs (step decay, cosine annealing). A constant rate is no
+//! schedule at all: [`TrainConfig::schedule`](crate::trainer::TrainConfig)
+//! `None`.
 
 use serde::{Deserialize, Serialize};
-
-/// A learning-rate schedule: maps an epoch index to a learning rate.
-pub trait LrSchedule {
-    /// Learning rate to use during `epoch` (0-based).
-    fn learning_rate(&self, epoch: usize) -> f32;
-}
-
-/// A constant learning rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ConstantLr {
-    /// The learning rate.
-    pub lr: f32,
-}
-
-impl LrSchedule for ConstantLr {
-    fn learning_rate(&self, _epoch: usize) -> f32 {
-        self.lr
-    }
-}
-
-/// Step decay: multiply the base rate by `gamma` every `step` epochs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StepDecay {
-    /// Initial learning rate.
-    pub base_lr: f32,
-    /// Epochs between decays.
-    pub step: usize,
-    /// Multiplicative decay factor in `(0, 1]`.
-    pub gamma: f32,
-}
-
-impl LrSchedule for StepDecay {
-    fn learning_rate(&self, epoch: usize) -> f32 {
-        if self.step == 0 {
-            return self.base_lr;
-        }
-        self.base_lr * self.gamma.powi((epoch / self.step) as i32)
-    }
-}
-
-/// Cosine annealing from `base_lr` down to `min_lr` over `total_epochs`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CosineAnnealing {
-    /// Initial learning rate.
-    pub base_lr: f32,
-    /// Final learning rate.
-    pub min_lr: f32,
-    /// Number of epochs over which to anneal.
-    pub total_epochs: usize,
-}
-
-impl LrSchedule for CosineAnnealing {
-    fn learning_rate(&self, epoch: usize) -> f32 {
-        if self.total_epochs == 0 {
-            return self.base_lr;
-        }
-        let progress = (epoch.min(self.total_epochs) as f32) / self.total_epochs as f32;
-        let cos = (std::f32::consts::PI * progress).cos();
-        self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (1.0 + cos)
-    }
-}
 
 /// A serialisable choice of learning-rate schedule, for
 /// [`TrainConfig`](crate::trainer::TrainConfig) and training checkpoints.
@@ -76,7 +16,8 @@ impl LrSchedule for CosineAnnealing {
 /// every remaining epoch from the checkpointed cursor alone.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ScheduleKind {
-    /// [`StepDecay`]: multiply `base_lr` by `gamma` every `step` epochs.
+    /// Step decay: multiply `base_lr` by `gamma` every `step` epochs (a zero
+    /// `step` keeps `base_lr`).
     Step {
         /// Initial learning rate.
         base_lr: f32,
@@ -85,7 +26,8 @@ pub enum ScheduleKind {
         /// Multiplicative decay factor in `(0, 1]`.
         gamma: f32,
     },
-    /// [`CosineAnnealing`] from `base_lr` down to `min_lr`.
+    /// Cosine annealing from `base_lr` down to `min_lr` over `total_epochs`
+    /// (zero `total_epochs` keeps `base_lr`), then `min_lr`.
     Cosine {
         /// Initial learning rate.
         base_lr: f32,
@@ -96,29 +38,32 @@ pub enum ScheduleKind {
     },
 }
 
-impl LrSchedule for ScheduleKind {
-    fn learning_rate(&self, epoch: usize) -> f32 {
+impl ScheduleKind {
+    /// Learning rate to use during `epoch` (0-based).
+    pub fn learning_rate(&self, epoch: usize) -> f32 {
         match *self {
+            ScheduleKind::Step {
+                base_lr, step: 0, ..
+            }
+            | ScheduleKind::Cosine {
+                base_lr,
+                total_epochs: 0,
+                ..
+            } => base_lr,
             ScheduleKind::Step {
                 base_lr,
                 step,
                 gamma,
-            } => StepDecay {
-                base_lr,
-                step,
-                gamma,
-            }
-            .learning_rate(epoch),
+            } => base_lr * gamma.powi((epoch / step) as i32),
             ScheduleKind::Cosine {
                 base_lr,
                 min_lr,
                 total_epochs,
-            } => CosineAnnealing {
-                base_lr,
-                min_lr,
-                total_epochs,
+            } => {
+                let progress = (epoch.min(total_epochs) as f32) / total_epochs as f32;
+                let cos = (std::f32::consts::PI * progress).cos();
+                min_lr + 0.5 * (base_lr - min_lr) * (1.0 + cos)
             }
-            .learning_rate(epoch),
         }
     }
 }
@@ -130,14 +75,19 @@ mod tests {
 
     #[test]
     fn constant_never_changes() {
-        let s = ConstantLr { lr: 0.01 };
+        // A decay factor of 1 is a constant schedule.
+        let s = ScheduleKind::Step {
+            base_lr: 0.01,
+            step: 1,
+            gamma: 1.0,
+        };
         assert_eq!(s.learning_rate(0), 0.01);
         assert_eq!(s.learning_rate(100), 0.01);
     }
 
     #[test]
     fn step_decay_halves_every_step() {
-        let s = StepDecay {
+        let s = ScheduleKind::Step {
             base_lr: 0.1,
             step: 2,
             gamma: 0.5,
@@ -150,7 +100,7 @@ mod tests {
 
     #[test]
     fn step_decay_with_zero_step_is_constant() {
-        let s = StepDecay {
+        let s = ScheduleKind::Step {
             base_lr: 0.1,
             step: 0,
             gamma: 0.5,
@@ -160,7 +110,7 @@ mod tests {
 
     #[test]
     fn cosine_starts_at_base_and_ends_at_min() {
-        let s = CosineAnnealing {
+        let s = ScheduleKind::Cosine {
             base_lr: 0.1,
             min_lr: 0.001,
             total_epochs: 10,
@@ -172,26 +122,8 @@ mod tests {
         assert!((s.learning_rate(5) - 0.0505).abs() < 1e-3);
     }
 
-    #[test]
-    fn schedules_are_object_safe() {
-        let schedules: Vec<Box<dyn LrSchedule>> = vec![
-            Box::new(ConstantLr { lr: 0.1 }),
-            Box::new(StepDecay {
-                base_lr: 0.1,
-                step: 1,
-                gamma: 0.9,
-            }),
-            Box::new(CosineAnnealing {
-                base_lr: 0.1,
-                min_lr: 0.0,
-                total_epochs: 5,
-            }),
-        ];
-        for s in &schedules {
-            assert!(s.learning_rate(3) > 0.0 || s.learning_rate(3) == 0.0);
-        }
-    }
-
+    /// Every rate keeps the bits of the two formulas, written out here term
+    /// for term.
     #[test]
     fn schedule_kind_delegates_bitwise() {
         let step = ScheduleKind::Step {
@@ -205,26 +137,12 @@ mod tests {
             total_epochs: 10,
         };
         for epoch in 0..20 {
-            assert_eq!(
-                step.learning_rate(epoch).to_bits(),
-                StepDecay {
-                    base_lr: 0.1,
-                    step: 2,
-                    gamma: 0.5
-                }
-                .learning_rate(epoch)
-                .to_bits()
-            );
-            assert_eq!(
-                cosine.learning_rate(epoch).to_bits(),
-                CosineAnnealing {
-                    base_lr: 0.1,
-                    min_lr: 0.001,
-                    total_epochs: 10
-                }
-                .learning_rate(epoch)
-                .to_bits()
-            );
+            let step_rate = 0.1_f32 * 0.5_f32.powi((epoch / 2) as i32);
+            assert_eq!(step.learning_rate(epoch).to_bits(), step_rate.to_bits());
+            let progress = (epoch.min(10) as f32) / 10.0;
+            let cos = (std::f32::consts::PI * progress).cos();
+            let cosine_rate = 0.001_f32 + 0.5 * (0.1 - 0.001) * (1.0 + cos);
+            assert_eq!(cosine.learning_rate(epoch).to_bits(), cosine_rate.to_bits());
         }
     }
 
@@ -233,7 +151,7 @@ mod tests {
         /// annealing window and stays within [min_lr, base_lr].
         #[test]
         fn cosine_monotone_and_bounded(epoch in 0_usize..30) {
-            let s = CosineAnnealing { base_lr: 0.2, min_lr: 0.01, total_epochs: 30 };
+            let s = ScheduleKind::Cosine { base_lr: 0.2, min_lr: 0.01, total_epochs: 30 };
             let now = s.learning_rate(epoch);
             let next = s.learning_rate(epoch + 1);
             prop_assert!(next <= now + 1e-6);
@@ -243,7 +161,7 @@ mod tests {
         /// Step decay never increases with epochs for gamma <= 1.
         #[test]
         fn step_decay_monotone(epoch in 0_usize..50, gamma in 0.1_f32..1.0) {
-            let s = StepDecay { base_lr: 0.3, step: 3, gamma };
+            let s = ScheduleKind::Step { base_lr: 0.3, step: 3, gamma };
             prop_assert!(s.learning_rate(epoch + 1) <= s.learning_rate(epoch) + 1e-7);
         }
     }

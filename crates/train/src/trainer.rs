@@ -35,7 +35,7 @@ use crate::checkpoint::{DataFingerprint, TrainCheckpoint, TrainCursor};
 use crate::error::TrainError;
 use crate::fault::{FaultReason, SampleFault, TrainFault, TrainFaultPlan};
 use crate::optim::{Adam, Optimizer, OptimizerKind, OptimizerState, Sgd};
-use crate::schedule::{LrSchedule, ScheduleKind};
+use crate::schedule::ScheduleKind;
 use crate::surrogate::SurrogateKind;
 use serde::{Deserialize, Serialize};
 use snn_core::encoding::Encoder;
@@ -131,8 +131,11 @@ impl TrainConfig {
     /// Returns [`TrainError::InvalidConfig`] naming the offending parameter:
     /// zero `batch_size` (which would never advance an epoch), zero
     /// `epochs`, zero `threads`, a non-positive or non-finite
-    /// `learning_rate`, or a `checkpoint_every` cadence without a
-    /// `checkpoint_path`.
+    /// `learning_rate`, a non-positive or non-finite `grad_clip` (a negative
+    /// clip would flip every gradient, zero would erase it and NaN would
+    /// silently disable clipping), a `schedule` whose rates are non-finite
+    /// or negative or whose `gamma` lies outside `(0, 1]`, or a
+    /// `checkpoint_every` cadence without a `checkpoint_path`.
     pub fn validate(&self) -> Result<(), TrainError> {
         let err = |parameter: &str, message: &str| {
             Err(TrainError::InvalidConfig {
@@ -152,8 +155,31 @@ impl TrainConfig {
         if self.threads == 0 {
             return err("threads", "must be at least 1");
         }
-        if !self.learning_rate.is_finite() || self.learning_rate <= 0.0 {
+        let positive = |x: f32| x.is_finite() && x > 0.0;
+        if !positive(self.learning_rate) {
             return err("learning_rate", "must be finite and positive");
+        }
+        if self.grad_clip.is_some_and(|clip| !positive(clip)) {
+            return err(
+                "grad_clip",
+                "must be finite and positive (None disables clipping)",
+            );
+        }
+        if let Some(schedule) = self.schedule {
+            let valid = match schedule {
+                ScheduleKind::Step { base_lr, gamma, .. } => {
+                    positive(base_lr) && gamma > 0.0 && gamma <= 1.0
+                }
+                ScheduleKind::Cosine {
+                    base_lr, min_lr, ..
+                } => positive(base_lr) && min_lr.is_finite() && min_lr >= 0.0,
+            };
+            if !valid {
+                return err(
+                    "schedule",
+                    "needs a finite, positive base_lr, a step gamma in (0, 1] and a finite, non-negative cosine min_lr",
+                );
+            }
         }
         if self.checkpoint_every > 0 && self.checkpoint_path.is_none() {
             return err(
@@ -979,6 +1005,68 @@ mod tests {
             (
                 Box::new(|c: &mut TrainConfig| c.checkpoint_every = 4),
                 "checkpoint_every",
+            ),
+            (
+                Box::new(|c: &mut TrainConfig| c.grad_clip = Some(-1.0)),
+                "grad_clip",
+            ),
+            (
+                Box::new(|c: &mut TrainConfig| c.grad_clip = Some(0.0)),
+                "grad_clip",
+            ),
+            (
+                Box::new(|c: &mut TrainConfig| c.grad_clip = Some(f32::NAN)),
+                "grad_clip",
+            ),
+            (
+                Box::new(|c: &mut TrainConfig| {
+                    c.schedule = Some(ScheduleKind::Step {
+                        base_lr: -0.01,
+                        step: 1,
+                        gamma: 0.5,
+                    })
+                }),
+                "schedule",
+            ),
+            (
+                Box::new(|c: &mut TrainConfig| {
+                    c.schedule = Some(ScheduleKind::Step {
+                        base_lr: 0.01,
+                        step: 1,
+                        gamma: 1.5,
+                    })
+                }),
+                "schedule",
+            ),
+            (
+                Box::new(|c: &mut TrainConfig| {
+                    c.schedule = Some(ScheduleKind::Step {
+                        base_lr: 0.01,
+                        step: 1,
+                        gamma: 0.0,
+                    })
+                }),
+                "schedule",
+            ),
+            (
+                Box::new(|c: &mut TrainConfig| {
+                    c.schedule = Some(ScheduleKind::Cosine {
+                        base_lr: f32::NAN,
+                        min_lr: 0.0,
+                        total_epochs: 4,
+                    })
+                }),
+                "schedule",
+            ),
+            (
+                Box::new(|c: &mut TrainConfig| {
+                    c.schedule = Some(ScheduleKind::Cosine {
+                        base_lr: 0.01,
+                        min_lr: -0.001,
+                        total_epochs: 4,
+                    })
+                }),
+                "schedule",
             ),
         ] {
             let mut cfg = TrainConfig::quick();

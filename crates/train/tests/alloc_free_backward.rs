@@ -84,9 +84,10 @@ fn warm_backward_allocation_count_is_independent_of_timesteps() {
     let mut scratch = BpttScratch::new();
 
     // Both coding schemes drive the backward through different kernel mixes:
-    // direct coding replays an analog input frame (cached-lowering weight
-    // gradient, dense gradient frames), rate coding feeds binary stochastic
-    // frames (event-tap weight gradient). Both exercise the input gradient
+    // direct coding replays an analog input frame (lowered once per sample,
+    // its lowering reused at the other timesteps; dense gradient frames),
+    // rate coding feeds binary stochastic frames (event-tap weight
+    // gradient). Both exercise the input gradient
     // (`conv2d_input_grad_into`) — its per-cell entry list, accumulator and
     // tap-sum row — which must also stay allocation-free once warm.
     for scheme in ["direct", "rate"] {

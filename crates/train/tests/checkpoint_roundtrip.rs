@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use snn_core::tensor::Tensor;
-use snn_train::schedule::{LrSchedule, ScheduleKind};
+use snn_train::schedule::ScheduleKind;
 use snn_train::trainer::{TrainConfig, TrainReport};
 use snn_train::{DataFingerprint, OptimizerState, TrainCheckpoint, TrainCursor};
 use std::collections::BTreeMap;
