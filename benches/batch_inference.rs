@@ -22,8 +22,9 @@
 //!   frame and a pool-routed one (one non-zero entry per 2×2 window per
 //!   channel). Its bitwise oracle, the `matmul_at_b` + `col2im` tail of
 //!   `conv2d_backward`, is checked by proptest, not timed.
-//! * `train_epoch` — one BPTT sample (event-driven vs retained dense sweep)
-//!   and one full `Trainer::fit` epoch over 8 synthetic samples at 1/2/4
+//! * `train_epoch` — one BPTT sample (the event-driven forward and backward
+//!   sweeps over a long-lived scratch vs the retained dense sweep) and one
+//!   full `Trainer::fit` epoch over 8 synthetic samples at 1/2/4
 //!   worker threads (bitwise-identical results at every thread count).
 //! * `train_checkpoint` — atomic checkpoint save/load latency plus 8-epoch
 //!   fits at checkpoint cadences none / every-8-steps / every-step; asserts
@@ -242,12 +243,18 @@ fn bench_train(c: &mut Criterion) {
     let data = SyntheticDataset::generate(SyntheticConfig::cifar10_like().scaled_down(16, 20, 10));
 
     let mut group = c.benchmark_group("train_epoch");
-    // One forward+backward sample: the shipped event-driven sweep vs the
-    // retained dense reference sweep (bitwise-equal gradients).
+    // One forward+backward sample: the shipped event-driven sweeps over the
+    // batch-shared quantized layers and one long-lived scratch, as a trainer
+    // worker runs them, vs the retained dense reference sweep (bitwise-equal
+    // gradients).
+    let mut scratch = BpttScratch::new();
     group.bench_function("sample_event", |b| {
         b.iter(|| {
-            bptt.sample_gradients_prepared(&net, &effective, &image, 3, &encoder, 0)
-                .expect("event sweep")
+            let sweep = bptt
+                .forward_sweep(&net, &effective, &image, &encoder, 0)
+                .expect("forward sweep");
+            bptt.backward_sweep(&net, &effective, &sweep, 3, &mut scratch)
+                .expect("backward sweep")
         });
     });
     group.bench_function("sample_dense", |b| {

@@ -39,8 +39,8 @@
 //!   state.
 
 use crate::core::{
-    InferenceRequest, ModelRunner, ResponseHandle, ServeConfig, ServeCore, ServeModel, ServeStats,
-    ServedResponse,
+    InferenceRequest, InferenceResult, ModelRunner, ResponseHandle, ServeConfig, ServeCore,
+    ServeModel, ServeStats, ServedResponse,
 };
 use crate::error::ServeError;
 use serde::Serialize;
@@ -205,7 +205,7 @@ impl<M: ServeModel> ModelRunner for SwappableRunner<M> {
     fn run_batch(
         &mut self,
         requests: Vec<InferenceRequest>,
-    ) -> Vec<Result<crate::core::InferenceResult, SnnError>> {
+    ) -> Vec<Result<InferenceResult, SnnError>> {
         // The one version check per batch: everything after this line runs
         // on whatever version was current here, even if a swap lands while
         // the batch executes.
@@ -267,11 +267,51 @@ impl ProbeSpec {
     }
 }
 
-/// Runs `probes` against `model` (building a throwaway runner) and returns
-/// the typed [`ServeError::ValidationFailed`] on the first violation:
-/// per-probe model error, panic, empty or non-finite logits, a class-count
-/// mismatch, or a golden-output mismatch. A panicking candidate is
-/// contained here exactly like a panicking batch in the core.
+/// Runs `probes` as one seeded batch on a fresh runner of `model` under
+/// `catch_unwind`, and returns one result per probe. A panic, or a batch
+/// that does not answer every probe, is a [`ServeError::ValidationFailed`]
+/// of `version`, whose reason names the model as `who`. No probes run no
+/// batch.
+fn run_probes<M: ServeModel>(
+    model: &M,
+    version: &str,
+    who: &str,
+    probes: &[ProbeSpec],
+) -> Result<Vec<Result<InferenceResult, SnnError>>, ServeError> {
+    if probes.is_empty() {
+        return Ok(Vec::new());
+    }
+    let fail = |reason: String| ServeError::ValidationFailed {
+        version: version.to_string(),
+        reason,
+    };
+    let requests: Vec<InferenceRequest> = probes
+        .iter()
+        .map(|p| InferenceRequest::seeded(p.input.clone(), p.seed))
+        .collect();
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut runner = model.runner();
+        runner.run_batch(requests)
+    }));
+    let results = outcome.map_err(|payload| {
+        let message = crate::core::panic_message(payload.as_ref());
+        fail(format!("{who} panicked on probe batch: {message}"))
+    })?;
+    if results.len() != probes.len() {
+        return Err(fail(format!(
+            "{who} answered {} of {} probes",
+            results.len(),
+            probes.len()
+        )));
+    }
+    Ok(results)
+}
+
+/// Runs `probes` against `model` ([`run_probes`]) and returns the typed
+/// [`ServeError::ValidationFailed`] on the first violation: per-probe model
+/// error, panic, empty or non-finite logits, a class-count mismatch, or a
+/// golden-output mismatch. A panicking candidate is contained here exactly
+/// like a panicking batch in the core.
 fn validate_candidate<M: ServeModel>(
     model: &M,
     version: &str,
@@ -281,33 +321,7 @@ fn validate_candidate<M: ServeModel>(
         version: version.to_string(),
         reason,
     };
-    if probes.is_empty() {
-        return Ok(());
-    }
-    let requests: Vec<InferenceRequest> = probes
-        .iter()
-        .map(|p| InferenceRequest::seeded(p.input.clone(), p.seed))
-        .collect();
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut runner = model.runner();
-        runner.run_batch(requests)
-    }));
-    let results = match outcome {
-        Ok(results) => results,
-        Err(payload) => {
-            return Err(fail(format!(
-                "candidate panicked on probe batch: {}",
-                crate::core::panic_message(payload.as_ref())
-            )))
-        }
-    };
-    if results.len() != probes.len() {
-        return Err(fail(format!(
-            "candidate answered {} of {} probes",
-            results.len(),
-            probes.len()
-        )));
-    }
+    let results = run_probes(model, version, "candidate", probes)?;
     for (i, (probe, result)) in probes.iter().zip(results).enumerate() {
         let result = result.map_err(|e| fail(format!("probe {i} failed: {e}")))?;
         if result.logits.is_empty() {
@@ -850,37 +864,7 @@ impl<M: ServeModel> ModelZoo<M> {
         let entry = self.entry(name)?;
         let (version, model) = entry.swappable.snapshot();
         let mut probes = entry.probes.lock().expect("probes poisoned");
-        let requests: Vec<InferenceRequest> = probes
-            .iter()
-            .map(|p| InferenceRequest::seeded(p.input.clone(), p.seed))
-            .collect();
-        if requests.is_empty() {
-            return Ok(());
-        }
-        let fail = |reason: String| ServeError::ValidationFailed {
-            version: version.clone(),
-            reason,
-        };
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut runner = model.runner();
-            runner.run_batch(requests)
-        }));
-        let results = match outcome {
-            Ok(results) => results,
-            Err(payload) => {
-                return Err(fail(format!(
-                    "current version panicked on probe batch: {}",
-                    crate::core::panic_message(payload.as_ref())
-                )))
-            }
-        };
-        if results.len() != probes.len() {
-            return Err(fail(format!(
-                "current version answered {} of {} probes",
-                results.len(),
-                probes.len()
-            )));
-        }
+        let results = run_probes(&*model, &version, "current version", &probes)?;
         for (i, (probe, result)) in probes.iter_mut().zip(results).enumerate() {
             let result = result.map_err(|e| ServeError::ValidationFailed {
                 version: version.clone(),

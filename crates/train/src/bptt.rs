@@ -29,7 +29,10 @@
 //! every later timestep, the first layer's never-consumed input gradient is
 //! skipped, and every intermediate lives in a long-lived [`BpttScratch`] —
 //! once warm (see its doc) the backward's time loop performs zero heap
-//! allocations.
+//! allocations. Conv and linear layers share one weight-layer step: the
+//! recursion above, the BN scale when a conv has BN, then the layer's
+//! kernel, which writes the input gradient straight into the preceding
+//! layer's gradient frame for that timestep.
 //!
 //! Losses, logits and gradients of the event-driven sweep are **bitwise
 //! identical** to the dense sweep, which is retained as
@@ -46,7 +49,7 @@
 
 use crate::grad::{
     conv2d_backward, conv2d_backward_into, conv2d_backward_reuse, linear_backward,
-    linear_backward_into, pool_backward, pool_backward_into, ConvGrads, GradScratch, LinearGrads,
+    linear_backward_into, pool_backward, pool_backward_into, GradScratch,
 };
 use crate::loss::cross_entropy;
 use crate::surrogate::SurrogateKind;
@@ -65,8 +68,9 @@ pub struct NetworkGradients {
     per_layer: Vec<Option<LayerGrads>>,
 }
 
-/// Weight and bias gradients of one layer.
-#[derive(Debug, Clone, PartialEq)]
+/// Weight and bias gradients of one weight layer: a [`NetworkGradients`]
+/// entry, and the buffer the [`crate::grad`] kernels write into.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LayerGrads {
     /// Gradient of the weight tensor.
     pub weight: Tensor,
@@ -191,8 +195,11 @@ struct LayerCache {
     membranes: Vec<Tensor>,
 }
 
-/// Everything the backward pass needs from one forward sweep.
-struct ForwardPass {
+/// The cached forward sweep of one sample: everything the backward pass
+/// needs. [`Bptt::forward_sweep`] builds it and [`Bptt::backward_sweep`]
+/// only reads it, so callers (benches, custom training loops) can measure
+/// or repeat the backward pass against one fixed forward.
+pub struct ForwardSweep {
     caches: Vec<LayerCache>,
     class_scores: Vec<f32>,
     total_spikes: u64,
@@ -203,16 +210,11 @@ struct ForwardPass {
     replay_first: bool,
 }
 
-/// The cached forward sweep of one sample, for callers (benches, custom
-/// training loops) that drive [`Bptt::backward_sweep`] separately from
-/// [`Bptt::forward_sweep`] — e.g. to measure or repeat the backward pass
-/// against one fixed forward.
-pub struct ForwardSweep(ForwardPass);
-
 /// Reusable per-worker scratch for the scratch-backed BPTT backward: the
-/// layer-level [`GradScratch`], the per-timestep [`ConvGrads`]/[`LinearGrads`]
-/// output buffers, the membrane-gradient and carry tensors of the BPTT
-/// recursion and the ping-pong per-timestep gradient frames. Owned
+/// layer-level [`GradScratch`], the per-timestep [`LayerGrads`] buffer the
+/// weight-layer kernels write into, the membrane-gradient and carry tensors
+/// of the BPTT recursion and the ping-pong per-timestep gradient frames,
+/// into which the kernels write input gradients directly. Owned
 /// long-lived by each trainer worker and reused across every sample it
 /// processes. The backward performs **zero heap allocations per timestep**
 /// once the scratch is warm: once each weight-gradient path a layer can take
@@ -222,8 +224,7 @@ pub struct ForwardSweep(ForwardPass);
 #[derive(Debug, Default)]
 pub struct BpttScratch {
     grad: GradScratch,
-    conv: ConvGrads,
-    linear: LinearGrads,
+    grads: LayerGrads,
     grad_u: Tensor,
     carry: Tensor,
     grad_cur: Vec<Tensor>,
@@ -275,8 +276,9 @@ impl Bptt {
     /// Builds the fake-quantized working copies of `network`'s weight layers
     /// the forward sweep executes. Hot training loops call this once per
     /// batch (weights only change at optimizer steps, between batches) and
-    /// pass the result to [`Bptt::sample_gradients_prepared`] for every
-    /// sample, sharing one set of quantized weights across worker threads.
+    /// pass the result to [`Bptt::forward_sweep`] and [`Bptt::backward_sweep`]
+    /// for every sample, sharing one set of quantized weights across worker
+    /// threads.
     ///
     /// Each convolution's two cached filter banks are warmed here, once per
     /// batch: the transposed bank `Wᵀ`
@@ -328,11 +330,16 @@ impl Bptt {
 
     /// Runs a forward and backward pass for one labelled sample, returning the
     /// loss and the parameter gradients (computed with the straight-through
-    /// estimator when QAT is enabled).
+    /// estimator when QAT is enabled): [`Bptt::prepare`], then
+    /// [`Bptt::forward_sweep`] and [`Bptt::backward_sweep`] on a fresh
+    /// [`BpttScratch`]. Hot loops prepare once per batch and keep one scratch
+    /// per worker, as the trainer does. Losses, logits and gradients are
+    /// **bitwise identical** to [`Bptt::sample_gradients_dense`].
     ///
     /// # Errors
     ///
-    /// Propagates shape/configuration errors from the layers and encoder.
+    /// Propagates shape/configuration errors from the layers and encoder,
+    /// and rejects a `label` outside the network's classes.
     pub fn sample_gradients(
         &self,
         network: &SnnNetwork,
@@ -342,65 +349,8 @@ impl Bptt {
         seed: u64,
     ) -> Result<SampleResult, SnnError> {
         let effective = self.prepare(network)?;
-        self.sample_gradients_prepared(network, &effective, image, label, encoder, seed)
-    }
-
-    /// Like [`Bptt::sample_gradients`] but with the quantized working layers
-    /// supplied by an earlier [`Bptt::prepare`] call, so batches amortize the
-    /// per-sample weight cloning. Allocates a fresh [`BpttScratch`] per call;
-    /// hot loops use [`Bptt::sample_gradients_with`] to reuse one.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Bptt::sample_gradients`].
-    pub fn sample_gradients_prepared(
-        &self,
-        network: &SnnNetwork,
-        effective: &EffectiveLayers,
-        image: &Tensor,
-        label: usize,
-        encoder: &Encoder,
-        seed: u64,
-    ) -> Result<SampleResult, SnnError> {
-        let mut scratch = BpttScratch::new();
-        self.sample_gradients_with(
-            network,
-            effective,
-            image,
-            label,
-            encoder,
-            seed,
-            &mut scratch,
-        )
-    }
-
-    /// The production entry point of the training hot loop: event-driven
-    /// forward sweep ([`Bptt::forward_sweep`]) followed by the scratch-backed
-    /// event-aware backward ([`Bptt::backward_sweep`]), with every backward
-    /// intermediate drawn from the caller's long-lived [`BpttScratch`] — the
-    /// per-timestep backward allocates nothing once the scratch is warm.
-    /// Losses, logits and gradients are **bitwise identical** to
-    /// [`Bptt::sample_gradients_dense`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Bptt::sample_gradients`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_gradients_with(
-        &self,
-        network: &SnnNetwork,
-        effective: &EffectiveLayers,
-        image: &Tensor,
-        label: usize,
-        encoder: &Encoder,
-        seed: u64,
-        scratch: &mut BpttScratch,
-    ) -> Result<SampleResult, SnnError> {
-        if label >= network.num_classes() {
-            return Err(SnnError::index(label, network.num_classes(), "class label"));
-        }
-        let sweep = self.forward_sweep(network, effective, image, encoder, seed)?;
-        self.backward_scratch(network, effective, &sweep.0, label, scratch)
+        let sweep = self.forward_sweep(network, &effective, image, encoder, seed)?;
+        self.backward_sweep(network, &effective, &sweep, label, &mut BpttScratch::new())
     }
 
     /// Runs the event-driven forward sweep alone, returning the cached
@@ -451,18 +401,32 @@ impl Bptt {
             },
         )?;
         let timesteps = state.timesteps();
-        Ok(ForwardSweep(ForwardPass {
+        Ok(ForwardSweep {
             caches,
             class_scores: state.class_scores().to_vec(),
             total_spikes,
             timesteps,
             replay_first: encoder.scheme == CodingScheme::Direct && timesteps > 1,
-        }))
+        })
     }
 
-    /// Runs the scratch-backed backward pass against a cached forward sweep.
-    /// Repeatable: the sweep is only read, so benches and custom loops can
-    /// drive the backward many times against one forward.
+    /// The scratch-backed production backward against a cached forward
+    /// sweep: the loss, then the detached-reset reverse recursion, with every
+    /// per-timestep intermediate (membrane-gradient and carry tensors, the
+    /// layer gradient buffer, lowerings, matmul panel scratch, ping-pong
+    /// per-timestep gradient frames) in the caller's [`BpttScratch`] and the
+    /// event-aware `_into` kernels of [`crate::grad`] — after warmup the time
+    /// loop performs zero heap allocations. Conv and linear layers run one
+    /// step: the recursion, the BN scale when a conv has BN, then the
+    /// layer's kernel, which writes the input gradient straight into the
+    /// next gradient frame. The first layer's input gradient (which has no
+    /// consumer) is never computed, and a replayed direct-coded input that
+    /// takes the dense path is lowered at the first timestep the backward
+    /// visits and its columns reused ([`conv2d_backward_reuse`]) at every
+    /// other. Repeatable: the sweep is only read, so benches and custom
+    /// loops can drive the backward many times against one forward.
+    /// Gradients are **bitwise identical** to the dense reference backward
+    /// on the same forward pass.
     ///
     /// # Errors
     ///
@@ -478,7 +442,139 @@ impl Bptt {
         if label >= network.num_classes() {
             return Err(SnnError::index(label, network.num_classes(), "class label"));
         }
-        self.backward_scratch(network, effective, &sweep.0, label, scratch)
+        let lif = network.lif_params();
+        let (theta, beta) = (lif.threshold, lif.beta);
+        let caches = &sweep.caches;
+        let timesteps = sweep.timesteps;
+
+        // ---------- Loss ----------
+        let (loss, grad_logits) = cross_entropy(&sweep.class_scores, label)?;
+        let prediction = argmax(&sweep.class_scores);
+
+        let population = network.population();
+        let group = population / network.num_classes();
+
+        let BpttScratch {
+            grad: gscratch,
+            grads: buf,
+            grad_u,
+            carry,
+            grad_cur,
+            grad_next,
+        } = scratch;
+
+        // Seed gradient: every output-population neuron receives the gradient
+        // of its class group at every timestep (the readout is a plain sum).
+        if grad_cur.len() < timesteps {
+            grad_cur.resize_with(timesteps, Tensor::default);
+        }
+        if grad_next.len() < timesteps {
+            grad_next.resize_with(timesteps, Tensor::default);
+        }
+        for g in grad_cur.iter_mut().take(timesteps) {
+            g.reset_to(&[population], 0.0);
+            for (neuron, v) in g.as_mut_slice().iter_mut().enumerate() {
+                *v = grad_logits[neuron / group];
+            }
+        }
+
+        // ---------- Backward ----------
+        let mut gradients = NetworkGradients::zeros_like(network);
+        for (li, layer) in effective.layers().iter().enumerate().rev() {
+            let inputs = &caches[li].inputs;
+            // The first layer's input gradient has no consumer (its input is
+            // the encoded image), so it is skipped.
+            let first = li == 0;
+            if let Layer::Pool { pool, .. } = layer {
+                if !first {
+                    for ((input, go), gi) in
+                        inputs.iter().zip(grad_cur.iter()).zip(grad_next.iter_mut())
+                    {
+                        pool_backward_into(pool, input, go, gscratch, gi)?;
+                    }
+                    std::mem::swap(grad_cur, grad_next);
+                }
+                continue;
+            }
+            let membranes = &caches[li].membranes;
+            carry.reset_to(membranes[0].shape(), 0.0);
+            // The membrane shape is constant across the layer's time loop, so
+            // grad_u is shaped once here; every element is overwritten by the
+            // derivative write below, making the one-time zero fill
+            // shape-keeping only.
+            grad_u.reset_to(membranes[0].shape(), 0.0);
+            // A replayed input frame (direct coding) that takes the dense path
+            // lowers to the same columns at every timestep: the first timestep
+            // visited (the last one) lowers it into the scratch, and the
+            // others reuse it.
+            let replayed = sweep.replay_first
+                && first
+                && matches!(layer, Layer::Conv { conv, .. } if !conv.takes_event_path(&inputs[0]));
+            let acc = gradients.per_layer[li]
+                .as_mut()
+                .expect("weight layer has grads");
+            for t in (0..timesteps).rev() {
+                let (input, u, go_t) = (&inputs[t], &membranes[t], &grad_cur[t]);
+                if go_t.len() != u.len() {
+                    return Err(SnnError::shape(u.shape(), go_t.shape(), "bptt layer grad"));
+                }
+                // ∂L/∂u[t] = ∂L/∂s[t]·σ'(u[t]) + β·carry
+                {
+                    let gu = grad_u.as_mut_slice();
+                    for ((g, &go), &uu) in gu
+                        .iter_mut()
+                        .zip(go_t.as_slice().iter())
+                        .zip(u.as_slice().iter())
+                    {
+                        *g = go * self.surrogate.derivative(uu, theta);
+                    }
+                    for (g, &c) in gu.iter_mut().zip(carry.as_slice().iter()) {
+                        *g += c * beta;
+                    }
+                }
+                carry.copy_from(grad_u);
+                let grad_input = (!first).then_some(&mut grad_next[t]);
+                match layer {
+                    Layer::Conv { conv, bn, .. } => {
+                        // Through the (eval-mode) BN affine transform.
+                        if let Some(b) = bn {
+                            let plane = u.shape()[1] * u.shape()[2];
+                            let data = grad_u.as_mut_slice();
+                            for c in 0..b.channels() {
+                                let scale = b.gamma().as_slice()[c]
+                                    / (b.running_var().as_slice()[c] + b.epsilon()).sqrt();
+                                for v in &mut data[c * plane..(c + 1) * plane] {
+                                    *v *= scale;
+                                }
+                            }
+                        }
+                        if replayed && t + 1 < timesteps {
+                            let shape = input.shape();
+                            conv2d_backward_reuse(conv, shape, grad_u, gscratch, buf, grad_input)?;
+                        } else {
+                            conv2d_backward_into(conv, input, grad_u, gscratch, buf, grad_input)?;
+                        }
+                    }
+                    Layer::Linear { linear, .. } => {
+                        linear_backward_into(linear, input, grad_u, gscratch, buf, grad_input)?;
+                    }
+                    Layer::Pool { .. } => unreachable!("pools take the branch above"),
+                }
+                acc.weight += &buf.weight;
+                acc.bias += &buf.bias;
+            }
+            if !first {
+                std::mem::swap(grad_cur, grad_next);
+            }
+        }
+
+        Ok(SampleResult {
+            loss,
+            logits: sweep.class_scores.clone(),
+            correct: prediction == label,
+            gradients,
+            total_spikes: sweep.total_spikes,
+        })
     }
 
     /// The retained dense reference sweep: unrolls the network with dense
@@ -503,7 +599,7 @@ impl Bptt {
         }
         let effective = self.prepare(network)?;
         let forward = self.forward_dense(network, &effective, image, encoder, seed)?;
-        self.backward(network, &effective, forward, label)
+        self.backward_dense(network, &effective, forward, label)
     }
 
     /// Dense reference forward sweep (see [`Bptt::sample_gradients_dense`]).
@@ -514,7 +610,7 @@ impl Bptt {
         image: &Tensor,
         encoder: &Encoder,
         seed: u64,
-    ) -> Result<ForwardPass, SnnError> {
+    ) -> Result<ForwardSweep, SnnError> {
         let lif = network.lif_params();
         let layers = effective.layers();
         let frames = encoder.encode(image, seed)?;
@@ -536,38 +632,29 @@ impl Bptt {
             let mut x = frame.clone();
             for (li, layer) in layers.iter().enumerate() {
                 caches[li].inputs.push(SpikePlane::from_tensor(&x));
-                match layer {
-                    Layer::Conv { conv, bn, .. } => {
-                        let mut current = conv.forward(&x)?;
-                        if let Some(b) = bn {
-                            current = b.forward(&current)?;
-                        }
-                        let state = lif_states[li]
-                            .get_or_insert_with(|| LifPopulation::new(current.len(), lif));
-                        let spikes = state.step_tensor(&current)?;
-                        caches[li].membranes.push(Tensor::from_vec(
-                            state.membrane().to_vec(),
-                            current.shape(),
-                        )?);
-                        total_spikes += spikes.count_nonzero() as u64;
-                        x = spikes;
-                    }
+                let current = match layer {
                     Layer::Pool { pool, .. } => {
                         x = pool.forward(&x)?;
+                        continue;
                     }
-                    Layer::Linear { linear, .. } => {
-                        let current = linear.forward(&x)?;
-                        let state = lif_states[li]
-                            .get_or_insert_with(|| LifPopulation::new(current.len(), lif));
-                        let spikes = state.step_tensor(&current)?;
-                        caches[li].membranes.push(Tensor::from_vec(
-                            state.membrane().to_vec(),
-                            current.shape(),
-                        )?);
-                        total_spikes += spikes.count_nonzero() as u64;
-                        x = spikes;
+                    Layer::Conv { conv, bn, .. } => {
+                        let current = conv.forward(&x)?;
+                        match bn {
+                            Some(b) => b.forward(&current)?,
+                            None => current,
+                        }
                     }
-                }
+                    Layer::Linear { linear, .. } => linear.forward(&x)?,
+                };
+                let state =
+                    lif_states[li].get_or_insert_with(|| LifPopulation::new(current.len(), lif));
+                let spikes = state.step_tensor(&current)?;
+                caches[li].membranes.push(Tensor::from_vec(
+                    state.membrane().to_vec(),
+                    current.shape(),
+                )?);
+                total_spikes += spikes.count_nonzero() as u64;
+                x = spikes;
             }
             let out = x.as_slice();
             for (class, score) in class_scores.iter_mut().enumerate() {
@@ -578,7 +665,7 @@ impl Bptt {
             }
         }
 
-        Ok(ForwardPass {
+        Ok(ForwardSweep {
             caches,
             class_scores,
             total_spikes,
@@ -587,23 +674,26 @@ impl Bptt {
         })
     }
 
-    /// Loss + reverse sweep shared by the event-driven and dense forwards.
-    fn backward(
+    /// The dense reference backward (see [`Bptt::sample_gradients_dense`]):
+    /// the loss and the same detached-reset reverse recursion as
+    /// [`Bptt::backward_sweep`], written with allocating tensor operations
+    /// and the reference kernels of [`crate::grad`].
+    fn backward_dense(
         &self,
         network: &SnnNetwork,
         effective: &EffectiveLayers,
-        forward: ForwardPass,
+        forward: ForwardSweep,
         label: usize,
     ) -> Result<SampleResult, SnnError> {
         let lif = network.lif_params();
-        let ForwardPass {
+        let (theta, beta) = (lif.threshold, lif.beta);
+        let ForwardSweep {
             caches,
             class_scores,
             total_spikes,
             timesteps,
             ..
         } = forward;
-        let effective = effective.layers();
 
         // ---------- Loss ----------
         let (loss, grad_logits) = cross_entropy(&class_scores, label)?;
@@ -625,217 +715,30 @@ impl Bptt {
         // processed, one tensor per timestep.
         let mut grad_out: Vec<Tensor> = vec![seed_grad; timesteps];
 
-        for (li, layer) in effective.iter().enumerate().rev() {
-            match layer {
-                Layer::Pool { pool, .. } => {
-                    let mut grad_in = Vec::with_capacity(timesteps);
-                    for (t, grad) in grad_out.iter().enumerate().take(timesteps) {
-                        grad_in.push(pool_backward(pool, caches[li].inputs[t].dense(), grad)?);
-                    }
-                    grad_out = grad_in;
-                }
-                Layer::Conv { conv, bn, .. } => {
-                    let theta = lif.threshold;
-                    let beta = lif.beta;
-                    let mut grad_in: Vec<Tensor> = vec![Tensor::default(); timesteps];
-                    let mut carry = Tensor::zeros(caches[li].membranes[0].shape());
-                    let acc = gradients.per_layer[li]
-                        .as_mut()
-                        .expect("conv layer has grads");
-                    for t in (0..timesteps).rev() {
-                        let u = &caches[li].membranes[t];
-                        // ∂L/∂u[t] = ∂L/∂s[t]·σ'(u[t]) + β·carry
-                        let mut grad_u = grad_out[t]
-                            .zip_map(u, |gs, uu| gs * self.surrogate.derivative(uu, theta))?;
-                        grad_u += &carry.scale(beta);
-                        carry = grad_u.clone();
-                        // Through the (eval-mode) BN affine transform.
-                        let grad_current = match bn {
-                            Some(b) => {
-                                let plane = u.shape()[1] * u.shape()[2];
-                                let mut g = grad_u.clone();
-                                let data = g.as_mut_slice();
-                                for c in 0..b.channels() {
-                                    let scale = b.gamma().as_slice()[c]
-                                        / (b.running_var().as_slice()[c] + b.epsilon()).sqrt();
-                                    for v in &mut data[c * plane..(c + 1) * plane] {
-                                        *v *= scale;
-                                    }
-                                }
-                                g
-                            }
-                            None => grad_u,
-                        };
-                        let grads =
-                            conv2d_backward(conv, caches[li].inputs[t].dense(), &grad_current)?;
-                        acc.weight += &grads.weight;
-                        acc.bias += &grads.bias;
-                        grad_in[t] = grads.input;
-                    }
-                    grad_out = grad_in;
-                }
-                Layer::Linear { linear, .. } => {
-                    let theta = lif.threshold;
-                    let beta = lif.beta;
-                    let mut grad_in: Vec<Tensor> = vec![Tensor::default(); timesteps];
-                    let mut carry = Tensor::zeros(caches[li].membranes[0].shape());
-                    let acc = gradients.per_layer[li]
-                        .as_mut()
-                        .expect("linear layer has grads");
-                    for t in (0..timesteps).rev() {
-                        let u = &caches[li].membranes[t];
-                        let grad_out_flat = grad_out[t].reshape(u.shape())?;
-                        let mut grad_u = grad_out_flat
-                            .zip_map(u, |gs, uu| gs * self.surrogate.derivative(uu, theta))?;
-                        grad_u += &carry.scale(beta);
-                        carry = grad_u.clone();
-                        let grads = linear_backward(
-                            linear,
-                            &caches[li].inputs[t]
-                                .dense()
-                                .reshape(&[linear.in_features()])?,
-                            &grad_u.reshape(&[linear.out_features()])?,
-                        )?;
-                        acc.weight += &grads.weight;
-                        acc.bias += &grads.bias;
-                        // Reshape the input gradient back to the input's shape.
-                        grad_in[t] = grads.input.reshape(caches[li].inputs[t].shape())?;
-                    }
-                    grad_out = grad_in;
-                }
+        for (li, layer) in effective.layers().iter().enumerate().rev() {
+            let inputs = &caches[li].inputs;
+            if let Layer::Pool { pool, .. } = layer {
+                grad_out = (0..timesteps)
+                    .map(|t| pool_backward(pool, inputs[t].dense(), &grad_out[t]))
+                    .collect::<Result<_, _>>()?;
+                continue;
             }
-        }
-
-        Ok(SampleResult {
-            loss,
-            logits: class_scores,
-            correct: prediction == label,
-            gradients,
-            total_spikes,
-        })
-    }
-
-    /// The scratch-backed production backward: the same loss seeding and
-    /// detached-reset reverse recursion as [`Bptt::backward`], but every
-    /// per-timestep intermediate (membrane-gradient and carry tensors, layer
-    /// gradient buffers, lowerings, matmul repack/panel scratch, ping-pong
-    /// per-timestep gradient frames) lives in the caller's [`BpttScratch`]
-    /// and the layer kernels are the event-aware `_into` family of
-    /// [`crate::grad`] — after warmup the time loop performs zero heap
-    /// allocations. Two further event/structure exploits: the first layer's
-    /// input gradient (which has no consumer) is never computed, and a
-    /// replayed direct-coded input that takes the dense path is lowered at
-    /// the first timestep the backward visits and its columns reused
-    /// ([`conv2d_backward_reuse`]) at every other.
-    /// Gradients are **bitwise identical** to [`Bptt::backward`] on the same
-    /// forward pass.
-    fn backward_scratch(
-        &self,
-        network: &SnnNetwork,
-        effective: &EffectiveLayers,
-        forward: &ForwardPass,
-        label: usize,
-        scratch: &mut BpttScratch,
-    ) -> Result<SampleResult, SnnError> {
-        let lif = network.lif_params();
-        let caches = &forward.caches;
-        let timesteps = forward.timesteps;
-        let effective = effective.layers();
-
-        // ---------- Loss ----------
-        let (loss, grad_logits) = cross_entropy(&forward.class_scores, label)?;
-        let prediction = argmax(&forward.class_scores);
-
-        let population = network.population();
-        let group = population / network.num_classes();
-
-        let BpttScratch {
-            grad: gscratch,
-            conv: conv_buf,
-            linear: linear_buf,
-            grad_u,
-            carry,
-            grad_cur,
-            grad_next,
-        } = scratch;
-
-        // Seed gradient: every output-population neuron receives the gradient
-        // of its class group at every timestep (the readout is a plain sum).
-        if grad_cur.len() < timesteps {
-            grad_cur.resize_with(timesteps, Tensor::default);
-        }
-        if grad_next.len() < timesteps {
-            grad_next.resize_with(timesteps, Tensor::default);
-        }
-        for g in grad_cur.iter_mut().take(timesteps) {
-            g.reset_to(&[population], 0.0);
-            for (neuron, v) in g.as_mut_slice().iter_mut().enumerate() {
-                *v = grad_logits[neuron / group];
-            }
-        }
-
-        // ---------- Backward ----------
-        let mut gradients = NetworkGradients::zeros_like(network);
-        for (li, layer) in effective.iter().enumerate().rev() {
-            // The first layer's input gradient has no consumer (its input is
-            // the encoded image), so it is skipped.
-            let need_input = li > 0;
-            match layer {
-                Layer::Pool { pool, .. } => {
-                    if !need_input {
-                        continue;
-                    }
-                    for t in 0..timesteps {
-                        pool_backward_into(
-                            pool,
-                            &caches[li].inputs[t],
-                            &grad_cur[t],
-                            gscratch,
-                            &mut grad_next[t],
-                        )?;
-                    }
-                    std::mem::swap(grad_cur, grad_next);
-                }
-                Layer::Conv { conv, bn, .. } => {
-                    let theta = lif.threshold;
-                    let beta = lif.beta;
-                    carry.reset_to(caches[li].membranes[0].shape(), 0.0);
-                    // The membrane shape is constant across the layer's time
-                    // loop, so grad_u is shaped once here; every element is
-                    // overwritten by the derivative write below, making the
-                    // one-time zero fill shape-keeping only.
-                    grad_u.reset_to(caches[li].membranes[0].shape(), 0.0);
-                    // A replayed input frame (direct coding) that takes the
-                    // dense path lowers to the same columns at every
-                    // timestep: the first timestep visited (the last one)
-                    // lowers it into the scratch, and the others reuse it.
-                    let replayed = forward.replay_first
-                        && li == 0
-                        && !conv.takes_event_path(&caches[li].inputs[0]);
-                    let acc = gradients.per_layer[li]
-                        .as_mut()
-                        .expect("conv layer has grads");
-                    for t in (0..timesteps).rev() {
-                        let u = &caches[li].membranes[t];
-                        let go_t = &grad_cur[t];
-                        if go_t.len() != u.len() {
-                            return Err(SnnError::shape(u.shape(), go_t.shape(), "bptt conv grad"));
-                        }
-                        // ∂L/∂u[t] = ∂L/∂s[t]·σ'(u[t]) + β·carry
-                        {
-                            let gu = grad_u.as_mut_slice();
-                            for ((g, &go), &uu) in gu
-                                .iter_mut()
-                                .zip(go_t.as_slice().iter())
-                                .zip(u.as_slice().iter())
-                            {
-                                *g = go * self.surrogate.derivative(uu, theta);
-                            }
-                            for (g, &c) in gu.iter_mut().zip(carry.as_slice().iter()) {
-                                *g += c * beta;
-                            }
-                        }
-                        carry.copy_from(grad_u);
+            let mut grad_in: Vec<Tensor> = vec![Tensor::default(); timesteps];
+            let mut carry = Tensor::zeros(caches[li].membranes[0].shape());
+            let acc = gradients.per_layer[li]
+                .as_mut()
+                .expect("weight layer has grads");
+            for t in (0..timesteps).rev() {
+                let u = &caches[li].membranes[t];
+                // ∂L/∂u[t] = ∂L/∂s[t]·σ'(u[t]) + β·carry
+                let mut grad_u = grad_out[t]
+                    .reshape(u.shape())?
+                    .zip_map(u, |gs, uu| gs * self.surrogate.derivative(uu, theta))?;
+                grad_u += &carry.scale(beta);
+                carry = grad_u.clone();
+                let input = inputs[t].dense();
+                let (grads, input_grad) = match layer {
+                    Layer::Conv { conv, bn, .. } => {
                         // Through the (eval-mode) BN affine transform.
                         if let Some(b) = bn {
                             let plane = u.shape()[1] * u.shape()[2];
@@ -848,95 +751,24 @@ impl Bptt {
                                 }
                             }
                         }
-                        if replayed && t + 1 < timesteps {
-                            conv2d_backward_reuse(
-                                conv,
-                                caches[li].inputs[t].shape(),
-                                grad_u,
-                                gscratch,
-                                conv_buf,
-                                need_input,
-                            )?;
-                        } else {
-                            conv2d_backward_into(
-                                conv,
-                                &caches[li].inputs[t],
-                                grad_u,
-                                gscratch,
-                                conv_buf,
-                                need_input,
-                            )?;
-                        }
-                        acc.weight += &conv_buf.weight;
-                        acc.bias += &conv_buf.bias;
-                        if need_input {
-                            grad_next[t].copy_from(&conv_buf.input);
-                        }
+                        conv2d_backward(conv, input, &grad_u)?
                     }
-                    if need_input {
-                        std::mem::swap(grad_cur, grad_next);
-                    }
-                }
-                Layer::Linear { linear, .. } => {
-                    let theta = lif.threshold;
-                    let beta = lif.beta;
-                    carry.reset_to(caches[li].membranes[0].shape(), 0.0);
-                    // Shaped once per layer; fully overwritten per timestep.
-                    grad_u.reset_to(caches[li].membranes[0].shape(), 0.0);
-                    let acc = gradients.per_layer[li]
-                        .as_mut()
-                        .expect("linear layer has grads");
-                    for t in (0..timesteps).rev() {
-                        let u = &caches[li].membranes[t];
-                        let go_t = &grad_cur[t];
-                        if go_t.len() != u.len() {
-                            return Err(SnnError::shape(
-                                u.shape(),
-                                go_t.shape(),
-                                "bptt linear grad",
-                            ));
-                        }
-                        {
-                            let gu = grad_u.as_mut_slice();
-                            for ((g, &go), &uu) in gu
-                                .iter_mut()
-                                .zip(go_t.as_slice().iter())
-                                .zip(u.as_slice().iter())
-                            {
-                                *g = go * self.surrogate.derivative(uu, theta);
-                            }
-                            for (g, &c) in gu.iter_mut().zip(carry.as_slice().iter()) {
-                                *g += c * beta;
-                            }
-                        }
-                        carry.copy_from(grad_u);
-                        linear_backward_into(
-                            linear,
-                            &caches[li].inputs[t],
-                            grad_u,
-                            gscratch,
-                            linear_buf,
-                            need_input,
-                        )?;
-                        acc.weight += &linear_buf.weight;
-                        acc.bias += &linear_buf.bias;
-                        if need_input {
-                            grad_next[t].copy_from(&linear_buf.input);
-                        }
-                    }
-                    if need_input {
-                        std::mem::swap(grad_cur, grad_next);
-                    }
-                }
+                    Layer::Linear { linear, .. } => linear_backward(linear, input, &grad_u)?,
+                    Layer::Pool { .. } => unreachable!("pools take the branch above"),
+                };
+                acc.weight += &grads.weight;
+                acc.bias += &grads.bias;
+                grad_in[t] = input_grad;
             }
+            grad_out = grad_in;
         }
 
         Ok(SampleResult {
             loss,
-            logits: forward.class_scores.clone(),
+            logits: class_scores,
             correct: prediction == label,
             gradients,
-            total_spikes: forward.total_spikes,
+            total_spikes,
         })
     }
 }
@@ -992,10 +824,27 @@ mod tests {
     /// QAT, for direct (analog input + replay) and rate (stochastic binary
     /// input) coding, and for direct-coded binary images: a sparse one, whose
     /// CONV1_1 weight gradient takes the event path at every timestep, and a
-    /// dense one, whose replayed lowering is reused across timesteps.
+    /// dense one, whose replayed lowering is reused across timesteps. Two
+    /// more networks cover the weight-layer step's BN branch: one with its
+    /// batch norms folded away (convs without BN), and one whose BN gammas
+    /// lie away from 1 (a non-unit BN scale).
     #[test]
     fn event_driven_sweep_bitwise_equals_dense_reference() {
         let net = small_net();
+        let mut folded = small_net();
+        folded.fold_batchnorm().unwrap();
+        assert!(folded
+            .layers()
+            .iter()
+            .all(|l| !matches!(l, Layer::Conv { bn: Some(_), .. })));
+        let mut scaled = small_net();
+        for layer in scaled.layers_mut() {
+            if let Layer::Conv { bn: Some(b), .. } = layer {
+                for (c, g) in b.gamma_mut().as_mut_slice().iter_mut().enumerate() {
+                    *g = 1.5 - 0.2 * (c % 5) as f32;
+                }
+            }
+        }
         let analog = sample_image();
         let sparse_bin = Tensor::from_fn(&[3, 16, 16], |i| f32::from(i * 7 % 10 == 3));
         let dense_bin = Tensor::from_fn(&[3, 16, 16], |i| f32::from(i * 7 % 10 < 6));
@@ -1005,22 +854,27 @@ mod tests {
         assert!(conv1_1.takes_event_path(&SpikePlane::from_tensor(&sparse_bin)));
         assert!(!conv1_1.takes_event_path(&SpikePlane::from_tensor(&dense_bin)));
         let combos = [
-            (&analog, Precision::Fp32, Encoder::direct(3), 2usize, 0u64),
-            (&analog, Precision::Fp32, Encoder::rate(3), 5, 11),
-            (&analog, Precision::Int4, Encoder::direct(2), 7, 3),
-            (&analog, Precision::Int4, Encoder::rate(3), 0, 42),
-            (&sparse_bin, Precision::Fp32, Encoder::direct(3), 4, 5),
-            (&sparse_bin, Precision::Int4, Encoder::direct(3), 1, 8),
-            (&dense_bin, Precision::Fp32, Encoder::direct(3), 6, 9),
-            (&dense_bin, Precision::Int4, Encoder::direct(3), 3, 13),
+            (&net, &analog, Precision::Fp32, Encoder::direct(3), 2, 0),
+            (&net, &analog, Precision::Fp32, Encoder::rate(3), 5, 11),
+            (&net, &analog, Precision::Int4, Encoder::direct(2), 7, 3),
+            (&net, &analog, Precision::Int4, Encoder::rate(3), 0, 42),
+            (&net, &sparse_bin, Precision::Fp32, Encoder::direct(3), 4, 5),
+            (&net, &sparse_bin, Precision::Int4, Encoder::direct(3), 1, 8),
+            (&net, &dense_bin, Precision::Fp32, Encoder::direct(3), 6, 9),
+            (&net, &dense_bin, Precision::Int4, Encoder::direct(3), 3, 13),
+            (&folded, &analog, Precision::Fp32, Encoder::direct(3), 8, 17),
+            (&folded, &analog, Precision::Int4, Encoder::rate(3), 9, 19),
+            (&scaled, &analog, Precision::Fp32, Encoder::direct(3), 1, 23),
+            (&scaled, &analog, Precision::Int4, Encoder::rate(3), 6, 29),
         ];
-        for (case, (image, precision, encoder, label, seed)) in combos.into_iter().enumerate() {
+        for (case, (net, image, precision, encoder, label, seed)) in combos.into_iter().enumerate()
+        {
             let bptt = Bptt::new(SurrogateKind::paper_default(), precision);
             let event = bptt
-                .sample_gradients(&net, image, label, &encoder, seed)
+                .sample_gradients(net, image, label, &encoder, seed)
                 .unwrap();
             let dense = bptt
-                .sample_gradients_dense(&net, image, label, &encoder, seed)
+                .sample_gradients_dense(net, image, label, &encoder, seed)
                 .unwrap();
             let ctx = format!("case {case}: {precision:?}/{encoder:?}");
             assert_eq!(event.loss.to_bits(), dense.loss.to_bits(), "loss {ctx}");
@@ -1099,26 +953,22 @@ mod tests {
         ];
         for (encoder, label, seed, freq) in cases {
             let image = Tensor::from_fn(&[3, 16, 16], |i| ((i as f32) * freq).sin().abs());
+            let sweep = bptt
+                .forward_sweep(&net, &effective, &image, &encoder, seed)
+                .unwrap();
             let reused = bptt
-                .sample_gradients_with(
-                    &net,
-                    &effective,
-                    &image,
-                    label,
-                    &encoder,
-                    seed,
-                    &mut scratch,
-                )
+                .backward_sweep(&net, &effective, &sweep, label, &mut scratch)
                 .unwrap();
             let fresh = bptt
-                .sample_gradients_prepared(&net, &effective, &image, label, &encoder, seed)
+                .backward_sweep(&net, &effective, &sweep, label, &mut BpttScratch::new())
                 .unwrap();
             assert_results_bitwise_eq(&reused, &fresh, &format!("{encoder:?}/{label}"));
         }
     }
 
-    /// The split forward/backward entry points compose to exactly the fused
-    /// path, and the backward is repeatable against one cached forward.
+    /// The split forward/backward entry points over one long-lived scratch
+    /// compose to exactly the one-call path, and the backward is repeatable
+    /// against one cached forward.
     #[test]
     fn forward_backward_split_matches_fused_path() {
         let net = small_net();
@@ -1127,9 +977,7 @@ mod tests {
         let image = sample_image();
         let encoder = Encoder::direct(2);
         let mut scratch = BpttScratch::new();
-        let fused = bptt
-            .sample_gradients_with(&net, &effective, &image, 5, &encoder, 7, &mut scratch)
-            .unwrap();
+        let fused = bptt.sample_gradients(&net, &image, 5, &encoder, 7).unwrap();
         let sweep = bptt
             .forward_sweep(&net, &effective, &image, &encoder, 7)
             .unwrap();
@@ -1181,16 +1029,19 @@ mod tests {
 
     #[test]
     fn prepared_layers_are_shared_across_samples_identically() {
-        // sample_gradients (per-call prepare) and sample_gradients_prepared
-        // (batch-shared prepare) must agree exactly.
+        // sample_gradients (per-call prepare) and the sweeps over one
+        // batch-shared prepare must agree exactly.
         let net = small_net();
         let bptt = Bptt::new(SurrogateKind::paper_default(), Precision::Int4);
         let effective = bptt.prepare(&net).unwrap();
         let encoder = Encoder::direct(2);
         let image = sample_image();
         let a = bptt.sample_gradients(&net, &image, 3, &encoder, 1).unwrap();
+        let sweep = bptt
+            .forward_sweep(&net, &effective, &image, &encoder, 1)
+            .unwrap();
         let b = bptt
-            .sample_gradients_prepared(&net, &effective, &image, 3, &encoder, 1)
+            .backward_sweep(&net, &effective, &sweep, 3, &mut BpttScratch::new())
             .unwrap();
         assert_eq!(a.loss.to_bits(), b.loss.to_bits());
         assert_eq!(a.logits, b.logits);

@@ -3,7 +3,8 @@
 //! These free functions compute the gradients of the convolution, linear and
 //! spike-pooling layers given the layer input, the (possibly fake-quantized)
 //! weights used in the forward pass, and the gradient flowing back from the
-//! following LIF population.
+//! following LIF population. A weight layer's weight and bias gradients come
+//! back as one [`LayerGrads`].
 //!
 //! Two families exist side by side:
 //!
@@ -13,46 +14,25 @@
 //! * [`conv2d_backward_into`] / [`linear_backward_into`] /
 //!   [`pool_backward_into`] — the production variants the BPTT hot loop runs:
 //!   they take the layer input as a [`SpikePlane`] (so binary spike frames
-//!   use event-aware kernels), write into caller-owned
-//!   [`ConvGrads`]/[`LinearGrads`] buffers and thread a [`GradScratch`], so
-//!   the per-timestep backward allocates nothing in steady state. The conv
-//!   weight gradient adds rows straight from the spike walk below the
-//!   layer's density crossover and otherwise multiplies by the frame's
-//!   im2col lowering, built in the [`GradScratch`]; the one conv lowering in
-//!   training, which [`conv2d_backward_reuse`] reuses for a replayed frame.
-//!   The conv input gradient runs [`conv2d_input_grad_into`], which walks
-//!   each output cell's non-zero gradient entries with lanes along the input
-//!   channels. Results are **bitwise identical** to the reference family —
-//!   enforced by the proptests in this module.
+//!   use event-aware kernels), write the weight and bias gradients into a
+//!   caller-owned [`LayerGrads`] and the input gradient straight into the
+//!   caller's tensor (the BPTT sweep passes the previous layer's gradient
+//!   frame), and thread a [`GradScratch`], so the per-timestep backward
+//!   allocates nothing in steady state. The conv weight gradient adds rows
+//!   straight from the spike walk below the layer's density crossover and
+//!   otherwise multiplies by the frame's im2col lowering, built in the
+//!   [`GradScratch`]; the one conv lowering in training, which
+//!   [`conv2d_backward_reuse`] reuses for a replayed frame. The conv input
+//!   gradient runs [`conv2d_input_grad_into`], which walks each output
+//!   cell's non-zero gradient entries with lanes along the input channels.
+//!   Results are **bitwise identical** to the reference family — enforced by
+//!   the proptests in this module.
 
+use crate::bptt::LayerGrads;
 use snn_core::error::SnnError;
 use snn_core::layers::{Conv2d, Linear, SpikeMaxPool2d};
 use snn_core::spike::SpikePlane;
 use snn_core::tensor::{matmul, matmul_a_bt, matmul_at_b, matmul_to_with, Im2Col, Tensor};
-
-/// Gradients of a convolution layer.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ConvGrads {
-    /// Gradient with respect to the weight tensor `[out_c, in_c, k, k]`.
-    pub weight: Tensor,
-    /// Gradient with respect to the bias `[out_c]`.
-    pub bias: Tensor,
-    /// Gradient with respect to the layer input `[in_c, h, w]` (left untouched
-    /// by the `_into` variants when the input gradient is not requested).
-    pub input: Tensor,
-}
-
-/// Gradients of a linear layer.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LinearGrads {
-    /// Gradient with respect to the weight matrix `[out, in]`.
-    pub weight: Tensor,
-    /// Gradient with respect to the bias `[out]`.
-    pub bias: Tensor,
-    /// Gradient with respect to the layer input, shaped like the layer input
-    /// (left untouched by the `_into` variants when not requested).
-    pub input: Tensor,
-}
 
 /// Reusable scratch threaded through the `_into` backward passes: the im2col
 /// lowering of a dense-path conv input, its `[spatial, coeffs]` transpose
@@ -88,7 +68,8 @@ impl GradScratch {
     }
 }
 
-/// Backward pass of [`Conv2d::forward`].
+/// Backward pass of [`Conv2d::forward`]: the weight and bias gradients, and
+/// the gradient with respect to the layer input.
 ///
 /// `grad_output` must have the shape of the layer output `[out_c, oh, ow]`,
 /// `input` the shape of the layer input `[in_c, h, w]`, and `conv` the layer
@@ -101,7 +82,7 @@ pub fn conv2d_backward(
     conv: &Conv2d,
     input: &Tensor,
     grad_output: &Tensor,
-) -> Result<ConvGrads, SnnError> {
+) -> Result<(LayerGrads, Tensor), SnnError> {
     let out_shape = conv.output_shape(input.shape())?;
     if grad_output.shape() != out_shape {
         return Err(SnnError::shape(
@@ -154,14 +135,15 @@ pub fn conv2d_backward(
         conv.padding(),
     )?;
 
-    Ok(ConvGrads {
+    let grads = LayerGrads {
         weight: grad_weight,
         bias: grad_bias,
-        input: grad_input,
-    })
+    };
+    Ok((grads, grad_input))
 }
 
-/// Backward pass of [`Linear::forward`].
+/// Backward pass of [`Linear::forward`]: the weight and bias gradients, and
+/// the gradient with respect to the layer input, shaped like `input`.
 ///
 /// # Errors
 ///
@@ -170,7 +152,7 @@ pub fn linear_backward(
     linear: &Linear,
     input: &Tensor,
     grad_output: &Tensor,
-) -> Result<LinearGrads, SnnError> {
+) -> Result<(LayerGrads, Tensor), SnnError> {
     if input.len() != linear.in_features() {
         return Err(SnnError::shape(
             &[linear.in_features()],
@@ -202,13 +184,13 @@ pub fn linear_backward(
             n_in,
             1,
         ),
-        &[n_in],
+        input.shape(),
     )?;
-    Ok(LinearGrads {
+    let grads = LayerGrads {
         weight: grad_weight,
         bias: grad_bias,
-        input: grad_input,
-    })
+    };
+    Ok((grads, grad_input))
 }
 
 /// Backward pass of spike max-pooling.
@@ -269,10 +251,10 @@ pub fn pool_backward(
 }
 
 /// Scratch-backed, event-aware variant of [`conv2d_backward`]: writes the
-/// gradients into the caller-owned `grads` buffer, reusing every
-/// intermediate from `scratch`. When `need_input` is false the input
-/// gradient is skipped entirely (the first network layer's input gradient is
-/// never consumed) and `grads.input` is left untouched.
+/// weight and bias gradients into the caller-owned `grads` buffer and the
+/// input gradient into `grad_input`, reusing every intermediate from
+/// `scratch`. With `grad_input` `None` the input gradient is skipped
+/// entirely (the first network layer's input gradient is never consumed).
 ///
 /// For an input that takes the layer's event path
 /// ([`Conv2d::takes_event_path`]: binary and below its density crossover)
@@ -297,8 +279,8 @@ pub fn conv2d_backward_into(
     input: &SpikePlane,
     grad_output: &Tensor,
     scratch: &mut GradScratch,
-    grads: &mut ConvGrads,
-    need_input: bool,
+    grads: &mut LayerGrads,
+    grad_input: Option<&mut Tensor>,
 ) -> Result<(), SnnError> {
     let out_shape = checked_out_shape(conv, input.shape(), grad_output)?;
     let out_c = conv.out_channels();
@@ -345,7 +327,7 @@ pub fn conv2d_backward_into(
                 bt[s * coeffs + p] = v;
             }
         }
-        return conv2d_backward_reuse(conv, input.shape(), grad_output, scratch, grads, need_input);
+        return conv2d_backward_reuse(conv, input.shape(), grad_output, scratch, grads, grad_input);
     }
     conv_bias_and_input_grads(
         conv,
@@ -354,7 +336,7 @@ pub fn conv2d_backward_into(
         &out_shape,
         scratch,
         grads,
-        need_input,
+        grad_input,
     )
 }
 
@@ -375,8 +357,8 @@ pub fn conv2d_backward_reuse(
     input_shape: &[usize],
     grad_output: &Tensor,
     scratch: &mut GradScratch,
-    grads: &mut ConvGrads,
-    need_input: bool,
+    grads: &mut LayerGrads,
+    grad_input: Option<&mut Tensor>,
 ) -> Result<(), SnnError> {
     let out_shape = checked_out_shape(conv, input_shape, grad_output)?;
     let out_c = conv.out_channels();
@@ -408,7 +390,7 @@ pub fn conv2d_backward_reuse(
         &out_shape,
         scratch,
         grads,
-        need_input,
+        grad_input,
     )
 }
 
@@ -624,7 +606,8 @@ impl TapWalk {
 }
 
 /// Shared tail of the scratch-backed conv backward: the bias gradient and
-/// (when requested) the input gradient via [`conv2d_input_grad_into`].
+/// (when `grad_input` is given) the input gradient via
+/// [`conv2d_input_grad_into`].
 /// Accumulation orders are exactly those of [`conv2d_backward`], so results
 /// stay bitwise identical.
 fn conv_bias_and_input_grads(
@@ -633,8 +616,8 @@ fn conv_bias_and_input_grads(
     grad_output: &Tensor,
     out_shape: &[usize; 3],
     scratch: &mut GradScratch,
-    grads: &mut ConvGrads,
-    need_input: bool,
+    grads: &mut LayerGrads,
+    grad_input: Option<&mut Tensor>,
 ) -> Result<(), SnnError> {
     let out_c = conv.out_channels();
     let spatial = out_shape[1] * out_shape[2];
@@ -647,25 +630,24 @@ fn conv_bias_and_input_grads(
             .sum();
     }
 
-    if need_input {
-        conv2d_input_grad_into(conv, input_shape, grad_output, scratch, &mut grads.input)?;
+    if let Some(grad_input) = grad_input {
+        conv2d_input_grad_into(conv, input_shape, grad_output, scratch, grad_input)?;
     }
     Ok(())
 }
 
 /// Scratch-backed, event-aware variant of [`linear_backward`]: writes into
-/// the caller-owned `grads` buffer without allocating. For a binary spike
-/// input the weight gradient is a gather — each input column found by
-/// word-scanning the plane's mask words receives the output gradient directly
-/// instead of the dense rank-1 matmul touching all `out × in` cells — which
-/// is bitwise identical to the matmul
+/// the caller-owned `grads` buffer and `grad_input` without allocating. For
+/// a binary spike input the weight gradient is a gather — each input column
+/// found by word-scanning the plane's mask words receives the output
+/// gradient directly instead of the dense rank-1 matmul touching all
+/// `out × in` cells — which is bitwise identical to the matmul
 /// formulation on finite gradients (the kernel's zero-skip and
 /// accumulate-from-zero semantics are reproduced exactly). The input gradient
 /// `Wᵀ · grad_out` is a gemv — one axpy per row of `W`, skipping rows whose
 /// gradient is exactly zero — bitwise identical to the reference's
 /// [`matmul_at_b`] on finite data; it is written with the shape of the layer
-/// input (the reference's reshape step, without the copy) and skipped when
-/// `need_input` is false.
+/// input, like the reference's, and skipped when `grad_input` is `None`.
 ///
 /// # Errors
 ///
@@ -675,8 +657,8 @@ pub fn linear_backward_into(
     input: &SpikePlane,
     grad_output: &Tensor,
     scratch: &mut GradScratch,
-    grads: &mut LinearGrads,
-    need_input: bool,
+    grads: &mut LayerGrads,
+    grad_input: Option<&mut Tensor>,
 ) -> Result<(), SnnError> {
     let n_in = linear.in_features();
     let n_out = linear.out_features();
@@ -723,14 +705,14 @@ pub fn linear_backward_into(
     }
     grads.bias.reset_to(&[n_out], 0.0);
     grads.bias.as_mut_slice().copy_from_slice(go);
-    if need_input {
+    if let Some(grad_input) = grad_input {
         // grad_x = W^T [in, out] * grad_out [out], shaped like the input: a
         // gemv run as one axpy per row of W, skipping rows whose gradient is
         // exactly zero. Per input cell the products still accumulate from
         // +0.0 in ascending row order — the reference's order — and each
         // dropped term is a ±0.0 product, which such a sum never observes.
-        grads.input.reset_to(input.shape(), 0.0);
-        let gx = grads.input.as_mut_slice();
+        grad_input.reset_to(input.shape(), 0.0);
+        let gx = grad_input.as_mut_slice();
         for (w_row, &g) in linear.weight().as_slice().chunks_exact(n_in).zip(go) {
             if g == 0.0 {
                 continue;
@@ -749,7 +731,8 @@ pub fn linear_backward_into(
 /// the first spike falling in a window in ascending flat order is exactly the
 /// first spiking position the dense window scan finds — via a per-window
 /// first-spike table kept in `scratch`, so silent regions are never scanned.
-/// Analog planes fall back to the dense window scan. Bitwise identical to
+/// An analog plane, which training never produces (a pool's input is LIF
+/// spikes), runs [`pool_backward`] itself. Bitwise identical to
 /// [`pool_backward`] on the plane's dense backing.
 ///
 /// # Errors
@@ -762,6 +745,10 @@ pub fn pool_backward_into(
     scratch: &mut GradScratch,
     out: &mut Tensor,
 ) -> Result<(), SnnError> {
+    if !input.is_binary() {
+        *out = pool_backward(pool, input.dense(), grad_output)?;
+        return Ok(());
+    }
     let out_shape = pool.output_shape(input.shape())?;
     if grad_output.shape() != out_shape {
         return Err(SnnError::shape(
@@ -776,68 +763,41 @@ pub fn pool_backward_into(
     out.reset_to(input.shape(), 0.0);
     let go = grad_output.as_slice();
     let gi = out.as_mut_slice();
-    if input.is_binary() {
-        // Pass 1: record each window's first spike (ascending flat order ==
-        // the dense scan's row-major window order). u32::MAX marks a silent
-        // window; real flat indices never reach it at these tensor sizes.
-        let first = &mut scratch.pool_first;
-        first.clear();
-        first.resize(c * oh * ow, u32::MAX);
-        for f in input.iter_active() {
-            let ci = f / (h * w);
-            let rem = f % (h * w);
-            let (oy, ox) = (rem / w / size, rem % w / size);
-            // Floor division drops partial windows at the bottom/right edge,
-            // exactly like the dense scan.
-            if oy < oh && ox < ow {
-                let slot = &mut first[ci * oh * ow + oy * ow + ox];
-                if *slot == u32::MAX {
-                    *slot = f as u32;
-                }
+    // Pass 1: record each window's first spike (ascending flat order == the
+    // dense scan's row-major window order). u32::MAX marks a silent window;
+    // real flat indices never reach it at these tensor sizes.
+    let first = &mut scratch.pool_first;
+    first.clear();
+    first.resize(c * oh * ow, u32::MAX);
+    for f in input.iter_active() {
+        let ci = f / (h * w);
+        let rem = f % (h * w);
+        let (oy, ox) = (rem / w / size, rem % w / size);
+        // Floor division drops partial windows at the bottom/right edge,
+        // exactly like the dense scan.
+        if oy < oh && ox < ow {
+            let slot = &mut first[ci * oh * ow + oy * ow + ox];
+            if *slot == u32::MAX {
+                *slot = f as u32;
             }
         }
-        // Pass 2: route each output gradient to its window's target.
-        for ci in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = go[ci * oh * ow + oy * ow + ox];
-                    if g == 0.0 {
-                        continue;
-                    }
-                    let slot = first[ci * oh * ow + oy * ow + ox];
-                    let target = if slot != u32::MAX {
-                        slot as usize
-                    } else {
-                        // Silent window: the window's first position.
-                        ci * h * w + (oy * size) * w + ox * size
-                    };
-                    gi[target] += g;
+    }
+    // Pass 2: route each output gradient to its window's target.
+    for ci in 0..c {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let g = go[ci * oh * ow + oy * ow + ox];
+                if g == 0.0 {
+                    continue;
                 }
-            }
-        }
-    } else {
-        // Analog fallback: the reference's dense window scan.
-        let in_data = input.dense().as_slice();
-        for ci in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = go[ci * oh * ow + oy * ow + ox];
-                    if g == 0.0 {
-                        continue;
-                    }
-                    let mut target = (oy * size, ox * size);
-                    'search: for ky in 0..size {
-                        for kx in 0..size {
-                            let iy = oy * size + ky;
-                            let ix = ox * size + kx;
-                            if iy < h && ix < w && in_data[ci * h * w + iy * w + ix] > 0.0 {
-                                target = (iy, ix);
-                                break 'search;
-                            }
-                        }
-                    }
-                    gi[ci * h * w + target.0 * w + target.1] += g;
-                }
+                let slot = first[ci * oh * ow + oy * ow + ox];
+                let target = if slot != u32::MAX {
+                    slot as usize
+                } else {
+                    // Silent window: the window's first position.
+                    ci * h * w + (oy * size) * w + ox * size
+                };
+                gi[target] += g;
             }
         }
     }
@@ -865,7 +825,7 @@ mod tests {
         let input = Tensor::from_fn(&[2, 5, 5], |i| ((i as f32) * 0.17).sin());
         let out_shape = conv.output_shape(input.shape()).unwrap();
         let grad_out = Tensor::ones(&out_shape);
-        let grads = conv2d_backward(&conv, &input, &grad_out).unwrap();
+        let (grads, _) = conv2d_backward(&conv, &input, &grad_out).unwrap();
 
         // Check a handful of weight coordinates numerically.
         for &flat in &[0usize, 7, 23, 40, 53] {
@@ -894,7 +854,7 @@ mod tests {
         grad_out.as_mut_slice()[..16]
             .iter_mut()
             .for_each(|v| *v = 2.0);
-        let grads = conv2d_backward(&conv, &input, &grad_out).unwrap();
+        let (grads, _) = conv2d_backward(&conv, &input, &grad_out).unwrap();
         assert_eq!(grads.bias.as_slice(), &[32.0, 0.0]);
     }
 
@@ -904,7 +864,7 @@ mod tests {
         let conv = Conv2d::with_kaiming_init(1, 2, 3, 1, 1, &mut rng).unwrap();
         let input = Tensor::from_fn(&[1, 4, 4], |i| ((i as f32) * 0.29).cos());
         let grad_out = Tensor::ones(&conv.output_shape(input.shape()).unwrap());
-        let grads = conv2d_backward(&conv, &input, &grad_out).unwrap();
+        let (_, grad_input) = conv2d_backward(&conv, &input, &grad_out).unwrap();
         for &flat in &[0usize, 5, 10, 15] {
             let mut f = |v: f32| {
                 let mut x = input.clone();
@@ -912,7 +872,7 @@ mod tests {
                 conv.forward(&x).unwrap().sum()
             };
             let num = numeric_grad(&mut f, input.as_slice()[flat]);
-            let ana = grads.input.as_slice()[flat];
+            let ana = grad_input.as_slice()[flat];
             assert!(
                 (num - ana).abs() < 1e-2 * (1.0 + num.abs()),
                 "input {flat}: numeric {num} vs analytic {ana}"
@@ -935,12 +895,12 @@ mod tests {
             .unwrap();
         let input = Tensor::from_vec(vec![0.5, -1.0, 2.0], &[3]).unwrap();
         let grad_out = Tensor::from_vec(vec![1.0, -1.0], &[2]).unwrap();
-        let grads = linear_backward(&fc, &input, &grad_out).unwrap();
+        let (grads, grad_input) = linear_backward(&fc, &input, &grad_out).unwrap();
         // grad_w = grad_out (outer) input.
         assert_eq!(grads.weight.as_slice(), &[0.5, -1.0, 2.0, -0.5, 1.0, -2.0]);
         assert_eq!(grads.bias.as_slice(), &[1.0, -1.0]);
         // grad_x = W^T grad_out = [1-4, 2-5, 3-6].
-        assert_eq!(grads.input.as_slice(), &[-3.0, -3.0, -3.0]);
+        assert_eq!(grad_input.as_slice(), &[-3.0, -3.0, -3.0]);
     }
 
     #[test]
@@ -1037,37 +997,39 @@ mod tests {
                 }
             });
             let grad_out = grad_tensor(&conv.output_shape(input.shape()).unwrap(), seed as usize);
-            let reference = conv2d_backward(&conv, &input, &grad_out).unwrap();
+            let (reference, reference_input) = conv2d_backward(&conv, &input, &grad_out).unwrap();
             let mut scratch = GradScratch::new();
-            let mut grads = ConvGrads::default();
+            let mut grads = LayerGrads::default();
+            let mut grad_input = Tensor::default();
             conv2d_backward_into(
                 &conv,
                 &SpikePlane::from_tensor(&input),
                 &grad_out,
                 &mut scratch,
                 &mut grads,
-                true,
+                Some(&mut grad_input),
             )
             .unwrap();
             assert_bits_eq(&grads.weight, &reference.weight, "weight");
             assert_bits_eq(&grads.bias, &reference.bias, "bias");
-            assert_bits_eq(&grads.input, &reference.input, "input");
+            assert_bits_eq(&grad_input, &reference_input, "input");
             // A dense-path input leaves its lowering in the scratch, and the
             // reuse entry point over it agrees too.
             if !conv.takes_event_path(&SpikePlane::from_tensor(&input)) {
-                let mut reused = ConvGrads::default();
+                let mut reused = LayerGrads::default();
+                let mut reused_input = Tensor::default();
                 conv2d_backward_reuse(
                     &conv,
                     input.shape(),
                     &grad_out,
                     &mut scratch,
                     &mut reused,
-                    true,
+                    Some(&mut reused_input),
                 )
                 .unwrap();
                 assert_bits_eq(&reused.weight, &reference.weight, "reused weight");
                 assert_bits_eq(&reused.bias, &reference.bias, "reused bias");
-                assert_bits_eq(&reused.input, &reference.input, "reused input");
+                assert_bits_eq(&reused_input, &reference_input, "reused input");
             }
         }
 
@@ -1092,7 +1054,8 @@ mod tests {
             });
             let plane = SpikePlane::from_tensor(&input);
             let mut scratch = GradScratch::new();
-            let mut grads = ConvGrads::default();
+            let mut grads = LayerGrads::default();
+            let mut grad_input = Tensor::default();
             for out_c in [8, 16, 24, 32, 12] {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let fp32 =
@@ -1102,13 +1065,15 @@ mod tests {
                 let grad_out = grad_tensor(&out_shape, seed as usize);
                 for (prec, conv) in [("fp32", &fp32), ("int4", &int4)] {
                     prop_assert!(conv.takes_event_path(&plane));
-                    let reference = conv2d_backward(conv, &input, &grad_out).unwrap();
-                    conv2d_backward_into(conv, &plane, &grad_out, &mut scratch, &mut grads, true)
+                    let (reference, reference_input) =
+                        conv2d_backward(conv, &input, &grad_out).unwrap();
+                    let gi = Some(&mut grad_input);
+                    conv2d_backward_into(conv, &plane, &grad_out, &mut scratch, &mut grads, gi)
                         .unwrap();
                     let ctx = format!("{out_c} {prec}");
                     assert_bits_eq(&grads.weight, &reference.weight, &format!("{ctx} weight"));
                     assert_bits_eq(&grads.bias, &reference.bias, &format!("{ctx} bias"));
-                    assert_bits_eq(&grads.input, &reference.input, &format!("{ctx} input"));
+                    assert_bits_eq(&grad_input, &reference_input, &format!("{ctx} input"));
                 }
             }
         }
@@ -1171,11 +1136,11 @@ mod tests {
                 });
                 let input = Tensor::zeros(&input_shape);
                 for (prec, conv) in [("fp32", &fp32), ("int4", &int4)] {
-                    let reference = conv2d_backward(conv, &input, &grad_out).unwrap();
+                    let (_, reference) = conv2d_backward(conv, &input, &grad_out).unwrap();
                     grad_input.reset_to(&input_shape, f32::NAN);
                     conv2d_input_grad_into(conv, &input_shape, &grad_out, &mut scratch, &mut grad_input)
                         .unwrap();
-                    assert_bits_eq(&grad_input, &reference.input, &format!("{in_c} {prec} input grad"));
+                    assert_bits_eq(&grad_input, &reference, &format!("{in_c} {prec} input grad"));
                 }
                 // Shape validation mirrors the reference.
                 let bad = Tensor::zeros(&[out_shape[0], out_shape[1] + 1, out_shape[2]]);
@@ -1207,21 +1172,22 @@ mod tests {
                 }
             });
             let grad_out = grad_tensor(&[5], seed as usize + 7);
-            let reference = linear_backward(&fc, &input, &grad_out).unwrap();
+            let (reference, reference_input) = linear_backward(&fc, &input, &grad_out).unwrap();
             let mut scratch = GradScratch::new();
-            let mut grads = LinearGrads::default();
+            let mut grads = LayerGrads::default();
+            let mut grad_input = Tensor::default();
             linear_backward_into(
                 &fc,
                 &SpikePlane::from_tensor(&input),
                 &grad_out,
                 &mut scratch,
                 &mut grads,
-                true,
+                Some(&mut grad_input),
             )
             .unwrap();
             assert_bits_eq(&grads.weight, &reference.weight, "weight");
             assert_bits_eq(&grads.bias, &reference.bias, "bias");
-            assert_bits_eq(&grads.input, &reference.input, "input");
+            assert_bits_eq(&grad_input, &reference_input, "input");
         }
 
         /// The gemv input gradient drops zero-*gradient* rows where the
@@ -1259,21 +1225,22 @@ mod tests {
                 }
             });
             let grad_out = grad_tensor(&[7], seed as usize + 11);
-            let reference = linear_backward(&fc, &input, &grad_out).unwrap();
+            let (reference, reference_input) = linear_backward(&fc, &input, &grad_out).unwrap();
             let mut scratch = GradScratch::new();
-            let mut grads = LinearGrads::default();
+            let mut grads = LayerGrads::default();
+            let mut grad_input = Tensor::default();
             linear_backward_into(
                 &fc,
                 &SpikePlane::from_tensor(&input),
                 &grad_out,
                 &mut scratch,
                 &mut grads,
-                true,
+                Some(&mut grad_input),
             )
             .unwrap();
             assert_bits_eq(&grads.weight, &reference.weight, "weight");
             assert_bits_eq(&grads.bias, &reference.bias, "bias");
-            assert_bits_eq(&grads.input, &reference.input, "input");
+            assert_bits_eq(&grad_input, &reference_input, "input");
         }
 
         /// Event-aware pool backward is bitwise identical to the dense window
@@ -1341,10 +1308,12 @@ mod tests {
             let bad = Tensor::zeros(&[out_shape[0], out_shape[1] + 1, out_shape[2]]);
             prop_assert!(conv2d_backward(&conv, &input, &bad).is_err());
             let mut scratch = GradScratch::new();
-            let mut grads = ConvGrads::default();
+            let mut grads = LayerGrads::default();
+            let mut gi = Tensor::default();
             let plane = SpikePlane::from_tensor(&input);
             prop_assert!(
-                conv2d_backward_into(&conv, &plane, &bad, &mut scratch, &mut grads, true).is_err()
+                conv2d_backward_into(&conv, &plane, &bad, &mut scratch, &mut grads, Some(&mut gi))
+                    .is_err()
             );
             // A lowering built for a different geometry is rejected too.
             let taller = conv.output_shape(&[1, h + 2, w]).unwrap();
@@ -1354,13 +1323,13 @@ mod tests {
                 &Tensor::zeros(&taller),
                 &mut scratch,
                 &mut grads,
-                true,
+                Some(&mut gi),
             )
             .unwrap();
             if taller[1] * taller[2] != out_shape[1] * out_shape[2] {
                 let good = Tensor::zeros(&out_shape);
                 prop_assert!(conv2d_backward_reuse(
-                    &conv, input.shape(), &good, &mut scratch, &mut grads, true
+                    &conv, input.shape(), &good, &mut scratch, &mut grads, Some(&mut gi)
                 )
                 .is_err());
             }
@@ -1383,21 +1352,19 @@ mod tests {
         let conv = Conv2d::with_kaiming_init(2, 3, 3, 1, 1, &mut rng).unwrap();
         let input = Tensor::from_fn(&[2, 5, 5], |i| f32::from(i % 3 == 0));
         let grad_out = grad_tensor(&conv.output_shape(input.shape()).unwrap(), 11);
-        let reference = conv2d_backward(&conv, &input, &grad_out).unwrap();
+        let (reference, _) = conv2d_backward(&conv, &input, &grad_out).unwrap();
         let mut scratch = GradScratch::new();
-        let mut grads = ConvGrads::default();
+        let mut grads = LayerGrads::default();
         conv2d_backward_into(
             &conv,
             &SpikePlane::from_tensor(&input),
             &grad_out,
             &mut scratch,
             &mut grads,
-            false,
+            None,
         )
         .unwrap();
         assert_bits_eq(&grads.weight, &reference.weight, "weight");
         assert_bits_eq(&grads.bias, &reference.bias, "bias");
-        // The input buffer is untouched (still the default empty tensor).
-        assert!(grads.input.is_empty());
     }
 }

@@ -20,14 +20,17 @@
 //!   from the spike walk or from the one im2col lowering in
 //!   [`GradScratch`], which a replayed input reuses across timesteps, and
 //!   the [`grad::conv2d_input_grad_into`] input-gradient kernel), proven
-//!   bitwise identical to the reference,
+//!   bitwise identical to the reference; conv and linear kernels write a
+//!   [`bptt::LayerGrads`] and, when asked, the input gradient into the
+//!   caller's tensor,
 //! * [`loss`] — softmax cross-entropy over the population readout,
 //! * [`optim`] — SGD with momentum and Adam,
 //! * [`bptt`] — the time-unrolled forward/backward over a whole network:
-//!   event-driven sweeps over [`snn_core::spike::SpikePlane`] frames, the
-//!   long-lived [`bptt::BpttScratch`] (zero heap allocations per timestep
-//!   once warm), and per-batch preparation of the QAT weight copies and
-//!   transposed filter banks,
+//!   an event-driven forward sweep over [`snn_core::spike::SpikePlane`]
+//!   frames and a backward sweep in which conv and linear layers share one
+//!   weight-layer step, the long-lived [`bptt::BpttScratch`] (zero heap
+//!   allocations per timestep once warm), and per-batch preparation of the
+//!   QAT weight copies and transposed filter banks,
 //! * [`trainer`] — the epoch/batch loop, each batch fanned out per sample
 //!   through [`snn_core::fan_out`] over persistent per-worker scratch
 //!   (bitwise identical at every thread count), QAT hook, per-sample worker

@@ -10,27 +10,26 @@ use serde::{Deserialize, Serialize};
 
 /// A serialisable choice of learning-rate schedule, for
 /// [`TrainConfig`](crate::trainer::TrainConfig) and training checkpoints.
+/// A schedule scales a base rate, the config's `learning_rate`, which it
+/// does not hold itself.
 ///
 /// The position of a schedule is just the epoch index — it carries no other
 /// mutable state — so a resumed run re-derives the exact learning rate for
 /// every remaining epoch from the checkpointed cursor alone.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ScheduleKind {
-    /// Step decay: multiply `base_lr` by `gamma` every `step` epochs (a zero
-    /// `step` keeps `base_lr`).
+    /// Step decay: multiply the base rate by `gamma` every `step` epochs (a
+    /// zero `step` keeps the base rate).
     Step {
-        /// Initial learning rate.
-        base_lr: f32,
         /// Epochs between decays.
         step: usize,
         /// Multiplicative decay factor in `(0, 1]`.
         gamma: f32,
     },
-    /// Cosine annealing from `base_lr` down to `min_lr` over `total_epochs`
-    /// (zero `total_epochs` keeps `base_lr`), then `min_lr`.
+    /// Cosine annealing from the base rate down to `min_lr` over
+    /// `total_epochs` (zero `total_epochs` keeps the base rate), then
+    /// `min_lr`.
     Cosine {
-        /// Initial learning rate.
-        base_lr: f32,
         /// Final learning rate.
         min_lr: f32,
         /// Number of epochs over which to anneal.
@@ -39,30 +38,22 @@ pub enum ScheduleKind {
 }
 
 impl ScheduleKind {
-    /// Learning rate to use during `epoch` (0-based).
-    pub fn learning_rate(&self, epoch: usize) -> f32 {
+    /// Learning rate to use during `epoch` (0-based) for the base rate
+    /// `base`.
+    pub fn learning_rate(&self, base: f32, epoch: usize) -> f32 {
         match *self {
-            ScheduleKind::Step {
-                base_lr, step: 0, ..
-            }
+            ScheduleKind::Step { step: 0, .. }
             | ScheduleKind::Cosine {
-                base_lr,
-                total_epochs: 0,
-                ..
-            } => base_lr,
-            ScheduleKind::Step {
-                base_lr,
-                step,
-                gamma,
-            } => base_lr * gamma.powi((epoch / step) as i32),
+                total_epochs: 0, ..
+            } => base,
+            ScheduleKind::Step { step, gamma } => base * gamma.powi((epoch / step) as i32),
             ScheduleKind::Cosine {
-                base_lr,
                 min_lr,
                 total_epochs,
             } => {
                 let progress = (epoch.min(total_epochs) as f32) / total_epochs as f32;
                 let cos = (std::f32::consts::PI * progress).cos();
-                min_lr + 0.5 * (base_lr - min_lr) * (1.0 + cos)
+                min_lr + 0.5 * (base - min_lr) * (1.0 + cos)
             }
         }
     }
@@ -77,49 +68,45 @@ mod tests {
     fn constant_never_changes() {
         // A decay factor of 1 is a constant schedule.
         let s = ScheduleKind::Step {
-            base_lr: 0.01,
             step: 1,
             gamma: 1.0,
         };
-        assert_eq!(s.learning_rate(0), 0.01);
-        assert_eq!(s.learning_rate(100), 0.01);
+        assert_eq!(s.learning_rate(0.01, 0), 0.01);
+        assert_eq!(s.learning_rate(0.01, 100), 0.01);
     }
 
     #[test]
     fn step_decay_halves_every_step() {
         let s = ScheduleKind::Step {
-            base_lr: 0.1,
             step: 2,
             gamma: 0.5,
         };
-        assert_eq!(s.learning_rate(0), 0.1);
-        assert_eq!(s.learning_rate(1), 0.1);
-        assert!((s.learning_rate(2) - 0.05).abs() < 1e-9);
-        assert!((s.learning_rate(4) - 0.025).abs() < 1e-9);
+        assert_eq!(s.learning_rate(0.1, 0), 0.1);
+        assert_eq!(s.learning_rate(0.1, 1), 0.1);
+        assert!((s.learning_rate(0.1, 2) - 0.05).abs() < 1e-9);
+        assert!((s.learning_rate(0.1, 4) - 0.025).abs() < 1e-9);
     }
 
     #[test]
     fn step_decay_with_zero_step_is_constant() {
         let s = ScheduleKind::Step {
-            base_lr: 0.1,
             step: 0,
             gamma: 0.5,
         };
-        assert_eq!(s.learning_rate(10), 0.1);
+        assert_eq!(s.learning_rate(0.1, 10), 0.1);
     }
 
     #[test]
     fn cosine_starts_at_base_and_ends_at_min() {
         let s = ScheduleKind::Cosine {
-            base_lr: 0.1,
             min_lr: 0.001,
             total_epochs: 10,
         };
-        assert!((s.learning_rate(0) - 0.1).abs() < 1e-6);
-        assert!((s.learning_rate(10) - 0.001).abs() < 1e-6);
-        assert!((s.learning_rate(20) - 0.001).abs() < 1e-6);
+        assert!((s.learning_rate(0.1, 0) - 0.1).abs() < 1e-6);
+        assert!((s.learning_rate(0.1, 10) - 0.001).abs() < 1e-6);
+        assert!((s.learning_rate(0.1, 20) - 0.001).abs() < 1e-6);
         // Midpoint is the average of base and min.
-        assert!((s.learning_rate(5) - 0.0505).abs() < 1e-3);
+        assert!((s.learning_rate(0.1, 5) - 0.0505).abs() < 1e-3);
     }
 
     /// Every rate keeps the bits of the two formulas, written out here term
@@ -127,33 +114,52 @@ mod tests {
     #[test]
     fn schedule_kind_delegates_bitwise() {
         let step = ScheduleKind::Step {
-            base_lr: 0.1,
             step: 2,
             gamma: 0.5,
         };
         let cosine = ScheduleKind::Cosine {
-            base_lr: 0.1,
             min_lr: 0.001,
             total_epochs: 10,
         };
         for epoch in 0..20 {
             let step_rate = 0.1_f32 * 0.5_f32.powi((epoch / 2) as i32);
-            assert_eq!(step.learning_rate(epoch).to_bits(), step_rate.to_bits());
+            assert_eq!(
+                step.learning_rate(0.1, epoch).to_bits(),
+                step_rate.to_bits()
+            );
             let progress = (epoch.min(10) as f32) / 10.0;
             let cos = (std::f32::consts::PI * progress).cos();
             let cosine_rate = 0.001_f32 + 0.5 * (0.1 - 0.001) * (1.0 + cos);
-            assert_eq!(cosine.learning_rate(epoch).to_bits(), cosine_rate.to_bits());
+            assert_eq!(
+                cosine.learning_rate(0.1, epoch).to_bits(),
+                cosine_rate.to_bits()
+            );
         }
+    }
+
+    /// A checkpoint written while schedules held their own `base_lr` still
+    /// loads: the field is read by name and ignored.
+    #[test]
+    fn a_saved_base_lr_is_ignored_on_load() {
+        let json = r#"{"Step":{"base_lr":0.25,"step":2,"gamma":0.5}}"#;
+        let s: ScheduleKind = serde_json::from_str(json).unwrap();
+        assert_eq!(
+            s,
+            ScheduleKind::Step {
+                step: 2,
+                gamma: 0.5
+            }
+        );
     }
 
     proptest! {
         /// Cosine annealing is monotonically non-increasing inside the
-        /// annealing window and stays within [min_lr, base_lr].
+        /// annealing window and stays within [min_lr, base].
         #[test]
         fn cosine_monotone_and_bounded(epoch in 0_usize..30) {
-            let s = ScheduleKind::Cosine { base_lr: 0.2, min_lr: 0.01, total_epochs: 30 };
-            let now = s.learning_rate(epoch);
-            let next = s.learning_rate(epoch + 1);
+            let s = ScheduleKind::Cosine { min_lr: 0.01, total_epochs: 30 };
+            let now = s.learning_rate(0.2, epoch);
+            let next = s.learning_rate(0.2, epoch + 1);
             prop_assert!(next <= now + 1e-6);
             prop_assert!((0.01 - 1e-6..=0.2 + 1e-6).contains(&now));
         }
@@ -161,8 +167,8 @@ mod tests {
         /// Step decay never increases with epochs for gamma <= 1.
         #[test]
         fn step_decay_monotone(epoch in 0_usize..50, gamma in 0.1_f32..1.0) {
-            let s = ScheduleKind::Step { base_lr: 0.3, step: 3, gamma };
-            prop_assert!(s.learning_rate(epoch + 1) <= s.learning_rate(epoch) + 1e-7);
+            let s = ScheduleKind::Step { step: 3, gamma };
+            prop_assert!(s.learning_rate(0.3, epoch + 1) <= s.learning_rate(0.3, epoch) + 1e-7);
         }
     }
 }

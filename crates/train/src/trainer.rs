@@ -55,7 +55,8 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Mini-batch size.
     pub batch_size: usize,
-    /// Base learning rate (constant unless [`TrainConfig::schedule`] is set).
+    /// Base learning rate: constant, or the rate [`TrainConfig::schedule`]
+    /// scales at each epoch start.
     pub learning_rate: f32,
     /// Input encoder (coding scheme + timesteps).
     pub encoder: Encoder,
@@ -73,8 +74,9 @@ pub struct TrainConfig {
     pub threads: usize,
     /// Which optimizer updates the weights.
     pub optimizer: OptimizerKind,
-    /// Optional learning-rate schedule, applied at each epoch start (`None`
-    /// keeps [`TrainConfig::learning_rate`] constant).
+    /// Optional learning-rate schedule, applied to
+    /// [`TrainConfig::learning_rate`] at each epoch start (`None` keeps the
+    /// rate constant).
     pub schedule: Option<ScheduleKind>,
     /// Where to save training checkpoints (`None` disables checkpointing).
     pub checkpoint_path: Option<PathBuf>,
@@ -130,11 +132,12 @@ impl TrainConfig {
     ///
     /// Returns [`TrainError::InvalidConfig`] naming the offending parameter:
     /// zero `batch_size` (which would never advance an epoch), zero
-    /// `epochs`, zero `threads`, a non-positive or non-finite
-    /// `learning_rate`, a non-positive or non-finite `grad_clip` (a negative
-    /// clip would flip every gradient, zero would erase it and NaN would
-    /// silently disable clipping), a `schedule` whose rates are non-finite
-    /// or negative or whose `gamma` lies outside `(0, 1]`, or a
+    /// `epochs`, zero `threads`, a zero `max_train_samples` (an epoch that
+    /// trains on nothing), a non-positive or non-finite `learning_rate`, a
+    /// non-positive or non-finite `grad_clip` (a negative clip would flip
+    /// every gradient, zero would erase it and NaN would silently disable
+    /// clipping), a step `schedule` whose `gamma` lies outside `(0, 1]` or a
+    /// cosine one whose `min_lr` is non-finite or negative, or a
     /// `checkpoint_every` cadence without a `checkpoint_path`.
     pub fn validate(&self) -> Result<(), TrainError> {
         let err = |parameter: &str, message: &str| {
@@ -155,6 +158,12 @@ impl TrainConfig {
         if self.threads == 0 {
             return err("threads", "must be at least 1");
         }
+        if self.max_train_samples == Some(0) {
+            return err(
+                "max_train_samples",
+                "must be at least 1 (None trains on the whole split)",
+            );
+        }
         let positive = |x: f32| x.is_finite() && x > 0.0;
         if !positive(self.learning_rate) {
             return err("learning_rate", "must be finite and positive");
@@ -167,17 +176,13 @@ impl TrainConfig {
         }
         if let Some(schedule) = self.schedule {
             let valid = match schedule {
-                ScheduleKind::Step { base_lr, gamma, .. } => {
-                    positive(base_lr) && gamma > 0.0 && gamma <= 1.0
-                }
-                ScheduleKind::Cosine {
-                    base_lr, min_lr, ..
-                } => positive(base_lr) && min_lr.is_finite() && min_lr >= 0.0,
+                ScheduleKind::Step { gamma, .. } => gamma > 0.0 && gamma <= 1.0,
+                ScheduleKind::Cosine { min_lr, .. } => min_lr.is_finite() && min_lr >= 0.0,
             };
             if !valid {
                 return err(
                     "schedule",
-                    "needs a finite, positive base_lr, a step gamma in (0, 1] and a finite, non-negative cosine min_lr",
+                    "needs a step gamma in (0, 1] and a finite, non-negative cosine min_lr",
                 );
             }
         }
@@ -571,7 +576,7 @@ impl Trainer {
         for epoch in start.epoch..self.config.epochs {
             if let Some(schedule) = self.config.schedule {
                 self.optimizer
-                    .set_learning_rate(schedule.learning_rate(epoch));
+                    .set_learning_rate(schedule.learning_rate(self.config.learning_rate, epoch));
             }
             let resuming = epoch == start.epoch;
             let mut epoch_loss = if resuming { start.epoch_loss } else { 0.0 };
@@ -843,15 +848,8 @@ fn supervised_sample(
         if fault == TrainFault::Panic {
             panic!("injected fault: training worker panic (sample {ds_index})");
         }
-        bptt.sample_gradients_with(
-            network,
-            effective,
-            &sample.image,
-            sample.label,
-            encoder,
-            seed,
-            scratch,
-        )
+        let sweep = bptt.forward_sweep(network, effective, &sample.image, encoder, seed)?;
+        bptt.backward_sweep(network, effective, &sweep, sample.label, scratch)
     }));
     match outcome {
         Ok(Ok(mut result)) => {
@@ -999,6 +997,10 @@ mod tests {
             (Box::new(|c: &mut TrainConfig| c.epochs = 0), "epochs"),
             (Box::new(|c: &mut TrainConfig| c.threads = 0), "threads"),
             (
+                Box::new(|c: &mut TrainConfig| c.max_train_samples = Some(0)),
+                "max_train_samples",
+            ),
+            (
                 Box::new(|c: &mut TrainConfig| c.learning_rate = f32::NAN),
                 "learning_rate",
             ),
@@ -1020,18 +1022,17 @@ mod tests {
             ),
             (
                 Box::new(|c: &mut TrainConfig| {
+                    c.learning_rate = -0.01;
                     c.schedule = Some(ScheduleKind::Step {
-                        base_lr: -0.01,
                         step: 1,
                         gamma: 0.5,
                     })
                 }),
-                "schedule",
+                "learning_rate",
             ),
             (
                 Box::new(|c: &mut TrainConfig| {
                     c.schedule = Some(ScheduleKind::Step {
-                        base_lr: 0.01,
                         step: 1,
                         gamma: 1.5,
                     })
@@ -1041,7 +1042,6 @@ mod tests {
             (
                 Box::new(|c: &mut TrainConfig| {
                     c.schedule = Some(ScheduleKind::Step {
-                        base_lr: 0.01,
                         step: 1,
                         gamma: 0.0,
                     })
@@ -1051,8 +1051,7 @@ mod tests {
             (
                 Box::new(|c: &mut TrainConfig| {
                     c.schedule = Some(ScheduleKind::Cosine {
-                        base_lr: f32::NAN,
-                        min_lr: 0.0,
+                        min_lr: f32::NAN,
                         total_epochs: 4,
                     })
                 }),
@@ -1061,7 +1060,6 @@ mod tests {
             (
                 Box::new(|c: &mut TrainConfig| {
                     c.schedule = Some(ScheduleKind::Cosine {
-                        base_lr: 0.01,
                         min_lr: -0.001,
                         total_epochs: 4,
                     })
@@ -1147,14 +1145,15 @@ mod tests {
         cfg.batch_size = 4;
         cfg.threads = 1;
         cfg.optimizer = OptimizerKind::Sgd { momentum: 0.9 };
+        cfg.learning_rate = 0.01;
         cfg.schedule = Some(ScheduleKind::Step {
-            base_lr: 0.01,
             step: 1,
             gamma: 0.5,
         });
         let mut trainer = Trainer::new(cfg).unwrap();
         trainer.fit(&mut net, &data).unwrap();
-        // After 3 epochs the schedule has set the epoch-2 rate: 0.01 * 0.5^2.
+        // After 3 epochs the schedule has scaled the config's rate to the
+        // epoch-2 rate: 0.01 * 0.5^2.
         assert!((trainer.learning_rate() - 0.0025).abs() < 1e-7);
     }
 

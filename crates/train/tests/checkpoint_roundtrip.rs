@@ -143,9 +143,10 @@ proptest! {
         }
     }
 
-    /// The LR-schedule position round-trips: the schedule definition rides
-    /// in the config and the epoch in the cursor section, and the restored
-    /// pair computes a bitwise-identical learning rate.
+    /// The LR-schedule position round-trips: the schedule definition and the
+    /// base rate it scales ride in the config and the epoch in the cursor
+    /// section, and the restored triple computes a bitwise-identical
+    /// learning rate.
     #[test]
     fn schedule_position_roundtrips_bitwise(
         base_lr in 1e-5_f32..1.0,
@@ -155,25 +156,27 @@ proptest! {
         cosine in any::<bool>(),
     ) {
         let schedule = if cosine {
-            ScheduleKind::Cosine { base_lr, min_lr: base_lr * 0.01, total_epochs: 64 }
+            ScheduleKind::Cosine { min_lr: base_lr * 0.01, total_epochs: 64 }
         } else {
-            ScheduleKind::Step { base_lr, step, gamma }
+            ScheduleKind::Step { step, gamma }
         };
         let cursor = TrainCursor { epoch, ..TrainCursor::default() };
         let state = OptimizerState::Sgd {
-            lr: schedule.learning_rate(epoch),
+            lr: schedule.learning_rate(base_lr, epoch),
             momentum: 0.9,
             velocity: BTreeMap::new(),
         };
-        let checkpoint = checkpoint_with(state, Some(schedule), cursor);
+        let mut checkpoint = checkpoint_with(state, Some(schedule), cursor);
+        checkpoint.config.learning_rate = base_lr;
         let payload = checkpoint.to_payload().unwrap();
         let restored = TrainCheckpoint::from_payload(&payload).unwrap();
         prop_assert_eq!(restored.config.schedule, Some(schedule));
         prop_assert_eq!(restored.cursor.epoch, epoch);
         let restored_schedule = restored.config.schedule.unwrap();
+        let restored_base = restored.config.learning_rate;
         prop_assert_eq!(
-            restored_schedule.learning_rate(restored.cursor.epoch).to_bits(),
-            schedule.learning_rate(epoch).to_bits()
+            restored_schedule.learning_rate(restored_base, restored.cursor.epoch).to_bits(),
+            schedule.learning_rate(base_lr, epoch).to_bits()
         );
     }
 
@@ -256,7 +259,6 @@ fn finite_checkpoint_roundtrips_through_disk_by_equality() {
     let checkpoint = checkpoint_with(
         state,
         Some(ScheduleKind::Step {
-            base_lr: 0.01,
             step: 2,
             gamma: 0.5,
         }),
