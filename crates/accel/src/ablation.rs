@@ -7,11 +7,11 @@
 //! results, which the `design_space_exploration` example and the Criterion
 //! benches use for the ablation studies that go beyond the paper's tables.
 
-use crate::accelerator::{HybridAccelerator, InferenceReport};
+use crate::accelerator::EstimatePlan;
 use crate::config::HwConfig;
 use serde::{Deserialize, Serialize};
 use snn_core::error::SnnError;
-use snn_core::network::LayerTrace;
+use snn_core::network::{LayerGeometry, LayerTrace};
 use snn_core::quant::Precision;
 
 /// One point of an ablation sweep.
@@ -29,16 +29,27 @@ pub struct AblationPoint {
     pub dynamic_watts: f64,
 }
 
-impl AblationPoint {
-    fn from_report(parameter: String, report: &InferenceReport) -> Self {
-        AblationPoint {
-            parameter,
-            latency_ms: report.latency_ms,
-            throughput_fps: report.throughput_fps,
-            energy_mj: report.dynamic_energy_mj,
-            dynamic_watts: report.total_dynamic_watts,
-        }
-    }
+/// Plans `config`'s hardware for `geometry` at the traces' timestep count
+/// and estimates the traces on it: one sweep point.
+fn point(
+    parameter: String,
+    config: HwConfig,
+    geometry: &[LayerGeometry],
+    traces: &[LayerTrace],
+) -> Result<AblationPoint, SnnError> {
+    let timesteps = traces
+        .iter()
+        .find(|t| t.geometry.is_some())
+        .map_or(0, |t| t.input_events.len());
+    let plan = EstimatePlan::from_geometry(geometry.to_vec(), config, timesteps)?;
+    let report = plan.estimate(traces)?;
+    Ok(AblationPoint {
+        parameter,
+        latency_ms: report.latency_ms,
+        throughput_fps: report.throughput_fps,
+        energy_mj: report.dynamic_energy_mj,
+        dynamic_watts: plan.power().total_dynamic_watts(),
+    })
 }
 
 /// Sweeps the ECU compression chunk width.
@@ -48,23 +59,18 @@ impl AblationPoint {
 /// Propagates accelerator errors.
 pub fn sweep_chunk_width(
     base: &HwConfig,
-    geometry: &[snn_core::network::LayerGeometry],
+    geometry: &[LayerGeometry],
     traces: &[LayerTrace],
     widths: &[usize],
 ) -> Result<Vec<AblationPoint>, SnnError> {
-    let mut out = Vec::with_capacity(widths.len());
-    for &width in widths {
-        let mut cfg = base.clone();
-        cfg.chunk_bits = width;
-        cfg.name = format!("{}-chunk{}", base.name, width);
-        let accel = HybridAccelerator::from_geometry(geometry.to_vec(), cfg)?;
-        let report = accel.estimate(traces)?;
-        out.push(AblationPoint::from_report(
-            format!("chunk={width}"),
-            &report,
-        ));
-    }
-    Ok(out)
+    widths
+        .iter()
+        .map(|&width| {
+            let mut cfg = base.clone();
+            cfg.chunk_bits = width;
+            point(format!("chunk={width}"), cfg, geometry, traces)
+        })
+        .collect()
 }
 
 /// Compares clock gating on vs off.
@@ -74,19 +80,17 @@ pub fn sweep_chunk_width(
 /// Propagates accelerator errors.
 pub fn sweep_clock_gating(
     base: &HwConfig,
-    geometry: &[snn_core::network::LayerGeometry],
+    geometry: &[LayerGeometry],
     traces: &[LayerTrace],
 ) -> Result<Vec<AblationPoint>, SnnError> {
-    let mut out = Vec::with_capacity(2);
-    for (label, gating) in [("gated", true), ("ungated", false)] {
-        let mut cfg = base.clone();
-        cfg.clock_gating = gating;
-        cfg.name = format!("{}-{}", base.name, label);
-        let accel = HybridAccelerator::from_geometry(geometry.to_vec(), cfg)?;
-        let report = accel.estimate(traces)?;
-        out.push(AblationPoint::from_report(label.to_string(), &report));
-    }
-    Ok(out)
+    [("gated", true), ("ungated", false)]
+        .into_iter()
+        .map(|(label, gating)| {
+            let mut cfg = base.clone();
+            cfg.clock_gating = gating;
+            point(label.to_string(), cfg, geometry, traces)
+        })
+        .collect()
 }
 
 /// Sweeps the weight precision on otherwise identical hardware.
@@ -96,19 +100,17 @@ pub fn sweep_clock_gating(
 /// Propagates accelerator errors.
 pub fn sweep_precision(
     base: &HwConfig,
-    geometry: &[snn_core::network::LayerGeometry],
+    geometry: &[LayerGeometry],
     traces: &[LayerTrace],
 ) -> Result<Vec<AblationPoint>, SnnError> {
-    let mut out = Vec::new();
-    for precision in Precision::all() {
-        let mut cfg = base.clone();
-        cfg.precision = precision;
-        cfg.name = format!("{}-{}", base.name, precision);
-        let accel = HybridAccelerator::from_geometry(geometry.to_vec(), cfg)?;
-        let report = accel.estimate(traces)?;
-        out.push(AblationPoint::from_report(precision.to_string(), &report));
-    }
-    Ok(out)
+    Precision::all()
+        .into_iter()
+        .map(|precision| {
+            let mut cfg = base.clone();
+            cfg.precision = precision;
+            point(precision.to_string(), cfg, geometry, traces)
+        })
+        .collect()
 }
 
 /// Sweeps a uniform scaling factor of the neural-core allocation
@@ -119,29 +121,27 @@ pub fn sweep_precision(
 /// Propagates accelerator errors.
 pub fn sweep_core_scaling(
     base: &HwConfig,
-    geometry: &[snn_core::network::LayerGeometry],
+    geometry: &[LayerGeometry],
     traces: &[LayerTrace],
     factors: &[usize],
 ) -> Result<Vec<AblationPoint>, SnnError> {
-    let mut out = Vec::with_capacity(factors.len());
-    for &factor in factors {
-        if factor == 0 {
-            return Err(SnnError::config(
-                "factor",
-                "scaling factor must be positive",
-            ));
-        }
-        let mut cfg = base.clone();
-        cfg.dense_rows *= factor;
-        for nc in &mut cfg.neural_cores {
-            *nc *= factor;
-        }
-        cfg.name = format!("{}-x{}", base.name, factor);
-        let accel = HybridAccelerator::from_geometry(geometry.to_vec(), cfg)?;
-        let report = accel.estimate(traces)?;
-        out.push(AblationPoint::from_report(format!("x{factor}"), &report));
-    }
-    Ok(out)
+    factors
+        .iter()
+        .map(|&factor| {
+            if factor == 0 {
+                return Err(SnnError::config(
+                    "factor",
+                    "scaling factor must be positive",
+                ));
+            }
+            let mut cfg = base.clone();
+            cfg.dense_rows *= factor;
+            for nc in &mut cfg.neural_cores {
+                *nc *= factor;
+            }
+            point(format!("x{factor}"), cfg, geometry, traces)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -150,11 +150,7 @@ mod tests {
     use crate::trace::{synthetic_traces, ActivityProfile};
     use snn_core::network::{vgg9, Vgg9Config};
 
-    fn setup() -> (
-        HwConfig,
-        Vec<snn_core::network::LayerGeometry>,
-        Vec<LayerTrace>,
-    ) {
+    fn setup() -> (HwConfig, Vec<LayerGeometry>, Vec<LayerTrace>) {
         let geometry = vgg9(&Vgg9Config::cifar10_small())
             .unwrap()
             .geometry()

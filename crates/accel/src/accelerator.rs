@@ -1,60 +1,47 @@
 //! The hybrid accelerator top level.
 //!
-//! [`HybridAccelerator`] ties the per-layer models together: the dense core
-//! for the direct-coded input layer, one sparse core per remaining weight
-//! layer (sized by the configuration's NC allocation), the on-chip memory
-//! plan, and the power/energy models. Given the spike traces of an inference
-//! run it produces an [`InferenceReport`] with per-layer cycles, power and
-//! energy plus the end-to-end latency, throughput and device utilisation —
-//! the numbers behind Table I, Table II, Table III and Fig. 4.
+//! [`EstimatePlan`] is the accelerator instance for one network geometry,
+//! hardware configuration and timestep count. It ties the per-layer models
+//! together: the dense core for the direct-coded input layer, one sparse
+//! core per remaining weight layer (sized by the configuration's NC
+//! allocation), the on-chip memory plan, and the power/energy models. Area
+//! and power (Table I) are fixed by the hardware, so the plan computes them
+//! once. Given the spike traces of an inference run,
+//! [`EstimatePlan::estimate`] produces an [`InferenceReport`] holding what
+//! the image's spikes decide: per-layer cycles and energy plus the
+//! end-to-end latency, throughput and energy — the numbers behind Table II,
+//! Table III and Fig. 4.
 
 use crate::config::HwConfig;
 use crate::dense_core::DenseCore;
 use crate::energy;
-use crate::power;
+use crate::power::{self, PowerEstimate};
 use crate::resources::{estimate_layers, ResourceEstimate};
 use crate::sparse_core::SparseCore;
 use serde::{Deserialize, Serialize};
 use snn_core::error::SnnError;
 use snn_core::network::{LayerGeometry, LayerTrace, SnnNetwork};
-use snn_core::quant::Precision;
 
-/// Per-layer performance summary.
+/// One weight layer's share of one inference. Rows are index-aligned with
+/// the plan's [`EstimatePlan::geometry`], whose resource and power rows
+/// hold the layer's hardware facts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LayerPerf {
-    /// Layer name.
-    pub name: String,
-    /// Neural cores allocated (0 for the dense layer).
-    pub neural_cores: usize,
     /// Input events consumed across all timesteps.
     pub input_events: u64,
     /// Cycles spent on this layer for one image.
     pub cycles: u64,
     /// Busy time in milliseconds.
     pub busy_ms: f64,
-    /// Instance-level dynamic power in watts.
-    pub dynamic_watts: f64,
     /// Dynamic energy in millijoules.
     pub dynamic_mj: f64,
-    /// LUTs used by the layer instance (logic + LUTRAM).
-    pub luts: u64,
-    /// Flip-flops used.
-    pub ffs: u64,
-    /// BRAM36 blocks used.
-    pub bram: u64,
-    /// URAM blocks used.
-    pub uram: u64,
 }
 
-/// Full report of one simulated inference.
+/// The per-image result of one simulated inference: only what the image's
+/// spikes decide. The hardware configuration, area and power live on the
+/// [`EstimatePlan`] that produced it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InferenceReport {
-    /// Name of the hardware configuration.
-    pub config_name: String,
-    /// Weight precision.
-    pub precision: Precision,
-    /// Number of timesteps the trace covers.
-    pub timesteps: usize,
     /// Per-layer breakdown.
     pub layers: Vec<LayerPerf>,
     /// End-to-end single-image latency in milliseconds (sum of layer times).
@@ -66,16 +53,8 @@ pub struct InferenceReport {
     pub dynamic_energy_mj: f64,
     /// Total energy per image including the static share, in millijoules.
     pub total_energy_mj: f64,
-    /// Sum of per-layer dynamic power in watts.
-    pub total_dynamic_watts: f64,
-    /// Device static power in watts.
-    pub static_watts: f64,
     /// Total spikes consumed by the sparse layers.
     pub total_input_events: u64,
-    /// Whether the design fits the XCVU13P.
-    pub fits_device: bool,
-    /// The resource estimate behind the per-layer numbers.
-    pub resources: ResourceEstimate,
 }
 
 impl InferenceReport {
@@ -85,15 +64,43 @@ impl InferenceReport {
     }
 }
 
-/// The hybrid dense/sparse accelerator instance for one network.
+/// The hybrid dense/sparse accelerator for one network, hardware
+/// configuration and timestep count: the configuration, the layer geometry,
+/// the resource and power models for spike buffers sized to the timestep
+/// count, and the trace-independent half of each layer's cycle model. Built
+/// once and shared by every image of a session or batch; per image only
+/// [`EstimatePlan::estimate`]'s spike-count folding runs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HybridAccelerator {
+pub struct EstimatePlan {
     config: HwConfig,
     geometry: Vec<LayerGeometry>,
+    timesteps: usize,
+    resources: ResourceEstimate,
+    power: PowerEstimate,
+    cycle_models: Vec<LayerCycleModel>,
 }
 
-impl HybridAccelerator {
-    /// Builds an accelerator for `network` under `config`.
+/// The precomputed (trace-independent) cycle model of one weight layer: the
+/// dense input layer's cycle count is fixed for the plan's timestep count and
+/// shared by every image of a batch, while a sparse layer keeps its
+/// configured core and only folds the per-trace spike counts per estimate.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum LayerCycleModel {
+    /// Dense systolic input layer: workload is input-independent.
+    Dense {
+        /// Total cycles for one image at the plan's timestep count.
+        cycles: u64,
+    },
+    /// Event-driven sparse layer: cycles depend on the trace's spike counts.
+    Sparse {
+        /// The configured sparse-core instance.
+        core: SparseCore,
+    },
+}
+
+impl EstimatePlan {
+    /// Plans the accelerator for `network` under `config`, with spike
+    /// buffers sized to `timesteps`.
     ///
     /// # Errors
     ///
@@ -101,17 +108,21 @@ impl HybridAccelerator {
     /// allocation does not cover every sparse layer of the network, or if
     /// the configuration cannot describe hardware: a zero chunk width, a
     /// zero NC count, an enabled dense core with no PE rows, or a clock that
-    /// is not a finite positive frequency.
-    pub fn new(network: &SnnNetwork, config: HwConfig) -> Result<Self, SnnError> {
-        Self::from_geometry(network.geometry()?, config)
+    /// is not a finite positive frequency. Propagates resource-model errors.
+    pub fn new(network: &SnnNetwork, config: HwConfig, timesteps: usize) -> Result<Self, SnnError> {
+        Self::from_geometry(network.geometry()?, config, timesteps)
     }
 
-    /// Builds an accelerator directly from a layer geometry.
+    /// Plans the accelerator directly from a layer geometry.
     ///
     /// # Errors
     ///
-    /// Same as [`HybridAccelerator::new`].
-    pub fn from_geometry(geometry: Vec<LayerGeometry>, config: HwConfig) -> Result<Self, SnnError> {
+    /// Same as [`EstimatePlan::new`].
+    pub fn from_geometry(
+        geometry: Vec<LayerGeometry>,
+        config: HwConfig,
+        timesteps: usize,
+    ) -> Result<Self, SnnError> {
         let sparse_layers = if config.dense_core_enabled {
             geometry.len().saturating_sub(1)
         } else {
@@ -158,142 +169,42 @@ impl HybridAccelerator {
                 ),
             ));
         }
-        Ok(HybridAccelerator { config, geometry })
-    }
-
-    /// The hardware configuration.
-    pub fn config(&self) -> &HwConfig {
-        &self.config
-    }
-
-    /// The weight-layer geometry the accelerator was built for.
-    pub fn geometry(&self) -> &[LayerGeometry] {
-        &self.geometry
-    }
-
-    /// Area estimate for spike buffers sized to `timesteps`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates resource-model errors.
-    pub fn resources(&self, timesteps: usize) -> Result<ResourceEstimate, SnnError> {
-        estimate_layers(&self.geometry, &self.config, timesteps)
-    }
-
-    /// Precomputes the trace-independent part of an estimate — the resource
-    /// and power models for spike buffers sized to `timesteps` — so repeated
-    /// estimates (sessions, batches) share one plan instead of re-deriving
-    /// area and power per image.
-    ///
-    /// # Errors
-    ///
-    /// Propagates resource-model errors.
-    pub fn plan(&self, timesteps: usize) -> Result<EstimatePlan, SnnError> {
-        let resources = estimate_layers(&self.geometry, &self.config, timesteps.max(1))?;
-        let power_est =
-            power::estimate(&resources, self.config.precision, self.config.clock_gating);
-        let watts: Vec<f64> = power_est.layers.iter().map(|l| l.dynamic_watts).collect();
+        let resources = estimate_layers(&geometry, &config, timesteps.max(1))?;
+        let power = power::estimate(&resources, config.precision, config.clock_gating);
         // Memoize the trace-independent half of the per-layer cycle models:
         // the dense core's timing depends only on geometry + timesteps (one
         // fixed cycle count for every image of the batch), and each sparse
         // layer's core configuration (NC count, chunk width) never changes
         // between traces. Per estimate only the spike-count folding remains.
-        let cycle_models = self
-            .geometry
+        let cycle_models = geometry
             .iter()
             .enumerate()
             .map(|(i, geo)| {
-                if self.config.dense_core_enabled && i == 0 {
+                if config.dense_core_enabled && i == 0 {
                     Ok(LayerCycleModel::Dense {
-                        cycles: DenseCore::new(self.config.dense_rows)
+                        cycles: DenseCore::new(config.dense_rows)
                             .timing(geo.out_channels, geo.out_height, geo.out_width, timesteps)
                             .total_cycles,
                     })
                 } else {
-                    let sparse_index = if self.config.dense_core_enabled {
-                        i - 1
-                    } else {
-                        i
-                    };
-                    let ncs = self.config.cores_for_sparse_layer(sparse_index)?;
+                    let sparse_index = i - usize::from(config.dense_core_enabled);
+                    let ncs = config.cores_for_sparse_layer(sparse_index)?;
                     Ok(LayerCycleModel::Sparse {
-                        core: SparseCore::new(ncs, self.config.chunk_bits),
+                        core: SparseCore::new(ncs, config.chunk_bits),
                     })
                 }
             })
             .collect::<Result<_, SnnError>>()?;
-        let names: Vec<String> = self.geometry.iter().map(|g| g.name.clone()).collect();
         Ok(EstimatePlan {
-            config: self.config.clone(),
-            geometry: self.geometry.clone(),
+            config,
+            geometry,
             timesteps,
-            total_dynamic_watts: power_est.total_dynamic_watts(),
-            static_watts: power_est.static_watts,
-            watts,
             resources,
+            power,
             cycle_models,
-            names,
         })
     }
 
-    /// Estimates latency, throughput, power and energy for one inference
-    /// described by the spike traces of a `snn-core` network run.
-    ///
-    /// The traces may include pooling layers; only weight layers (those with
-    /// geometry) are consumed, in order. This derives a fresh [`EstimatePlan`]
-    /// per call; hot paths should create the plan once via
-    /// [`HybridAccelerator::plan`] and call [`EstimatePlan::estimate`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnnError::ShapeMismatch`] if the number of weight-layer
-    /// traces does not match the accelerator's geometry.
-    pub fn estimate(&self, traces: &[LayerTrace]) -> Result<InferenceReport, SnnError> {
-        let timesteps = traces
-            .iter()
-            .find(|t| t.geometry.is_some())
-            .map(|t| t.input_events.len())
-            .unwrap_or(0);
-        self.plan(timesteps)?.estimate(traces)
-    }
-}
-
-/// The precomputed, trace-independent part of an accelerator estimate: the
-/// hardware configuration, layer geometry, and the resource/power models for
-/// a fixed timestep count. Created by [`HybridAccelerator::plan`] and shared
-/// across every image of a session or batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EstimatePlan {
-    config: HwConfig,
-    geometry: Vec<LayerGeometry>,
-    timesteps: usize,
-    total_dynamic_watts: f64,
-    static_watts: f64,
-    watts: Vec<f64>,
-    resources: ResourceEstimate,
-    cycle_models: Vec<LayerCycleModel>,
-    names: Vec<String>,
-}
-
-/// The precomputed (trace-independent) cycle model of one weight layer: the
-/// dense input layer's cycle count is fixed for the plan's timestep count and
-/// shared by every image of a batch, while a sparse layer keeps its
-/// configured core and only folds the per-trace spike counts per estimate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum LayerCycleModel {
-    /// Dense systolic input layer: workload is input-independent.
-    Dense {
-        /// Total cycles for one image at the plan's timestep count.
-        cycles: u64,
-    },
-    /// Event-driven sparse layer: cycles depend on the trace's spike counts.
-    Sparse {
-        /// The configured sparse-core instance.
-        core: SparseCore,
-    },
-}
-
-impl EstimatePlan {
     /// The timestep count the spike buffers were sized for.
     pub fn timesteps(&self) -> usize {
         self.timesteps
@@ -304,14 +215,28 @@ impl EstimatePlan {
         &self.config
     }
 
-    /// The precomputed resource estimate.
+    /// The weight-layer geometry the plan was built for; every report's
+    /// [`InferenceReport::layers`] is index-aligned with it.
+    pub fn geometry(&self) -> &[LayerGeometry] {
+        &self.geometry
+    }
+
+    /// The area estimate, per layer and for the device.
     pub fn resources(&self) -> &ResourceEstimate {
         &self.resources
+    }
+
+    /// The static and per-layer dynamic power estimate.
+    pub fn power(&self) -> &PowerEstimate {
+        &self.power
     }
 
     /// Estimates one inference from its spike traces, reusing the plan's
     /// precomputed area/power models. Only the per-layer cycle and energy
     /// calculation runs per call.
+    ///
+    /// The traces may include pooling layers; only weight layers (those with
+    /// geometry) are consumed, in order.
     ///
     /// # Errors
     ///
@@ -320,19 +245,16 @@ impl EstimatePlan {
     /// the traces cover a different timestep count than the plan was sized
     /// for.
     pub fn estimate(&self, traces: &[LayerTrace]) -> Result<InferenceReport, SnnError> {
-        let weight_traces: Vec<&LayerTrace> =
-            traces.iter().filter(|t| t.geometry.is_some()).collect();
-        if weight_traces.len() != self.geometry.len() {
+        let weight_traces = || traces.iter().filter(|t| t.geometry.is_some());
+        let count = weight_traces().count();
+        if count != self.geometry.len() {
             return Err(SnnError::shape(
                 &[self.geometry.len()],
-                &[weight_traces.len()],
+                &[count],
                 "EstimatePlan::estimate trace count",
             ));
         }
-        let timesteps = weight_traces
-            .first()
-            .map(|t| t.input_events.len())
-            .unwrap_or(0);
+        let timesteps = weight_traces().next().map_or(0, |t| t.input_events.len());
         if timesteps != self.timesteps {
             return Err(SnnError::config(
                 "timesteps",
@@ -349,44 +271,27 @@ impl EstimatePlan {
         for ((geo, trace), model) in self
             .geometry
             .iter()
-            .zip(weight_traces.iter())
-            .zip(self.cycle_models.iter())
+            .zip(weight_traces())
+            .zip(&self.cycle_models)
         {
-            let layer_cycles = match model {
+            cycles.push(match model {
                 LayerCycleModel::Dense { cycles } => *cycles,
                 LayerCycleModel::Sparse { core } => {
                     core.timing(&trace.input_events, geo).total_cycles
                 }
-            };
-            cycles.push(layer_cycles);
+            });
         }
 
-        let energy_est = energy::estimate(
-            &self.names,
-            &cycles,
-            &self.watts,
-            self.config.clock_mhz,
-            self.static_watts,
-        );
-
-        let layers: Vec<LayerPerf> = self
-            .geometry
-            .iter()
-            .enumerate()
-            .map(|(i, geo)| LayerPerf {
-                name: geo.name.clone(),
-                neural_cores: self.resources.layers[i].neural_cores,
-                input_events: weight_traces[i].total_input_events(),
-                cycles: cycles[i],
-                busy_ms: energy_est.layers[i].busy_ms,
-                dynamic_watts: self.watts[i],
-                dynamic_mj: energy_est.layers[i].dynamic_mj,
-                luts: self.resources.layers[i].luts,
-                ffs: self.resources.layers[i].ffs,
-                bram: self.resources.layers[i].bram,
-                uram: self.resources.layers[i].uram,
-            })
-            .collect();
+        let energy_est = energy::estimate(&cycles, &self.power, self.config.clock_mhz);
+        let mut layers = Vec::with_capacity(cycles.len());
+        for ((trace, &cycles), energy) in weight_traces().zip(&cycles).zip(&energy_est.layers) {
+            layers.push(LayerPerf {
+                input_events: trace.total_input_events(),
+                cycles,
+                busy_ms: energy.busy_ms,
+                dynamic_mj: energy.dynamic_mj,
+            });
+        }
 
         let latency_ms: f64 = layers.iter().map(|l| l.busy_ms).sum();
         let bottleneck = cycles.iter().copied().max().unwrap_or(0);
@@ -396,18 +301,11 @@ impl EstimatePlan {
             self.config.clock_mhz * 1e6 / bottleneck as f64
         };
         Ok(InferenceReport {
-            config_name: self.config.name.clone(),
-            precision: self.config.precision,
-            timesteps,
             latency_ms,
             throughput_fps,
             dynamic_energy_mj: energy_est.dynamic_mj(),
             total_energy_mj: energy_est.total_mj(),
-            total_dynamic_watts: self.total_dynamic_watts,
-            static_watts: self.static_watts,
             total_input_events: layers.iter().map(|l| l.input_events).sum(),
-            fits_device: self.resources.fits(),
-            resources: self.resources.clone(),
             layers,
         })
     }
@@ -419,6 +317,7 @@ mod tests {
     use crate::config::PerfScale;
     use snn_core::encoding::Encoder;
     use snn_core::network::{vgg9, Vgg9Config};
+    use snn_core::quant::Precision;
     use snn_core::tensor::Tensor;
 
     fn small_traces(encoder: &Encoder) -> (SnnNetwork, Vec<LayerTrace>) {
@@ -436,16 +335,17 @@ mod tests {
     fn accelerator_builds_for_paper_scale_network() {
         let net = vgg9(&Vgg9Config::cifar100()).unwrap();
         let cfg = HwConfig::paper("cifar100", Precision::Int4, PerfScale::Perf2).unwrap();
-        let accel = HybridAccelerator::new(&net, cfg).unwrap();
-        assert_eq!(accel.geometry().len(), 9);
-        assert!(accel.resources(2).unwrap().fits());
+        let plan = EstimatePlan::new(&net, cfg, 2).unwrap();
+        assert_eq!(plan.geometry().len(), 9);
+        assert!(plan.resources().fits());
+        assert_eq!(plan.power().layers.len(), 9);
     }
 
     #[test]
     fn new_rejects_short_allocation() {
         let net = vgg9(&Vgg9Config::cifar10_small()).unwrap();
         let cfg = HwConfig::from_allocation("short", Precision::Int4, &[1, 4, 2]).unwrap();
-        assert!(HybridAccelerator::new(&net, cfg).is_err());
+        assert!(EstimatePlan::new(&net, cfg, 2).is_err());
     }
 
     /// The hand-built configurations the core models cannot run, each named
@@ -470,7 +370,7 @@ mod tests {
     fn new_rejects_configs_the_cores_cannot_run() {
         let net = vgg9(&Vgg9Config::cifar10_small()).unwrap();
         for (field, cfg) in broken_configs() {
-            match HybridAccelerator::new(&net, cfg.clone()) {
+            match EstimatePlan::new(&net, cfg.clone(), 2) {
                 Err(SnnError::InvalidConfig { parameter, .. }) => assert_eq!(parameter, field),
                 other => panic!("{cfg:?}: expected an InvalidConfig on {field}, got {other:?}"),
             }
@@ -479,24 +379,25 @@ mod tests {
         let mut rate = small_config(Precision::Int4).without_dense_core();
         rate.neural_cores.push(1);
         rate.dense_rows = 0;
-        assert!(HybridAccelerator::new(&net, rate).is_ok());
+        assert!(EstimatePlan::new(&net, rate, 2).is_ok());
     }
 
     #[test]
     fn estimate_produces_consistent_report() {
         let (net, traces) = small_traces(&Encoder::direct(2));
-        let accel = HybridAccelerator::new(&net, small_config(Precision::Int4)).unwrap();
-        let report = accel.estimate(&traces).unwrap();
-        assert_eq!(report.layers.len(), 9);
-        assert_eq!(report.timesteps, 2);
+        let plan = EstimatePlan::new(&net, small_config(Precision::Int4), 2).unwrap();
+        let report = plan.estimate(&traces).unwrap();
+        assert_eq!(report.layers.len(), plan.geometry().len());
         assert!(report.latency_ms > 0.0);
         assert!(report.throughput_fps > 0.0);
         assert!(report.dynamic_energy_mj > 0.0);
         assert!(report.total_energy_mj > report.dynamic_energy_mj);
-        assert!(report.fits_device);
+        assert!(plan.resources().fits());
         // Latency equals the sum of the layer busy times.
         let sum: f64 = report.layers.iter().map(|l| l.busy_ms).sum();
         assert!((report.latency_ms - sum).abs() < 1e-9);
+        let events: u64 = report.layers.iter().map(|l| l.input_events).sum();
+        assert_eq!(report.total_input_events, events);
         // The bottleneck layer bounds the throughput.
         let b = report.bottleneck().unwrap();
         assert!((report.throughput_fps - 1e8 / b.cycles as f64).abs() < 1e-6);
@@ -505,19 +406,21 @@ mod tests {
     #[test]
     fn shared_plan_estimates_identically_to_fresh_plans() {
         // A batch of different images estimated through ONE memoized plan
-        // must report exactly what per-image fresh plans (the un-memoized
-        // path) report — the estimate memoization may not change a single
-        // bit of the hardware numbers.
+        // must report exactly what per-image fresh plans report — sharing
+        // the plan may not change a single bit of the hardware numbers.
         let net = vgg9(&Vgg9Config::cifar10_small()).unwrap();
-        let accel = HybridAccelerator::new(&net, small_config(Precision::Int4)).unwrap();
-        let shared = accel.plan(2).unwrap();
+        let cfg = small_config(Precision::Int4);
+        let shared = EstimatePlan::new(&net, cfg.clone(), 2).unwrap();
         for phase in 0..4 {
             let image = Tensor::from_fn(&[3, 16, 16], |i| {
                 (((i + phase * 131) as f32) * 0.011).sin().abs()
             });
             let traces = net.run(&image, &Encoder::direct(2)).unwrap().traces;
             let memoized = shared.estimate(&traces).unwrap();
-            let fresh = accel.estimate(&traces).unwrap();
+            let fresh = EstimatePlan::new(&net, cfg.clone(), 2)
+                .unwrap()
+                .estimate(&traces)
+                .unwrap();
             assert_eq!(memoized, fresh, "image {phase}");
         }
     }
@@ -528,8 +431,7 @@ mod tests {
         // plan must fold them to identical reports (and the dense input
         // layer's cycles are the plan's precomputed constant).
         let (net, traces) = small_traces(&Encoder::direct(2));
-        let accel = HybridAccelerator::new(&net, small_config(Precision::Int4)).unwrap();
-        let plan = accel.plan(2).unwrap();
+        let plan = EstimatePlan::new(&net, small_config(Precision::Int4), 2).unwrap();
         let a = plan.estimate(&traces).unwrap();
         let b = plan.estimate(&traces).unwrap();
         assert_eq!(a, b);
@@ -539,24 +441,31 @@ mod tests {
             }
             other => panic!("input layer should use the dense model, got {other:?}"),
         }
-        drop(net);
     }
 
     #[test]
     fn estimate_rejects_mismatched_traces() {
-        let (net, traces) = small_traces(&Encoder::direct(1));
+        let (_, traces) = small_traces(&Encoder::direct(1));
         let other = vgg9(&Vgg9Config::cifar10_small()).unwrap();
-        let accel = HybridAccelerator::new(&other, small_config(Precision::Int4)).unwrap();
+        let plan = EstimatePlan::new(&other, small_config(Precision::Int4), 1).unwrap();
         // Drop one trace to break the correspondence.
-        assert!(accel.estimate(&traces[..traces.len() - 1]).is_err());
-        drop(net);
+        assert!(matches!(
+            plan.estimate(&traces[..traces.len() - 1]),
+            Err(SnnError::ShapeMismatch { .. })
+        ));
+        // A plan sized for another timestep count rejects the traces.
+        let two = EstimatePlan::new(&other, small_config(Precision::Int4), 2).unwrap();
+        match two.estimate(&traces) {
+            Err(SnnError::InvalidConfig { parameter, .. }) => assert_eq!(parameter, "timesteps"),
+            other => panic!("expected an InvalidConfig on timesteps, got {other:?}"),
+        }
     }
 
     #[test]
     fn int4_beats_fp32_on_energy_for_the_same_trace() {
         let (net, traces) = small_traces(&Encoder::direct(2));
-        let int4 = HybridAccelerator::new(&net, small_config(Precision::Int4)).unwrap();
-        let fp32 = HybridAccelerator::new(&net, small_config(Precision::Fp32)).unwrap();
+        let int4 = EstimatePlan::new(&net, small_config(Precision::Int4), 2).unwrap();
+        let fp32 = EstimatePlan::new(&net, small_config(Precision::Fp32), 2).unwrap();
         let ri = int4.estimate(&traces).unwrap();
         let rf = fp32.estimate(&traces).unwrap();
         assert!(
@@ -565,7 +474,7 @@ mod tests {
             rf.dynamic_energy_mj,
             ri.dynamic_energy_mj
         );
-        assert!(rf.total_dynamic_watts > ri.total_dynamic_watts);
+        assert!(fp32.power().total_dynamic_watts() > int4.power().total_dynamic_watts());
     }
 
     #[test]
@@ -577,14 +486,14 @@ mod tests {
         for nc in &mut perf4.neural_cores {
             *nc *= 4;
         }
-        let a = HybridAccelerator::new(&net, lw)
-            .unwrap()
-            .estimate(&traces)
-            .unwrap();
-        let b = HybridAccelerator::new(&net, perf4)
-            .unwrap()
-            .estimate(&traces)
-            .unwrap();
+        let estimate = |cfg| {
+            EstimatePlan::new(&net, cfg, 2)
+                .unwrap()
+                .estimate(&traces)
+                .unwrap()
+        };
+        let a = estimate(lw);
+        let b = estimate(perf4);
         assert!(b.latency_ms < a.latency_ms);
         assert!(b.throughput_fps > a.throughput_fps);
     }
@@ -600,20 +509,29 @@ mod tests {
         )
         .unwrap()
         .without_dense_core();
-        let accel = HybridAccelerator::new(&net, cfg).unwrap();
-        let report = accel.estimate(&traces).unwrap();
-        assert_eq!(report.timesteps, 5);
+        let plan = EstimatePlan::new(&net, cfg, 5).unwrap();
+        let report = plan.estimate(&traces).unwrap();
         assert!(report.latency_ms > 0.0);
-        assert_eq!(report.layers[0].neural_cores, 4);
+        assert_eq!(plan.resources().layers[0].neural_cores, 4);
+        assert!(matches!(
+            plan.cycle_models[0],
+            LayerCycleModel::Sparse { .. }
+        ));
     }
 
     #[test]
     fn more_timesteps_increase_latency_and_energy() {
         let (net, t2) = small_traces(&Encoder::direct(2));
         let (_, t6) = small_traces(&Encoder::direct(6));
-        let accel = HybridAccelerator::new(&net, small_config(Precision::Int4)).unwrap();
-        let a = accel.estimate(&t2).unwrap();
-        let b = accel.estimate(&t6).unwrap();
+        let cfg = small_config(Precision::Int4);
+        let a = EstimatePlan::new(&net, cfg.clone(), 2)
+            .unwrap()
+            .estimate(&t2)
+            .unwrap();
+        let b = EstimatePlan::new(&net, cfg, 6)
+            .unwrap()
+            .estimate(&t6)
+            .unwrap();
         assert!(b.latency_ms > a.latency_ms);
         assert!(b.dynamic_energy_mj > a.dynamic_energy_mj);
     }

@@ -183,11 +183,6 @@ impl HwConfig {
         self.neural_cores.iter().sum()
     }
 
-    /// Clock period in nanoseconds.
-    pub fn clock_period_ns(&self) -> f64 {
-        1000.0 / self.clock_mhz
-    }
-
     /// Neural cores allocated to sparse weight layer `index` (0 = CONV1_2
     /// when the dense core is enabled, otherwise 0 = CONV1_1).
     ///
@@ -277,6 +272,6 @@ mod tests {
     #[test]
     fn clock_period_is_10ns_at_100mhz() {
         let cfg = HwConfig::paper_lw("svhn", Precision::Int4).unwrap();
-        assert!((cfg.clock_period_ns() - 10.0).abs() < 1e-12);
+        assert_eq!(cfg.clock_mhz, 100.0);
     }
 }

@@ -30,7 +30,12 @@
 //! * [`energy`] — per-image energy from per-layer latency and power,
 //! * [`workload`] — Eq. 3 layer workloads expressed in sparse-core cycles,
 //! * [`dse`] — design-space exploration producing balanced NC allocations,
-//! * [`accelerator`] — the hybrid top level tying everything together,
+//! * [`accelerator`] — the hybrid top level: one [`EstimatePlan`] per
+//!   network, configuration and timestep count, folding each image's spike
+//!   counts into an [`InferenceReport`],
+//! * [`ablation`] — sweeps of single design knobs on a fixed workload,
+//! * [`trace`] — synthetic activity traces calibrated to the paper's spike
+//!   statistics,
 //! * [`baseline`] — prior-work operating points used in Table III.
 
 pub mod ablation;
@@ -47,6 +52,6 @@ pub mod sparse_core;
 pub mod trace;
 pub mod workload;
 
-pub use accelerator::{EstimatePlan, HybridAccelerator, InferenceReport, LayerPerf};
+pub use accelerator::{EstimatePlan, InferenceReport, LayerPerf};
 pub use config::{HwConfig, PerfScale};
 pub use resources::{LayerResources, XCVU13P};

@@ -66,11 +66,6 @@ impl PowerEstimate {
     pub fn total_dynamic_watts(&self) -> f64 {
         self.layers.iter().map(|l| l.dynamic_watts).sum()
     }
-
-    /// Total power (dynamic + static), in watts.
-    pub fn total_watts(&self) -> f64 {
-        self.total_dynamic_watts() + self.static_watts
-    }
 }
 
 /// Dynamic power of a single layer given its resources.
@@ -175,7 +170,6 @@ mod tests {
         assert!(p.layers.iter().all(|l| l.dynamic_watts > 0.0));
         let sum: f64 = p.layers.iter().map(|l| l.dynamic_watts).sum();
         assert!((p.total_dynamic_watts() - sum).abs() < 1e-12);
-        assert!(p.total_watts() > p.total_dynamic_watts());
     }
 
     #[test]

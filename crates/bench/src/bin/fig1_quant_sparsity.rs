@@ -1,27 +1,16 @@
 //! Regenerates Fig. 1: quantization effect on the total number of spikes.
 //!
-//! Usage: `cargo run --release -p snn-bench --bin fig1_quant_sparsity [--smoke] [--json]`
+//! Usage: `cargo run --release -p snn-bench --bin fig1_quant_sparsity -- [--smoke] [--json]`
 
-use snn_bench::experiments::ExperimentScale;
-use snn_bench::fig1;
+use snn_bench::{experiments, fig1};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = ExperimentScale::from_args(&args);
-    println!("Fig. 1 — quantization effect on total spikes (scale: {scale:?})");
-    match fig1::run(scale) {
-        Ok(report) => {
-            println!("{}", fig1::render(&report));
-            if args.iter().any(|a| a == "--json") {
-                match serde_json::to_string_pretty(&report) {
-                    Ok(json) => println!("{json}"),
-                    Err(err) => eprintln!("failed to serialise report: {err}"),
-                }
-            }
-        }
-        Err(err) => {
-            eprintln!("fig1 experiment failed: {err}");
-            std::process::exit(1);
-        }
-    }
+fn main() -> ExitCode {
+    experiments::run_binary(
+        "fig1",
+        "Fig. 1 — quantization effect on total spikes",
+        true,
+        fig1::run,
+        fig1::render,
+    )
 }

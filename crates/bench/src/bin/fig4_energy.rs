@@ -1,28 +1,17 @@
 //! Regenerates Fig. 4: energy per image for fp32 vs int4 across the LW,
 //! perf2 and perf4 configurations of all three datasets.
 //!
-//! Usage: `cargo run --release -p snn-bench --bin fig4_energy [--smoke] [--json]`
+//! Usage: `cargo run --release -p snn-bench --bin fig4_energy -- [--smoke] [--json]`
 
-use snn_bench::experiments::ExperimentScale;
-use snn_bench::fig4;
+use snn_bench::{experiments, fig4};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = ExperimentScale::from_args(&args);
-    println!("Fig. 4 — energy per image, fp32 vs int4 (scale: {scale:?})");
-    match fig4::run(scale) {
-        Ok(report) => {
-            println!("{}", fig4::render(&report));
-            if args.iter().any(|a| a == "--json") {
-                match serde_json::to_string_pretty(&report) {
-                    Ok(json) => println!("{json}"),
-                    Err(err) => eprintln!("failed to serialise report: {err}"),
-                }
-            }
-        }
-        Err(err) => {
-            eprintln!("fig4 experiment failed: {err}");
-            std::process::exit(1);
-        }
-    }
+fn main() -> ExitCode {
+    experiments::run_binary(
+        "fig4",
+        "Fig. 4 — energy per image, fp32 vs int4",
+        true,
+        fig4::run,
+        fig4::render,
+    )
 }

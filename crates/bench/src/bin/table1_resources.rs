@@ -1,26 +1,18 @@
 //! Regenerates Table I: area utilisation and power of the int4 vs fp32
-//! CIFAR-100 hardware (perf2 configuration).
+//! CIFAR-100 hardware (perf2 configuration). No training is involved, so
+//! `--smoke` changes nothing.
 //!
-//! Usage: `cargo run --release -p snn-bench --bin table1_resources [--json]`
+//! Usage: `cargo run --release -p snn-bench --bin table1_resources -- [--smoke] [--json]`
 
-use snn_bench::table1;
+use snn_bench::{experiments, table1};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    println!("Table I — area utilisation and power (CIFAR-100, perf2)");
-    match table1::run() {
-        Ok(report) => {
-            println!("{}", table1::render(&report));
-            if args.iter().any(|a| a == "--json") {
-                match serde_json::to_string_pretty(&report) {
-                    Ok(json) => println!("{json}"),
-                    Err(err) => eprintln!("failed to serialise report: {err}"),
-                }
-            }
-        }
-        Err(err) => {
-            eprintln!("table1 experiment failed: {err}");
-            std::process::exit(1);
-        }
-    }
+fn main() -> ExitCode {
+    experiments::run_binary(
+        "table1",
+        "Table I — area utilisation and power (CIFAR-100, perf2)",
+        false,
+        |_| table1::run(),
+        table1::render,
+    )
 }

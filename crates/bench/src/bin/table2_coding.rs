@@ -1,28 +1,17 @@
 //! Regenerates Table II: direct vs rate coding on CIFAR-10 (quantized LW
 //! hardware).
 //!
-//! Usage: `cargo run --release -p snn-bench --bin table2_coding [--smoke] [--json]`
+//! Usage: `cargo run --release -p snn-bench --bin table2_coding -- [--smoke] [--json]`
 
-use snn_bench::experiments::ExperimentScale;
-use snn_bench::table2;
+use snn_bench::{experiments, table2};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = ExperimentScale::from_args(&args);
-    println!("Table II — direct vs rate coding on CIFAR-10 (scale: {scale:?})");
-    match table2::run(scale) {
-        Ok(report) => {
-            println!("{}", table2::render(&report));
-            if args.iter().any(|a| a == "--json") {
-                match serde_json::to_string_pretty(&report) {
-                    Ok(json) => println!("{json}"),
-                    Err(err) => eprintln!("failed to serialise report: {err}"),
-                }
-            }
-        }
-        Err(err) => {
-            eprintln!("table2 experiment failed: {err}");
-            std::process::exit(1);
-        }
-    }
+fn main() -> ExitCode {
+    experiments::run_binary(
+        "table2",
+        "Table II — direct vs rate coding on CIFAR-10",
+        true,
+        table2::run,
+        table2::render,
+    )
 }

@@ -1,28 +1,17 @@
 //! Regenerates Table III: comparison of our perf2/perf4 configurations
 //! against SyncNN \[15\] and Gerlinghoff et al. \[7\].
 //!
-//! Usage: `cargo run --release -p snn-bench --bin table3_comparison [--smoke] [--json]`
+//! Usage: `cargo run --release -p snn-bench --bin table3_comparison -- [--smoke] [--json]`
 
-use snn_bench::experiments::ExperimentScale;
-use snn_bench::table3;
+use snn_bench::{experiments, table3};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = ExperimentScale::from_args(&args);
-    println!("Table III — comparison to previous work (scale: {scale:?})");
-    match table3::run(scale) {
-        Ok(report) => {
-            println!("{}", table3::render(&report));
-            if args.iter().any(|a| a == "--json") {
-                match serde_json::to_string_pretty(&report) {
-                    Ok(json) => println!("{json}"),
-                    Err(err) => eprintln!("failed to serialise report: {err}"),
-                }
-            }
-        }
-        Err(err) => {
-            eprintln!("table3 experiment failed: {err}");
-            std::process::exit(1);
-        }
-    }
+fn main() -> ExitCode {
+    experiments::run_binary(
+        "table3",
+        "Table III — comparison to previous work",
+        true,
+        table3::run,
+        table3::render,
+    )
 }

@@ -1,6 +1,7 @@
 //! Shared experiment infrastructure: scales, dataset/model pairings and the
 //! trained-model cache used by the accuracy experiments.
 
+use serde::Serialize;
 use snn::{Engine, PerfScale};
 use snn_core::encoding::Encoder;
 use snn_core::error::SnnError;
@@ -9,6 +10,7 @@ use snn_core::quant::Precision;
 use snn_core::tensor::Tensor;
 use snn_data::{Dataset, Split, SyntheticConfig, SyntheticDataset};
 use snn_train::trainer::{evaluate, EvalReport, TrainConfig, Trainer};
+use std::process::ExitCode;
 
 /// How much compute an experiment run is allowed to spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,14 +22,24 @@ pub enum ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Parses `--smoke` style command-line arguments (anything containing
-    /// "smoke" selects the smoke scale).
-    pub fn from_args(args: &[String]) -> Self {
-        if args.iter().any(|a| a.contains("smoke")) {
-            ExperimentScale::Smoke
-        } else {
-            ExperimentScale::Full
+    /// Parses an experiment binary's arguments, `[--smoke] [--json]`:
+    /// `--smoke` selects the smoke scale, and `--json` is left to
+    /// [`run_binary`].
+    ///
+    /// # Errors
+    ///
+    /// Names the first other argument, so a typo never silently selects the
+    /// slow full scale.
+    pub fn from_args(args: &[String]) -> Result<Self, String> {
+        let mut scale = ExperimentScale::Full;
+        for arg in args {
+            match arg.as_str() {
+                "--smoke" => scale = ExperimentScale::Smoke,
+                "--json" => {}
+                other => return Err(format!("unknown argument `{other}`")),
+            }
         }
+        Ok(scale)
     }
 
     /// Training samples per epoch for accuracy experiments.
@@ -61,6 +73,54 @@ impl ExperimentScale {
             ExperimentScale::Full => 2,
         }
     }
+}
+
+/// The `main` of every experiment binary. Parses `[--smoke] [--json]`,
+/// prints `title` (followed by the scale when `scaled`), runs the experiment
+/// and prints the rendered report, then with `--json` the report as JSON.
+///
+/// Exits with 2 on any other argument, and with 1 when the experiment or
+/// the JSON serialisation fails.
+pub fn run_binary<R: Serialize>(
+    name: &str,
+    title: &str,
+    scaled: bool,
+    run: impl FnOnce(ExperimentScale) -> Result<R, SnnError>,
+    render: impl FnOnce(&R) -> String,
+) -> ExitCode {
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    let args: Vec<String> = args.collect();
+    let scale = match ExperimentScale::from_args(&args) {
+        Ok(scale) => scale,
+        Err(err) => {
+            eprintln!("{err}\nusage: {program} [--smoke] [--json]");
+            return ExitCode::from(2);
+        }
+    };
+    if scaled {
+        println!("{title} (scale: {scale:?})");
+    } else {
+        println!("{title}");
+    }
+    let report = match run(scale) {
+        Ok(report) => report,
+        Err(err) => {
+            eprintln!("{name} experiment failed: {err}");
+            return ExitCode::FAILURE;
+        }
+    };
+    println!("{}", render(&report));
+    if args.iter().any(|a| a == "--json") {
+        match serde_json::to_string_pretty(&report) {
+            Ok(json) => println!("{json}"),
+            Err(err) => {
+                eprintln!("failed to serialise report: {err}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    ExitCode::SUCCESS
 }
 
 /// The three evaluation datasets of the paper.
@@ -213,11 +273,17 @@ mod tests {
 
     #[test]
     fn scale_parsing_and_budgets() {
-        assert_eq!(
-            ExperimentScale::from_args(&["--smoke".to_string()]),
-            ExperimentScale::Smoke
-        );
-        assert_eq!(ExperimentScale::from_args(&[]), ExperimentScale::Full);
+        let parse = |args: &[&str]| {
+            ExperimentScale::from_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+        };
+        assert_eq!(parse(&["--smoke"]), Ok(ExperimentScale::Smoke));
+        assert_eq!(parse(&["--json", "--smoke"]), Ok(ExperimentScale::Smoke));
+        assert_eq!(parse(&["--json"]), Ok(ExperimentScale::Full));
+        assert_eq!(parse(&[]), Ok(ExperimentScale::Full));
+        // A typo is an error, not the minutes-long full scale.
+        for bad in ["--smokey", "smoke", "--Smoke", "-s"] {
+            assert!(parse(&["--json", bad]).unwrap_err().contains(bad), "{bad}");
+        }
         assert!(ExperimentScale::Full.train_samples() > ExperimentScale::Smoke.train_samples());
         assert!(ExperimentScale::Full.epochs() >= ExperimentScale::Smoke.epochs());
         assert!(ExperimentScale::Smoke.trace_images() >= 1);

@@ -92,12 +92,10 @@ pub fn run(scale: ExperimentScale) -> Result<Fig4Report, SnnError> {
                 let plan = scaled.plan();
                 let mut energy = 0.0;
                 let mut latency = 0.0;
-                let mut watts = 0.0;
                 for run in &batch.reports {
                     let report = plan.estimate(&run.traces)?;
                     energy += report.dynamic_energy_mj;
                     latency += report.latency_ms;
-                    watts = report.total_dynamic_watts;
                 }
                 let n = batch.len().max(1) as f64;
                 points.push(EnergyPoint {
@@ -106,7 +104,7 @@ pub fn run(scale: ExperimentScale) -> Result<Fig4Report, SnnError> {
                     scale: hw_scale.to_string(),
                     energy_mj: energy / n,
                     latency_ms: latency / n,
-                    dynamic_watts: watts,
+                    dynamic_watts: plan.power().total_dynamic_watts(),
                 });
             }
         }

@@ -4,8 +4,9 @@
 //! evaluation section, plus shared helpers for the Criterion benchmarks.
 //!
 //! Each experiment lives in its own module and exposes a `run(scale)`
-//! function returning a serialisable report; the `src/bin/*` binaries are
-//! thin wrappers that call these functions and print the paper-style tables.
+//! function returning a serialisable report; each `src/bin/*` binary hands
+//! its module's `run` and `render` to [`experiments::run_binary`], which
+//! parses `[--smoke] [--json]` and prints the paper-style table.
 //! Integration tests exercise the same functions at
 //! [`ExperimentScale::Smoke`] so that every experiment stays runnable.
 //!

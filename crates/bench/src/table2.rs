@@ -16,7 +16,7 @@
 
 use crate::experiments::{paper_network, train_and_evaluate, ExperimentScale};
 use serde::{Deserialize, Serialize};
-use snn_accel::accelerator::HybridAccelerator;
+use snn_accel::accelerator::EstimatePlan;
 use snn_accel::config::{HwConfig, PerfScale};
 use snn_accel::trace::{synthetic_traces, ActivityProfile};
 use snn_core::encoding::Encoder;
@@ -98,8 +98,8 @@ fn coding_row(
     .with_quantization_reduction(10.1)
     .with_timesteps(encoder.timesteps);
     let traces = synthetic_traces(&geometry, &profile)?;
-    let accel = HybridAccelerator::from_geometry(geometry, cfg)?;
-    let report = accel.estimate(&traces)?;
+    let report =
+        EstimatePlan::from_geometry(geometry, cfg, profile.timesteps)?.estimate(&traces)?;
     Ok(CodingRow {
         coding: label.to_string(),
         timesteps: encoder.timesteps,

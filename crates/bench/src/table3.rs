@@ -10,7 +10,7 @@
 
 use crate::experiments::{paper_accuracy_reference, paper_network, ExperimentScale};
 use serde::{Deserialize, Serialize};
-use snn_accel::accelerator::HybridAccelerator;
+use snn_accel::accelerator::EstimatePlan;
 use snn_accel::baseline::{compare, Comparison, PriorWork};
 use snn_accel::config::{HwConfig, PerfScale};
 use snn_accel::trace::{synthetic_traces, ActivityProfile};
@@ -76,14 +76,14 @@ fn our_row(dataset: &str, hw_scale: PerfScale) -> Result<OurRow, SnnError> {
     let profile = ActivityProfile::paper_direct(geometry.len())
         .with_quantization_reduction(int4_spike_reduction(dataset));
     let traces = synthetic_traces(&geometry, &profile)?;
-    let accel = HybridAccelerator::from_geometry(geometry, cfg)?;
-    let report = accel.estimate(&traces)?;
+    let plan = EstimatePlan::from_geometry(geometry, cfg, profile.timesteps)?;
+    let report = plan.estimate(&traces)?;
     Ok(OurRow {
         dataset: dataset.to_string(),
         config: hw_scale.to_string(),
         accuracy_percent: paper_accuracy_reference(dataset, Precision::Int4),
         fmax_mhz: clock,
-        power_watts: report.total_dynamic_watts,
+        power_watts: plan.power().total_dynamic_watts(),
         latency_ms: report.latency_ms,
         energy_mj: report.dynamic_energy_mj,
         throughput_fps: report.throughput_fps,

@@ -233,28 +233,6 @@ pub fn fake_quantize(tensor: &Tensor, precision: Precision) -> Result<Tensor, Sn
     Ok(QuantizedTensor::quantize(tensor, precision)?.dequantize())
 }
 
-/// Models the shift-and-add constant multiplier the hardware uses to
-/// de-quantize weights without DSP blocks: decomposes `q * scale` where the
-/// scale is approximated by a sum of power-of-two terms. Returns the
-/// approximated product and the number of add terms (a proxy for LUT cost).
-pub fn shift_add_dequantize(q: i32, scale: f32, max_terms: usize) -> (f32, usize) {
-    if q == 0 || scale == 0.0 {
-        return (0.0, 0);
-    }
-    // Greedy canonical signed-digit style decomposition of the scale.
-    let mut remaining = scale;
-    let mut approx = 0.0_f32;
-    let mut terms = 0usize;
-    while terms < max_terms && remaining.abs() > scale.abs() * 1e-4 {
-        let exp = remaining.abs().log2().floor() as i32;
-        let term = remaining.signum() * 2.0_f32.powi(exp);
-        approx += term;
-        remaining -= term;
-        terms += 1;
-    }
-    (q as f32 * approx, terms)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,15 +321,6 @@ mod tests {
             .mean_abs_error(&t)
             .unwrap();
         assert!(e8 < e4);
-    }
-
-    #[test]
-    fn shift_add_dequantize_approximates_product() {
-        let scale = 0.013_f32;
-        let (approx, terms) = shift_add_dequantize(5, scale, 8);
-        assert!(terms <= 8);
-        assert!((approx - 5.0 * scale).abs() < 5.0 * scale * 0.01);
-        assert_eq!(shift_add_dequantize(0, scale, 8), (0.0, 0));
     }
 
     proptest! {

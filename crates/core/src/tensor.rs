@@ -141,11 +141,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns the flat data vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Row-major strides for the current shape.
     pub fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1; self.shape.len()];

@@ -838,18 +838,6 @@ impl<M: ServeModel> ModelZoo<M> {
         Ok(restored)
     }
 
-    /// Replaces the golden probes future swaps of `name` must pass (e.g.
-    /// after recording goldens from a new known-good version).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownModel`] for an unregistered name.
-    pub fn set_probes(&self, name: &str, probes: Vec<ProbeSpec>) -> Result<(), ServeError> {
-        let entry = self.entry(name)?;
-        *entry.probes.lock().expect("probes poisoned") = probes;
-        Ok(())
-    }
-
     /// Runs `name`'s current version over the entry's probes and records
     /// each probe's logits as its golden outputs — future swaps must then
     /// reproduce them bitwise (use after publishing a known-good version

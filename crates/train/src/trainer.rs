@@ -472,9 +472,11 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Propagates any shape/configuration error raised during the forward or
-    /// backward passes, plus the typed training aborts
-    /// ([`TrainError::NonFinite`], [`TrainError::FaultBudgetExceeded`]).
+    /// Returns [`TrainError::Snn`] with an [`SnnError::InvalidConfig`] on
+    /// `"train split"` when `data` holds no training samples. Propagates any
+    /// shape/configuration error raised during the forward or backward
+    /// passes, plus the typed training aborts ([`TrainError::NonFinite`],
+    /// [`TrainError::FaultBudgetExceeded`]).
     pub fn fit(
         &mut self,
         network: &mut SnnNetwork,
@@ -567,6 +569,13 @@ impl Trainer {
         self.config.validate()?;
         let fingerprint = DataFingerprint::of(data);
         let total = data.len(Split::Train);
+        if total == 0 {
+            return Err(SnnError::config(
+                "train split",
+                "the dataset holds no training samples, so no epoch can train",
+            )
+            .into());
+        }
         let limit = self.config.max_train_samples.unwrap_or(total).min(total);
         let num_classes = data.num_classes();
         let batch_size = self.config.batch_size;
@@ -983,6 +992,24 @@ mod tests {
             TrainConfig::quick_qat(Precision::Int4).precision,
             Precision::Int4
         );
+    }
+
+    /// A dataset without training samples is a typed error, not a
+    /// `completed` run with 0.0 losses.
+    #[test]
+    fn empty_train_split_is_rejected_typed() {
+        let data =
+            SyntheticDataset::generate(SyntheticConfig::cifar10_like().scaled_down(16, 0, 4));
+        assert_eq!(data.len(Split::Train), 0);
+        let mut net = vgg9(&Vgg9Config::cifar10_small()).unwrap();
+        let mut cfg = TrainConfig::quick();
+        cfg.epochs = 2;
+        match Trainer::new(cfg).unwrap().fit(&mut net, &data) {
+            Err(TrainError::Snn(SnnError::InvalidConfig { parameter, .. })) => {
+                assert_eq!(parameter, "train split");
+            }
+            other => panic!("expected an InvalidConfig on the train split, got {other:?}"),
+        }
     }
 
     /// The former `batch_size = 0` infinite loop is now a typed validation

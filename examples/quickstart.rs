@@ -38,18 +38,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         total_output_spikes(&report.traces),
         average_sparsity(&report.traces) * 100.0
     );
+    // Area and power are fixed by the hardware, so they live on the engine's
+    // plan; the report's per-layer rows are index-aligned with it.
+    let plan = engine.plan();
     println!(
         "Accelerator: {:.3} ms latency | {:.0} FPS | {:.3} mJ/image | {:.2} W dynamic | fits device: {}",
         report.hardware.latency_ms,
         report.hardware.throughput_fps,
         report.hardware.dynamic_energy_mj,
-        report.hardware.total_dynamic_watts,
-        report.hardware.fits_device
+        plan.power().total_dynamic_watts(),
+        plan.resources().fits()
     );
-    for layer in &report.hardware.layers {
+    let hardware = plan.resources().layers.iter().zip(&plan.power().layers);
+    for (layer, (area, power)) in report.hardware.layers.iter().zip(hardware) {
         println!(
             "  {:<8} cores={:<3} cycles={:<9} power={:.3} W energy={:.4} mJ",
-            layer.name, layer.neural_cores, layer.cycles, layer.dynamic_watts, layer.dynamic_mj
+            area.name, area.neural_cores, layer.cycles, power.dynamic_watts, layer.dynamic_mj
         );
     }
 

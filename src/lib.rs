@@ -15,7 +15,8 @@
 //!   and im2col scratch buffers) vended by [`Engine::session`]. Its
 //!   [`Session::run`] and [`Session::run_batch`] return a [`RunReport`] that
 //!   contains the classification output, the per-layer spike traces **and**
-//!   the accelerator's latency/energy/resource estimate in one struct.
+//!   the accelerator's per-image latency/energy estimate in one struct; the
+//!   hardware's area and power are on the engine's [`EstimatePlan`].
 //!
 //! # Quickstart
 //!
@@ -58,7 +59,7 @@ pub use snn_data as data;
 pub use snn_serve as serve;
 pub use snn_train as train;
 
-pub use snn_accel::accelerator::{EstimatePlan, HybridAccelerator, InferenceReport, LayerPerf};
+pub use snn_accel::accelerator::{EstimatePlan, InferenceReport, LayerPerf};
 pub use snn_accel::config::{HwConfig, PerfScale};
 pub use snn_core::encoding::Encoder;
 pub use snn_core::error::SnnError;
@@ -95,8 +96,8 @@ pub struct RunReport {
     pub traces: Vec<LayerTrace>,
     /// Number of timesteps simulated.
     pub timesteps: usize,
-    /// The accelerator's latency/throughput/power/energy/resource estimate
-    /// for this inference.
+    /// The accelerator's cycles, latency, throughput and energy for this
+    /// inference; the hardware's area and power are on [`Engine::plan`].
     pub hardware: InferenceReport,
 }
 
@@ -280,7 +281,7 @@ impl EngineBuilder {
     /// Returns [`SnnError::InvalidConfig`] if no network was supplied, the
     /// encoder has zero timesteps, the hardware configuration does not cover
     /// the network's layers or holds values no hardware can have (see
-    /// [`HybridAccelerator::new`]), an explicit [`HwConfig`]'s precision differs
+    /// [`EstimatePlan::new`]), an explicit [`HwConfig`]'s precision differs
     /// from the engine precision (the fused report would model hardware for
     /// weights the engine is not running), or a rate-coded engine keeps the
     /// dense core enabled (rate-coded inputs are binary spikes; call
@@ -335,7 +336,7 @@ impl EngineBuilder {
             ));
         }
 
-        let plan = HybridAccelerator::new(&network, hardware)?.plan(self.encoder.timesteps)?;
+        let plan = EstimatePlan::new(&network, hardware, self.encoder.timesteps)?;
         Ok(Engine {
             shared: Arc::new(EngineShared {
                 network: Arc::new(network),
@@ -468,8 +469,11 @@ impl Engine {
     /// Same hardware validation as [`EngineBuilder::build`].
     pub fn with_hardware(&self, hardware: HwConfig) -> Result<Engine, SnnError> {
         check_dense_core(&self.shared.encoder, &hardware)?;
-        let plan = HybridAccelerator::new(&self.shared.network, hardware)?
-            .plan(self.shared.encoder.timesteps)?;
+        let plan = EstimatePlan::new(
+            &self.shared.network,
+            hardware,
+            self.shared.encoder.timesteps,
+        )?;
         Ok(Engine {
             shared: Arc::new(EngineShared {
                 network: Arc::clone(&self.shared.network),
@@ -502,8 +506,7 @@ impl Engine {
         network.apply_precision(self.shared.precision)?;
         let hardware = self.shared.plan.config().clone();
         check_dense_core(&self.shared.encoder, &hardware)?;
-        let plan =
-            HybridAccelerator::new(&network, hardware)?.plan(self.shared.encoder.timesteps)?;
+        let plan = EstimatePlan::new(&network, hardware, self.shared.encoder.timesteps)?;
         Ok(Engine {
             shared: Arc::new(EngineShared {
                 network: Arc::new(network),
@@ -763,7 +766,7 @@ mod tests {
         assert_eq!(report.hardware.layers.len(), 9);
         assert!(report.hardware.latency_ms > 0.0);
         assert!(report.hardware.dynamic_energy_mj > 0.0);
-        assert!(report.hardware.fits_device);
+        assert!(engine.plan().resources().fits());
     }
 
     #[test]

@@ -7,9 +7,10 @@ use snn::accel::dense_core::DenseCore;
 use snn::accel::dse::allocate_balanced;
 use snn::accel::sparse_core::SparseCore;
 use snn::accel::workload::from_traces;
-use snn::accel::HybridAccelerator;
 use snn::core::network::{vgg9, RunState, SnnNetwork, Vgg9Config};
-use snn::{total_output_spikes, Encoder, Engine, HwConfig, PerfScale, Precision, Tensor};
+use snn::{
+    total_output_spikes, Encoder, Engine, EstimatePlan, HwConfig, PerfScale, Precision, Tensor,
+};
 
 fn small_image() -> Tensor {
     Tensor::from_fn(&[3, 16, 16], |i| ((i as f32) * 0.019).sin().abs())
@@ -78,8 +79,8 @@ fn estimate_consumes_the_observed_spike_counts() {
         let seed = 3;
         let (inputs, _) = observed_counts(&network, &image, &encoder, seed);
         let out = network.run_seeded(&image, &encoder, seed).unwrap();
-        let accel = HybridAccelerator::new(&network, hw.clone()).unwrap();
-        let report = accel.estimate(&out.traces).unwrap();
+        let plan = EstimatePlan::new(&network, hw.clone(), encoder.timesteps).unwrap();
+        let report = plan.estimate(&out.traces).unwrap();
         let weight_layers = out
             .traces
             .iter()
@@ -88,7 +89,7 @@ fn estimate_consumes_the_observed_spike_counts() {
         let mut checked = 0;
         for (w, (li, geo)) in weight_layers.enumerate() {
             let perf = &report.layers[w];
-            assert_eq!(perf.name, geo.name);
+            assert_eq!(plan.geometry()[w].name, geo.name);
             assert_eq!(
                 perf.input_events,
                 inputs[li].iter().sum::<u64>(),
@@ -117,7 +118,7 @@ fn dense_core_costs_the_networks_first_layer() {
     let network = vgg9(&Vgg9Config::cifar10_small()).unwrap();
     let [(encoder, hw), _] = codings();
     assert!(hw.dense_core_enabled);
-    let accel = HybridAccelerator::new(&network, hw.clone()).unwrap();
+    let plan = EstimatePlan::new(&network, hw.clone(), encoder.timesteps).unwrap();
     let bright = Tensor::from_fn(&[3, 16, 16], |_| 1.0);
     let mut first_layer_cycles = Vec::new();
     for image in [small_image(), bright] {
@@ -130,8 +131,8 @@ fn dense_core_costs_the_networks_first_layer() {
             encoder.timesteps,
         );
         assert!(timing.total_cycles > 0);
-        let report = accel.estimate(&out.traces).unwrap();
-        assert_eq!(report.layers[0].name, geo.name);
+        let report = plan.estimate(&out.traces).unwrap();
+        assert_eq!(plan.geometry()[0].name, geo.name);
         assert_eq!(report.layers[0].cycles, timing.total_cycles);
         first_layer_cycles.push((out.traces[0].output_spikes.clone(), timing.total_cycles));
     }
@@ -241,5 +242,5 @@ fn dse_allocation_balances_the_network() {
     let mut allocation = vec![1usize];
     allocation.extend(balanced.cores.iter().skip(1));
     let cfg = HwConfig::from_allocation("dse", Precision::Int4, &allocation).unwrap();
-    assert!(HybridAccelerator::new(&network, cfg).is_ok());
+    assert!(EstimatePlan::new(&network, cfg, 2).is_ok());
 }
