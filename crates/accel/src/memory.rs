@@ -67,13 +67,6 @@ pub struct LayerMemory {
     pub register_ffs: u64,
 }
 
-impl LayerMemory {
-    /// Total on-chip bits (weights + membranes + spikes).
-    pub fn total_bits(&self) -> u64 {
-        self.weight_bits + self.membrane_bits + self.spike_bits
-    }
-}
-
 /// Parameters of the memory plan: which layer runs on the dense core and how
 /// many neural cores / timesteps the sparse layers are provisioned for.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -301,17 +294,5 @@ mod tests {
         let mem = plan(&geo, &ncs, p);
         assert_ne!(mem[0].weight_kind, MemoryKind::Register);
         assert!(mem[0].membrane_bits > 0);
-    }
-
-    #[test]
-    fn total_bits_is_sum_of_components() {
-        let geo = paper_geometry();
-        let mem = plan(&geo, &[1; 8], params(Precision::Int4));
-        for l in &mem {
-            assert_eq!(
-                l.total_bits(),
-                l.weight_bits + l.membrane_bits + l.spike_bits
-            );
-        }
     }
 }

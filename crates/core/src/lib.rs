@@ -18,8 +18,9 @@
 //!   a run's per-layer [`network::LayerTrace`]s are its one spike-count
 //!   record, and [`network::total_output_spikes`] /
 //!   [`network::average_sparsity`] summarise them,
-//! * [`stats`] — streaming latency histograms and the per-layer spike-rate
-//!   drift tracker.
+//! * [`stats`] — the streaming latency histogram and the per-layer
+//!   spike-rate drift tracker, which counts each layer's rates per octave
+//!   and computes its verdict when asked.
 //!
 //! # Example
 //!

@@ -27,10 +27,13 @@
 //!   retained version with one call.
 //! - **Drift detection.** Every successful result's per-layer traces are
 //!   folded into a per-model [`DriftTracker`] (via the core's
-//!   [`ResultObserver`](crate::core::ResultObserver) hook — allocation-free
-//!   in steady state). When the windowed per-layer spike-rate distribution
-//!   diverges from the calibration baseline beyond the configured KL
-//!   threshold, the model's health flips `Healthy →`
+//!   [`ResultObserver`](crate::core::ResultObserver) hook): a few counter
+//!   updates per layer, with no allocation once the tracker has learned the
+//!   model's layers (`snn-core`'s `drift_allocs` test counts them). The
+//!   verdict is computed when health or stats are read. When the windowed
+//!   per-layer spike-rate distribution diverges from the calibration
+//!   baseline beyond the configured KL threshold, the model's health flips
+//!   `Healthy →`
 //!   [`ModelHealth::Degraded`], surfaced in `/v1/stats` and `/healthz` and
 //!   enforced per [`DriftPolicy`]: *annotate* responses (the wire carries a
 //!   `degraded` flag) or *shed* with the retryable
@@ -488,14 +491,17 @@ impl<M: ServeModel> ModelEntry<M> {
     }
 
     fn health(&self) -> ModelHealth {
+        self.health_under(&self.drift_status())
+    }
+
+    /// The health `drift` implies, with the core's wedge outranking it.
+    fn health_under(&self, drift: &DriftStatus) -> ModelHealth {
         if self.core.is_wedged() {
-            return ModelHealth::Wedged;
-        }
-        let status = self.drift_status();
-        if status.drifted {
+            ModelHealth::Wedged
+        } else if drift.drifted {
             ModelHealth::Degraded {
-                kl: status.max_kl,
-                layer: status.worst_layer.unwrap_or_default(),
+                kl: drift.max_kl,
+                layer: drift.worst_layer.clone().unwrap_or_default(),
             }
         } else {
             ModelHealth::Healthy
@@ -507,7 +513,7 @@ impl<M: ServeModel> ModelEntry<M> {
         let counters = self.counters.lock().expect("counters poisoned");
         ModelStats {
             version: self.swappable.version(),
-            health: self.health().as_str().to_string(),
+            health: self.health_under(&drift).as_str().to_string(),
             drift_kl: drift.max_kl,
             drift_layer: drift.worst_layer,
             drift_calibrated: drift.calibrated,
@@ -692,9 +698,12 @@ impl<M: ServeModel> ModelZoo<M> {
             })
     }
 
-    fn route(&self, request: &InferenceRequest) -> Result<Arc<ModelEntry<M>>, ServeError> {
-        match &request.model {
-            Some(name) => self.entry(name),
+    /// Routes `request` to the model it names, or to the default model when
+    /// it names none, and applies that model's drift policy: under
+    /// [`DriftPolicy::Shed`] a drift-Degraded model refuses it.
+    fn admit(&self, request: &InferenceRequest) -> Result<Arc<ModelEntry<M>>, ServeError> {
+        let entry = match &request.model {
+            Some(name) => self.entry(name)?,
             None => {
                 let map = self.inner.read().expect("zoo poisoned");
                 let name =
@@ -708,9 +717,15 @@ impl<M: ServeModel> ModelZoo<M> {
                     .cloned()
                     .ok_or_else(|| ServeError::UnknownModel {
                         model: name.to_string(),
-                    })
+                    })?
+            }
+        };
+        if entry.policy == DriftPolicy::Shed {
+            if let ModelHealth::Degraded { kl, layer } = entry.health() {
+                return Err(ServeError::Degraded { kl, layer });
             }
         }
+        Ok(entry)
     }
 
     /// Registered model names (sorted).
@@ -873,13 +888,7 @@ impl<M: ServeModel> ModelZoo<M> {
     /// model is drift-flagged, plus everything
     /// [`ServeCore::submit`] returns.
     pub fn submit(&self, request: InferenceRequest) -> Result<ResponseHandle, ServeError> {
-        let entry = self.route(&request)?;
-        if entry.policy == DriftPolicy::Shed {
-            if let ModelHealth::Degraded { kl, layer } = entry.health() {
-                return Err(ServeError::Degraded { kl, layer });
-            }
-        }
-        entry.core.submit(request)
+        self.admit(&request)?.core.submit(request)
     }
 
     /// Convenience: [`ModelZoo::submit`] then wait.
@@ -902,12 +911,7 @@ impl<M: ServeModel> ModelZoo<M> {
         &self,
         request: InferenceRequest,
     ) -> Result<(ServedResponse, bool), ServeError> {
-        let entry = self.route(&request)?;
-        if entry.policy == DriftPolicy::Shed {
-            if let ModelHealth::Degraded { kl, layer } = entry.health() {
-                return Err(ServeError::Degraded { kl, layer });
-            }
-        }
+        let entry = self.admit(&request)?;
         let response = entry.core.submit(request)?.wait()?;
         let degraded = matches!(entry.health(), ModelHealth::Degraded { .. });
         Ok((response, degraded))

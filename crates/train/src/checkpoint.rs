@@ -152,48 +152,76 @@ impl TrainCheckpoint {
             .collect()
     }
 
-    /// Writes the checkpoint weights back into `network`.
+    /// Writes the checkpoint weights back into `network`. Every layer is
+    /// checked before the first write, so an error leaves `network`
+    /// untouched.
     ///
     /// # Errors
     ///
     /// Returns [`TrainError::IncompatibleResume`] if a layer index or tensor
     /// shape does not match the network.
     pub fn restore_weights(&self, network: &mut SnnNetwork) -> Result<(), TrainError> {
-        let layer_count = network.layers().len();
+        self.check_layers(network)?;
+        let copy = |dst: &mut Tensor, src: &Tensor| {
+            dst.as_mut_slice().copy_from_slice(src.as_slice());
+        };
         for lw in &self.weights {
-            let layer = network
-                .layers_mut()
-                .get_mut(lw.layer_index)
-                .ok_or_else(|| TrainError::IncompatibleResume {
-                    reason: format!(
-                        "checkpoint has weights for layer {} but the network has only \
-                         {layer_count} layers",
-                        lw.layer_index
-                    ),
-                })?;
-            match layer {
+            match &mut network.layers_mut()[lw.layer_index] {
                 Layer::Conv { conv, .. } => {
-                    copy_tensor(conv.weight_mut(), &lw.weight, lw.layer_index)?;
-                    copy_tensor(conv.bias_mut(), &lw.bias, lw.layer_index)?;
+                    copy(conv.weight_mut(), &lw.weight);
+                    copy(conv.bias_mut(), &lw.bias);
                 }
                 Layer::Linear { linear, .. } => {
-                    copy_tensor(linear.weight_mut(), &lw.weight, lw.layer_index)?;
-                    copy_tensor(linear.bias_mut(), &lw.bias, lw.layer_index)?;
+                    copy(linear.weight_mut(), &lw.weight);
+                    copy(linear.bias_mut(), &lw.bias);
                 }
-                Layer::Pool { name, .. } => {
-                    return Err(TrainError::IncompatibleResume {
-                        reason: format!(
-                            "checkpoint has weights for layer {} ({name}) which is a pool layer",
-                            lw.layer_index
-                        ),
-                    })
+                Layer::Pool { .. } => unreachable!("check_layers rejects pool layers"),
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks that every checkpointed layer names a weight layer of
+    /// `network` whose weight and bias shapes match the checkpoint's.
+    fn check_layers(&self, network: &SnnNetwork) -> Result<(), TrainError> {
+        let layers = network.layers();
+        for lw in &self.weights {
+            let incompatible = |reason: String| TrainError::IncompatibleResume { reason };
+            let (weight, bias) = match layers.get(lw.layer_index) {
+                Some(Layer::Conv { conv, .. }) => (conv.weight(), conv.bias()),
+                Some(Layer::Linear { linear, .. }) => (linear.weight(), linear.bias()),
+                Some(Layer::Pool { name, .. }) => {
+                    return Err(incompatible(format!(
+                        "checkpoint has weights for layer {} ({name}) which is a pool layer",
+                        lw.layer_index
+                    )))
+                }
+                None => {
+                    return Err(incompatible(format!(
+                        "checkpoint has weights for layer {} but the network has only {} \
+                         layers",
+                        lw.layer_index,
+                        layers.len()
+                    )))
+                }
+            };
+            for (have, saved) in [(weight, &lw.weight), (bias, &lw.bias)] {
+                if have.shape() != saved.shape() {
+                    return Err(incompatible(format!(
+                        "layer {} tensor shape {:?} does not match checkpoint shape {:?}",
+                        lw.layer_index,
+                        have.shape(),
+                        saved.shape()
+                    )));
                 }
             }
         }
         Ok(())
     }
 
-    /// Checks that this checkpoint can resume against `network` and `data`.
+    /// Checks that this checkpoint can resume against `network` and `data`:
+    /// the dataset fingerprint, the cursor, and every layer's index and
+    /// weight and bias shapes.
     ///
     /// # Errors
     ///
@@ -225,6 +253,7 @@ impl TrainCheckpoint {
                 ),
             });
         }
+        self.check_layers(network)?;
         if self.cursor.epoch >= self.config.epochs && self.cursor.next_index != 0 {
             return Err(TrainError::IncompatibleResume {
                 reason: format!(
@@ -522,22 +551,6 @@ impl TrainCheckpoint {
             optimizer: optimizer.ok_or_else(|| parse_err("missing optimizer section"))?,
         })
     }
-}
-
-/// Copies a checkpointed tensor over a network parameter after a shape
-/// check.
-fn copy_tensor(dst: &mut Tensor, src: &Tensor, layer_index: usize) -> Result<(), TrainError> {
-    if dst.shape() != src.shape() {
-        return Err(TrainError::IncompatibleResume {
-            reason: format!(
-                "layer {layer_index} tensor shape {:?} does not match checkpoint shape {:?}",
-                dst.shape(),
-                src.shape()
-            ),
-        });
-    }
-    dst.as_mut_slice().copy_from_slice(src.as_slice());
-    Ok(())
 }
 
 fn parse_err(message: impl Into<String>) -> SnnError {

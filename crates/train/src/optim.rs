@@ -83,17 +83,6 @@ pub enum OptimizerState {
     },
 }
 
-impl OptimizerState {
-    /// Total optimizer steps taken so far (the maximum per-parameter step
-    /// count; all parameters of one network advance in lockstep).
-    pub fn step_count(&self) -> u64 {
-        match self {
-            OptimizerState::Sgd { .. } => 0,
-            OptimizerState::Adam { steps, .. } => steps.values().copied().max().unwrap_or(0),
-        }
-    }
-}
-
 /// Stochastic gradient descent with classical momentum.
 #[derive(Debug, Clone)]
 pub struct Sgd {
@@ -452,6 +441,5 @@ mod tests {
         let sgd = Sgd::new(0.1, 0.9);
         assert!(Sgd::from_state(adam.state()).is_err());
         assert!(Adam::from_state(sgd.state()).is_err());
-        assert_eq!(adam.state().step_count(), 0);
     }
 }

@@ -509,12 +509,16 @@ impl Trainer {
     /// are bitwise identical to the uninterrupted run, at any thread count.
     ///
     /// The checkpoint's own configuration drives the continuation; `network`
-    /// is overwritten with the checkpointed weights after validation.
+    /// is overwritten with the checkpointed weights only after the
+    /// checkpoint, its configuration and its optimizer state all pass
+    /// validation, so a refused resume leaves `network` untouched.
     ///
     /// # Errors
     ///
     /// Returns [`TrainError::IncompatibleResume`] if the checkpoint does not
-    /// match `network`/`data`, plus everything [`Trainer::fit`] can return.
+    /// match `network`/`data`, [`TrainError::InvalidConfig`] for an invalid
+    /// checkpointed configuration, plus everything [`Trainer::fit`] can
+    /// return.
     pub fn resume(
         checkpoint: TrainCheckpoint,
         network: &mut SnnNetwork,
@@ -535,17 +539,16 @@ impl Trainer {
         stop: &StopHandle,
     ) -> Result<TrainReport, TrainError> {
         checkpoint.validate_against(network, data)?;
+        checkpoint.config.validate()?;
+        let optimizer = AnyOptimizer::from_state(checkpoint.optimizer.clone())?;
         checkpoint.restore_weights(network)?;
         let TrainCheckpoint {
             config,
             cursor,
             report,
-            optimizer,
             ..
         } = checkpoint;
-        config.validate()?;
         let bptt = Bptt::new(config.surrogate, config.precision);
-        let optimizer = AnyOptimizer::from_state(optimizer)?;
         let mut trainer = Trainer {
             config,
             bptt,

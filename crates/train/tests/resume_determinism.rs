@@ -161,10 +161,39 @@ fn resume_rejects_incompatible_targets() {
     let other_data =
         SyntheticDataset::generate(SyntheticConfig::cifar10_like().scaled_down(16, 8, 4));
     let mut fresh = vgg9(&Vgg9Config::cifar10_small()).unwrap();
-    let err = Trainer::resume(checkpoint, &mut fresh, &other_data).unwrap_err();
+    let err = Trainer::resume(checkpoint.clone(), &mut fresh, &other_data).unwrap_err();
     assert!(
         matches!(err, snn_train::TrainError::IncompatibleResume { .. }),
         "expected IncompatibleResume, got {err:?}"
+    );
+
+    // Same data and weight-layer count, but the output layer's shape
+    // differs: refused before any layer is written.
+    let mut wider = vgg9(&Vgg9Config::cifar100_small()).unwrap();
+    let before = weight_bits(&wider);
+    let err = Trainer::resume(checkpoint.clone(), &mut wider, &data).unwrap_err();
+    assert!(
+        matches!(err, snn_train::TrainError::IncompatibleResume { .. }),
+        "expected IncompatibleResume, got {err:?}"
+    );
+    assert!(
+        weight_bits(&wider) == before,
+        "a refused resume wrote weights"
+    );
+
+    // A compatible network, but the checkpointed config is invalid.
+    let mut bad_config = checkpoint;
+    bad_config.config.grad_clip = Some(-1.0);
+    let mut target = vgg9(&Vgg9Config::cifar10_small()).unwrap();
+    let before = weight_bits(&target);
+    let err = Trainer::resume(bad_config, &mut target, &data).unwrap_err();
+    assert!(
+        matches!(err, snn_train::TrainError::InvalidConfig { .. }),
+        "expected InvalidConfig, got {err:?}"
+    );
+    assert!(
+        weight_bits(&target) == before,
+        "a refused resume wrote weights"
     );
     std::fs::remove_file(&path).ok();
 }
